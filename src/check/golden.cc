@@ -11,6 +11,10 @@
 #include "activity/eventsize.h"
 #include "activity/metrics.h"
 #include "activity/pattern.h"
+#include "analysis/fig10_useragents.h"
+#include "analysis/fig9_traffic.h"
+#include "analysis/visibility.h"
+#include "bgp/table.h"
 #include "cdn/observatory.h"
 #include "io/crc32c.h"
 #include "obs/registry.h"
@@ -200,6 +204,74 @@ std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config) {
     }
     csv.AddRow({"chapman_estimate", Fmt(stats::Chapman(n1, n2, m).population)});
   });
+
+  // The hit-count figures: Fig 2 (CDN vs ICMP, the ICMP scan generator),
+  // Fig 9 and Fig 10 (the ForEachBlockHits stream).
+  render("fig2.csv", {"granularity", "cdn_only", "both", "icmp_only"},
+         [&](report::CsvWriter& csv) {
+           bgp::RoutingFeed feed{world};
+           analysis::VisibilityResult r =
+               analysis::RunVisibility(world, store, feed);
+           auto add = [&csv](const char* name,
+                             const analysis::VisibilitySplit& s) {
+             csv.AddRow({name, Fmt(s.cdn_only), Fmt(s.both), Fmt(s.icmp_only)});
+           };
+           add("ases", r.ases);
+           add("prefixes", r.prefixes);
+           add("blocks", r.blocks);
+           add("ips", r.ips);
+           const analysis::IcmpOnlyClassification& c = r.icmp_only_class;
+           csv.AddRow({"icmp_only_server_router", Fmt(c.server),
+                       Fmt(c.server_router), Fmt(c.router)});
+           csv.AddRow({"icmp_only_unknown", Fmt(c.unknown), "", ""});
+         });
+
+  // Fig 9a/9b per days-active bin, then 9c per week (share in `ips`'s
+  // column), then the scalar summaries (value in `ips`'s column).
+  render("fig9.csv",
+         {"series", "index", "ips", "total_hits", "p5", "p25", "median", "p75",
+          "p95"},
+         [&](report::CsvWriter& csv) {
+           analysis::Fig9Result r =
+               analysis::RunFig9(cdn::Observatory::Daily(world),
+                                 cdn::Observatory::Weekly(world));
+           for (std::size_t d = 0; d < r.bins.size(); ++d) {
+             const auto& b = r.bins[d];
+             csv.AddRow({"days_active", Fmt(std::uint64_t{d + 1}), Fmt(b.ips),
+                         Fmt(b.total_hits), Fmt(b.p5), Fmt(b.p25),
+                         Fmt(b.median), Fmt(b.p75), Fmt(b.p95)});
+           }
+           auto scalar = [&csv](const char* name, std::uint64_t index,
+                                double v) {
+             csv.AddRow({name, Fmt(index), Fmt(v), "", "", "", "", "", ""});
+           };
+           for (std::size_t w = 0; w < r.weekly_top10_share.size(); ++w) {
+             scalar("weekly_top10_share", w, r.weekly_top10_share[w]);
+           }
+           scalar("all_days_ip_frac", 0, r.all_days_ip_frac);
+           scalar("all_days_traffic_frac", 0, r.all_days_traffic_frac);
+           scalar("traffic_gini", 0, r.traffic_gini);
+           scalar("first_month_share", 0, r.first_month_share);
+           scalar("last_month_share", 0, r.last_month_share);
+         });
+
+  // Per-block UA samples in key order, then the region tallies and the
+  // WHOIS attribution (value in `samples`'s column).
+  render("fig10.csv", {"block", "samples", "unique_uas"},
+         [&](report::CsvWriter& csv) {
+           analysis::Fig10Result r =
+               analysis::RunFig10(world, cdn::Observatory::Daily(world));
+           for (const cdn::BlockUaSample& s : r.samples) {
+             csv.AddRow({Fmt(std::uint64_t{s.key}), Fmt(s.samples),
+                         Fmt(s.unique_uas)});
+           }
+           csv.AddRow({"region_residential", Fmt(r.region_residential), ""});
+           csv.AddRow({"region_bots", Fmt(r.region_bots), ""});
+           csv.AddRow({"region_gateways", Fmt(r.region_gateways), ""});
+           csv.AddRow({"gateway_whois_cellular",
+                       Fmt(r.gateway_whois_cellular), ""});
+           csv.AddRow({"gateway_whois_apnic", Fmt(r.gateway_whois_apnic), ""});
+         });
 
   std::sort(files.begin(), files.end(),
             [](const GoldenFile& a, const GoldenFile& b) {

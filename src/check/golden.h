@@ -19,6 +19,9 @@
 //   stu_change.csv         Fig 8a per-block max monthly STU delta
 //   block_metrics.csv      Fig 8b per-block FD / STU
 //   summary.csv            scalar table: store shape, totals, Chapman
+//   fig2.csv               Fig 2 CDN vs ICMP splits + ICMP-only classes
+//   fig9.csv               Fig 9a/b days-active bins, 9c weekly shares
+//   fig10.csv              Fig 10 per-block UA samples + region tallies
 //
 // Renderings are bit-deterministic: every analysis obeys the
 // par::ParallelReduce ordered-merge contract (thread-count independent)
