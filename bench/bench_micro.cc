@@ -110,6 +110,30 @@ void BM_GenerateStepDay(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateStepDay);
 
+// One block's whole 112-day window with hit counts per iteration: the
+// ForEachBlockHits kernel. Items are host-steps, comparable with
+// BM_GenerateStepDay's (which skips the hits).
+void BM_GenerateBlockHits(benchmark::State& state) {
+  const sim::World& world = SharedWorld();
+  sim::StepSpec spec;
+  spec.start_day = 228;
+  spec.step_days = 1;
+  spec.steps = 112;
+  spec.world_seed = world.config().seed;
+  spec.gateway_growth = world.config().gateway_traffic_growth;
+  std::vector<activity::DayBits> rows(112);
+  std::vector<std::uint32_t> hits(112 * 256);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& plan = world.blocks()[i++ % world.blocks().size()];
+    sim::GenerateBlock(plan, spec, rows.data(), hits.data());
+    benchmark::DoNotOptimize(hits.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 112 * 256);
+}
+BENCHMARK(BM_GenerateBlockHits);
+
 void BM_IsolatingMask(benchmark::State& state) {
   rng::Xoshiro256 g{11};
   std::vector<std::uint32_t> members;

@@ -79,14 +79,9 @@ int ActivityMatrix::HostActiveDays(int host) const {
 std::array<std::uint16_t, 256> ActivityMatrix::HostActiveDayCounts() const {
   std::array<std::uint16_t, 256> counts{};
   for (int d = 0; d < days_; ++d) {
-    const DayBits& row = rows_[d];
-    for (int w = 0; w < 4; ++w) {
-      std::uint64_t word = row[static_cast<std::size_t>(w)];
-      while (word != 0) {
-        ++counts[static_cast<std::size_t>(w * 64 + std::countr_zero(word))];
-        word &= word - 1;
-      }
-    }
+    ForEachSetBit(rows_[d], [&counts](int host) {
+      ++counts[static_cast<std::size_t>(host)];
+    });
   }
   return counts;
 }

@@ -63,6 +63,18 @@ constexpr void SetBit(DayBits& bits, int host) {
       std::uint64_t{1} << (static_cast<unsigned>(host) & 63u);
 }
 
+// Calls fn(host) for every set bit, in ascending host order — one
+// count-trailing-zeros per active host instead of 256 TestBit probes.
+template <typename Fn>
+constexpr void ForEachSetBit(const DayBits& bits, Fn&& fn) {
+  for (int w = 0; w < 4; ++w) {
+    for (std::uint64_t word = bits[static_cast<std::size_t>(w)]; word != 0;
+         word &= word - 1) {
+      fn(w * 64 + std::countr_zero(word));
+    }
+  }
+}
+
 class ActivityMatrix {
  public:
   // A matrix covering `days` consecutive days (day indices 0 .. days-1),

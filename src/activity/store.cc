@@ -106,16 +106,12 @@ net::Ipv4Set ActivityStore::ActiveSet(int day_first, int day_last) const {
       [&](std::vector<std::uint32_t>& vals, std::size_t first,
           std::size_t last) {
         for (std::size_t i = first; i < last; ++i) {
-          DayBits u = matrices_[i].UnionOver(day_first, day_last);
           std::uint32_t base = keys_[i] << 8;
-          for (int w = 0; w < 4; ++w) {
-            std::uint64_t word = u[static_cast<std::size_t>(w)];
-            while (word != 0) {
-              int bit = std::countr_zero(word);
-              vals.push_back(base + static_cast<std::uint32_t>(w * 64 + bit));
-              word &= word - 1;
-            }
-          }
+          ForEachSetBit(matrices_[i].UnionOver(day_first, day_last),
+                        [&](int host) {
+                          vals.push_back(base +
+                                         static_cast<std::uint32_t>(host));
+                        });
         }
       },
       [](std::vector<std::uint32_t>& acc, std::vector<std::uint32_t>&& part) {

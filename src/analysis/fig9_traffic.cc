@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <ostream>
+#include <span>
+#include <vector>
 
 #include "report/table.h"
 #include "report/textplot.h"
@@ -17,8 +20,13 @@ namespace {
 // read off the top-decile share without storing every per-IP value.
 class HitVolumeHistogram {
  public:
-  void Add(std::uint64_t hits) {
-    int bin = BinOf(hits);
+  static int BinOf(std::uint64_t hits) {
+    int b = static_cast<int>(std::log1p(static_cast<double>(hits)) * 60.0);
+    return std::clamp(b, 0, kBins - 1);
+  }
+
+  // Adds one IP's weekly hits, already binned by BinOf.
+  void Add(int bin, std::uint64_t hits) {
     counts_[static_cast<std::size_t>(bin)] += 1;
     sums_[static_cast<std::size_t>(bin)] += hits;
     total_ips_ += 1;
@@ -46,10 +54,6 @@ class HitVolumeHistogram {
 
  private:
   static constexpr int kBins = 1400;
-  static int BinOf(std::uint64_t hits) {
-    int b = static_cast<int>(std::log1p(static_cast<double>(hits)) * 60.0);
-    return std::clamp(b, 0, kBins - 1);
-  }
   std::uint64_t counts_[kBins] = {};
   std::uint64_t sums_[kBins] = {};
   std::uint64_t total_ips_ = 0;
@@ -67,38 +71,54 @@ Fig9Result RunFig9(const cdn::Observatory& daily,
   std::vector<std::vector<double>> medians(static_cast<std::size_t>(days));
   std::vector<double> per_ip_totals;
 
-  daily.ForEachBlockHits([&](const sim::BlockPlan&,
-                             const activity::ActivityMatrix& m,
-                             std::span<const std::uint32_t> hits) {
-    for (int host = 0; host < 256; ++host) {
-      // Gather this address's active-day hit counts.
-      std::uint32_t day_hits[512];
-      int n = 0;
-      std::uint64_t total = 0;
-      for (int d = 0; d < days; ++d) {
-        std::uint32_t h = hits[static_cast<std::size_t>(d) * 256 +
-                               static_cast<std::size_t>(host)];
-        if (m.Get(d, host)) {
-          day_hits[n++] = h;
-          total += h;
+  // Per-address work (gather, total, median) runs in the pool-side map
+  // stage; the serial consume only appends, in block-key and host order.
+  struct AddressHits {
+    int days_active;
+    std::uint64_t total;
+    double median;
+  };
+  daily.ForEachBlockHits(
+      [days](const sim::BlockPlan&, const activity::ActivityMatrix& m,
+             std::span<const std::uint32_t> hits) {
+        std::vector<AddressHits> addresses;
+        for (int host = 0; host < 256; ++host) {
+          // Gather this address's active-day hit counts.
+          std::uint32_t day_hits[512];
+          int n = 0;
+          std::uint64_t total = 0;
+          for (int d = 0; d < days; ++d) {
+            std::uint32_t h = hits[static_cast<std::size_t>(d) * 256 +
+                                   static_cast<std::size_t>(host)];
+            if (m.Get(d, host)) {
+              day_hits[n++] = h;
+              total += h;
+            }
+          }
+          if (n == 0) continue;
+          auto mid = static_cast<std::size_t>(n / 2);
+          std::nth_element(day_hits, day_hits + mid, day_hits + n);
+          double median = day_hits[mid];
+          if (n % 2 == 0) {
+            std::uint32_t below =
+                *std::max_element(day_hits, day_hits + mid);
+            median = (median + below) / 2.0;
+          }
+          addresses.push_back({n, total, median});
         }
-      }
-      if (n == 0) continue;
-      auto mid = static_cast<std::size_t>(n / 2);
-      std::nth_element(day_hits, day_hits + mid, day_hits + n);
-      double median = day_hits[mid];
-      if (n % 2 == 0) {
-        std::uint32_t below =
-            *std::max_element(day_hits, day_hits + mid);
-        median = (median + below) / 2.0;
-      }
-      auto bin = static_cast<std::size_t>(n - 1);
-      out.bins[bin].ips += 1;
-      out.bins[bin].total_hits += total;
-      medians[bin].push_back(median);
-      per_ip_totals.push_back(static_cast<double>(total));
-    }
-  });
+        return addresses;
+      },
+      [&](const sim::BlockPlan&, const activity::ActivityMatrix&,
+          std::span<const std::uint32_t>,
+          const std::vector<AddressHits>& addresses) {
+        for (const AddressHits& a : addresses) {
+          auto bin = static_cast<std::size_t>(a.days_active - 1);
+          out.bins[bin].ips += 1;
+          out.bins[bin].total_hits += a.total;
+          medians[bin].push_back(a.median);
+          per_ip_totals.push_back(static_cast<double>(a.total));
+        }
+      });
 
   std::uint64_t total_ips = 0, total_hits = 0;
   for (const auto& b : out.bins) {
@@ -134,18 +154,34 @@ Fig9Result RunFig9(const cdn::Observatory& daily,
   // ---- 9c: weekly top-10% share ----
   const int weeks = weekly.steps();
   std::vector<HitVolumeHistogram> per_week(static_cast<std::size_t>(weeks));
-  weekly.ForEachBlockHits([&](const sim::BlockPlan&,
-                              const activity::ActivityMatrix& m,
-                              std::span<const std::uint32_t> hits) {
-    for (int w = 0; w < weeks; ++w) {
-      for (int host = 0; host < 256; ++host) {
-        if (!m.Get(w, host)) continue;
-        per_week[static_cast<std::size_t>(w)].Add(
-            hits[static_cast<std::size_t>(w) * 256 +
-                 static_cast<std::size_t>(host)]);
-      }
-    }
-  });
+  // The log1p binning runs in the map stage: one bin per active
+  // (week, host), in the order the consume walks them.
+  weekly.ForEachBlockHits(
+      [weeks](const sim::BlockPlan&, const activity::ActivityMatrix& m,
+              std::span<const std::uint32_t> hits) {
+        std::vector<std::uint16_t> bins;
+        for (int w = 0; w < weeks; ++w) {
+          activity::ForEachSetBit(m.Row(w), [&](int host) {
+            int bin = HitVolumeHistogram::BinOf(
+                hits[static_cast<std::size_t>(w) * 256 +
+                     static_cast<std::size_t>(host)]);
+            bins.push_back(static_cast<std::uint16_t>(bin));
+          });
+        }
+        return bins;
+      },
+      [&](const sim::BlockPlan&, const activity::ActivityMatrix& m,
+          std::span<const std::uint32_t> hits,
+          const std::vector<std::uint16_t>& bins) {
+        std::size_t next = 0;
+        for (int w = 0; w < weeks; ++w) {
+          activity::ForEachSetBit(m.Row(w), [&](int host) {
+            per_week[static_cast<std::size_t>(w)].Add(
+                bins[next++], hits[static_cast<std::size_t>(w) * 256 +
+                                   static_cast<std::size_t>(host)]);
+          });
+        }
+      });
   for (int w = 0; w < weeks; ++w) {
     out.weekly_top10_share.push_back(
         100.0 * per_week[static_cast<std::size_t>(w)].TopShare(0.10));

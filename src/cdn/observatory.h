@@ -10,11 +10,15 @@
 // never needs to be stored (DESIGN.md §4.3).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "activity/store.h"
+#include "par/pool.h"
 #include "sim/policy.h"
 #include "sim/world.h"
 #include "timeutil/date.h"
@@ -43,29 +47,82 @@ class Observatory {
   // construction and merged in key order).
   activity::ActivityStore BuildStore(int threads = 0) const;
 
+  // Blocks generated per ForEachBlockHits batch. A constant, so the batch
+  // boundaries never depend on the pool size; 64 daily blocks keep the
+  // in-flight hit arrays at 64 × 112 × 256 × 4 B ≈ 7.3 MB.
+  static constexpr std::size_t kHitsBatchBlocks = 64;
+
   // Streams every CDN-visible block with its activity matrix and per-step
   // per-host hit counts (row-major: hits[step * 256 + host], zero where
-  // inactive). Blocks with no activity are skipped.
+  // inactive), in BlockKey order. Blocks with no activity are skipped.
   //
-  //   fn(const sim::BlockPlan& plan, const activity::ActivityMatrix& m,
-  //      std::span<const std::uint32_t> hits)
+  // Blocks are generated kHitsBatchBlocks at a time on par::GlobalPool()
+  // by sim::GenerateBlock. Inside a batch, `map` also runs on the pool,
+  // once per visible block; then `consume` runs serially on the calling
+  // thread, in key order, with that block's map result:
+  //
+  //   map(const sim::BlockPlan& plan, const activity::ActivityMatrix& m,
+  //       std::span<const std::uint32_t> hits) -> R
+  //   consume(const sim::BlockPlan& plan, const activity::ActivityMatrix& m,
+  //           std::span<const std::uint32_t> hits, R& mapped)
+  //
+  // map runs concurrently, so it may only read shared state; consume sees
+  // exactly the call sequence of a serial per-block loop, for any pool
+  // size. An exception from generation or map reaches the caller before
+  // any block of its batch is consumed.
+  template <typename Map, typename Consume>
+  void ForEachBlockHits(Map&& map, Consume&& consume) const {
+    using Mapped = std::invoke_result_t<Map&, const sim::BlockPlan&,
+                                        const activity::ActivityMatrix&,
+                                        std::span<const std::uint32_t>>;
+    const auto steps = static_cast<std::size_t>(spec_.steps);
+    const std::size_t cells = steps * 256;
+    const std::size_t batch = std::min(kHitsBatchBlocks, order_.size());
+    std::vector<activity::DayBits> rows(batch * steps);
+    std::vector<std::uint32_t> hits(batch * cells);
+    std::vector<std::optional<Mapped>> mapped(batch);
+    auto matrix = [&](std::size_t i) {
+      return activity::ActivityMatrix{spec_.steps, rows.data() + i * steps};
+    };
+    auto block_hits = [&](std::size_t i) {
+      return std::span<const std::uint32_t>{hits.data() + i * cells, cells};
+    };
+    for (std::size_t first = 0; first < order_.size(); first += batch) {
+      const std::size_t n = std::min(batch, order_.size() - first);
+      par::ParallelFor(
+          par::GlobalPool(), 0, n, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+              const sim::BlockPlan& plan = world_.blocks()[order_[first + i]];
+              activity::DayBits* block_rows = rows.data() + i * steps;
+              sim::GenerateBlock(plan, spec_, block_rows,
+                                 hits.data() + i * cells);
+              mapped[i].reset();
+              if (std::all_of(block_rows, block_rows + steps,
+                              [](const activity::DayBits& r) {
+                                return r == activity::DayBits{};
+                              })) {
+                continue;
+              }
+              mapped[i].emplace(map(plan, matrix(i), block_hits(i)));
+            }
+          });
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!mapped[i]) continue;
+        consume(world_.blocks()[order_[first + i]], matrix(i), block_hits(i),
+                *mapped[i]);
+      }
+    }
+  }
+
+  // The map-less form: fn(plan, m, hits) serially, in key order.
   template <typename Fn>
   void ForEachBlockHits(Fn&& fn) const {
-    activity::ActivityMatrix matrix{spec_.steps};
-    std::vector<std::uint32_t> hits(
-        static_cast<std::size_t>(spec_.steps) * 256);
-    for (std::uint32_t index : order_) {
-      const sim::BlockPlan& plan = world_.blocks()[index];
-      bool any = false;
-      for (int s = 0; s < spec_.steps; ++s) {
-        activity::DayBits bits;
-        sim::GenerateStep(plan, spec_, s, bits,
-                          hits.data() + static_cast<std::size_t>(s) * 256);
-        matrix.Row(s) = bits;
-        any = any || (bits[0] | bits[1] | bits[2] | bits[3]) != 0;
-      }
-      if (any) fn(plan, matrix, std::span<const std::uint32_t>{hits});
-    }
+    ForEachBlockHits(
+        [](const sim::BlockPlan&, const activity::ActivityMatrix&,
+           std::span<const std::uint32_t>) { return true; },
+        [&fn](const sim::BlockPlan& plan, const activity::ActivityMatrix& m,
+              std::span<const std::uint32_t> hits,
+              bool&) { fn(plan, m, hits); });
   }
 
   // Total hits per step across all blocks (one streaming pass).

@@ -1,8 +1,10 @@
 #include "scan/icmp.h"
 
 #include <algorithm>
+#include <array>
 
 #include "geo/country.h"
+#include "par/pool.h"
 #include "rng/rng.h"
 #include "sim/policy.h"
 
@@ -101,18 +103,18 @@ void IcmpScanner::ScanBlockInto(const sim::BlockPlan& plan, std::int32_t day,
     return;
   }
 
-  // Client activity around the scan: generate the +-3-day neighbourhood.
+  // Client activity around the scan: the +-3-day neighbourhood, as one
+  // slot-major GenerateBlock call over a 7-step daily window.
   sim::StepSpec spec;
   spec.start_day = day - 3;
   spec.step_days = 1;
   spec.steps = 7;
-  activity::DayBits today{};
+  std::array<activity::DayBits, 7> window;
+  sim::GenerateBlock(plan, spec, window.data());
+  const activity::DayBits today = window[3];
   activity::DayBits nearby{};
-  for (int s = 0; s < 7; ++s) {
-    activity::DayBits bits;
-    sim::GenerateStep(plan, spec, s, bits, nullptr);
+  for (const activity::DayBits& bits : window) {
     nearby = activity::OrBits(nearby, bits);
-    if (s == 3) today = bits;
   }
 
   for (int host = 0; host < 256; ++host) {
@@ -131,34 +133,41 @@ void IcmpScanner::ScanBlockInto(const sim::BlockPlan& plan, std::int32_t day,
   }
 }
 
+// Blocks fan out over the shared pool; per-chunk responder lists
+// concatenate in block order, so the result is independent of the pool
+// size.
 net::Ipv4Set IcmpScanner::Scan(std::int32_t day) const {
-  std::vector<std::uint32_t> values;
-  for (const sim::BlockPlan& plan : world_.blocks()) {
-    std::int32_t mid = day;
-    if (mid < plan.active_from || mid >= plan.active_until) {
-      // Deactivated client blocks stop answering; infrastructure blocks are
-      // not subject to the client activity window.
-      if (!sim::IsInfraPolicy(plan.base.kind)) continue;
-    }
-    ScanBlockInto(plan, day, values);
-  }
+  std::vector<std::uint32_t> values = par::ParallelReduce(
+      std::size_t{0}, world_.blocks().size(), std::vector<std::uint32_t>{},
+      [&](std::vector<std::uint32_t>& out, std::size_t first,
+          std::size_t last) {
+        for (std::size_t i = first; i < last; ++i) {
+          const sim::BlockPlan& plan = world_.blocks()[i];
+          if (day < plan.active_from || day >= plan.active_until) {
+            // Deactivated client blocks stop answering; infrastructure
+            // blocks are not subject to the client activity window.
+            if (!sim::IsInfraPolicy(plan.base.kind)) continue;
+          }
+          ScanBlockInto(plan, day, out);
+        }
+      },
+      [](std::vector<std::uint32_t>& acc, std::vector<std::uint32_t>&& part) {
+        acc.insert(acc.end(), part.begin(), part.end());
+      },
+      /*grain=*/16);
   return net::Ipv4Set::FromValues(std::move(values));
 }
 
+// The union of the per-day scans: only one day's responder list is ever
+// held as raw values.
 net::Ipv4Set IcmpScanner::ScanMonth(std::int32_t month_start_day,
                                     int month_days, int num_scans) const {
-  std::vector<std::uint32_t> values;
+  net::Ipv4Set all;
   for (int i = 0; i < num_scans; ++i) {
-    std::int32_t day =
-        month_start_day + (i * month_days) / std::max(1, num_scans);
-    for (const sim::BlockPlan& plan : world_.blocks()) {
-      if (day < plan.active_from || day >= plan.active_until) {
-        if (!sim::IsInfraPolicy(plan.base.kind)) continue;
-      }
-      ScanBlockInto(plan, day, values);
-    }
+    all = all.Union(Scan(month_start_day +
+                         (i * month_days) / std::max(1, num_scans)));
   }
-  return net::Ipv4Set::FromValues(std::move(values));
+  return all;
 }
 
 }  // namespace ipscope::scan

@@ -123,7 +123,13 @@ Result<std::uint64_t, TcpError> RunTcpServer(
     return TcpError{std::string("socket: ") + std::strerror(errno)};
   }
   int one = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) !=
+      0) {
+    TcpError err{std::string("setsockopt(SO_REUSEADDR): ") +
+                 std::strerror(errno)};
+    CloseFd(listen_fd);
+    return err;
+  }
   struct sockaddr_in addr = {};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(options.port));

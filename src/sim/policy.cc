@@ -1,6 +1,7 @@
 #include "sim/policy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -69,6 +70,28 @@ int ActiveDaysInStep(double p_day, int step_days) {
   if (step_days == 1) return 1;
   int d = static_cast<int>(std::lround(p_day * step_days));
   return std::clamp(d, 1, step_days);
+}
+
+// Hit count of one emitted subscriber address for one step: the daily
+// lognormal draw scaled by the expected active days, clamped. GenerateStep
+// and the GenerateBlock hits pass both draw through here, so they consume
+// hit_gen identically.
+std::uint32_t SubscriberHits(rng::Xoshiro256& hit_gen, const PolicyParams& pp,
+                             double propensity, double p_day, int step_days) {
+  std::uint32_t daily =
+      DailyHits(hit_gen, pp.hits_mu, pp.hits_sigma, propensity);
+  std::uint64_t total =
+      std::uint64_t{daily} * ActiveDaysInStep(p_day, step_days);
+  return static_cast<std::uint32_t>(std::min<std::uint64_t>(total, 1u << 30));
+}
+
+// Hit count of an always-on gateway or crawler address: lognormal with
+// location mu, scaled by the step length, clamped to [1, 1e9].
+std::uint32_t AlwaysOnHits(rng::Xoshiro256& hit_gen, double mu, double sigma,
+                           int step_days) {
+  double v = rng::NextLogNormal(hit_gen, mu, sigma);
+  v = std::min(v * step_days, 1.0e9);
+  return static_cast<std::uint32_t>(std::max(v, 1.0));
 }
 
 }  // namespace
@@ -151,12 +174,8 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
     activity::SetBit(bits, host);
     if (occupants256 != nullptr) occupants256[host] = occupant;
     if (hits256 == nullptr) return;
-    std::uint32_t daily =
-        DailyHits(hit_gen, pp.hits_mu, pp.hits_sigma, propensity);
-    std::uint64_t total = std::uint64_t{daily} *
-                          ActiveDaysInStep(p_day, spec.step_days);
     hits256[host] =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(total, 1u << 30));
+        SubscriberHits(hit_gen, pp, propensity, p_day, spec.step_days);
   };
 
   switch (pp.kind) {
@@ -272,10 +291,9 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
         if (slot < seg_lo || slot > seg_hi) continue;
         activity::SetBit(bits, slot);
         if (hits256 != nullptr) {
-          double v = rng::NextLogNormal(hit_gen, double{pp.hits_mu} + growth,
-                                        double{pp.hits_sigma});
-          v = std::min(v * spec.step_days, 1.0e9);
-          hits256[slot] = static_cast<std::uint32_t>(std::max(v, 1.0));
+          hits256[slot] =
+              AlwaysOnHits(hit_gen, double{pp.hits_mu} + growth,
+                           double{pp.hits_sigma}, spec.step_days);
         }
       }
       return;
@@ -290,9 +308,8 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
         if (slot < seg_lo || slot > seg_hi) continue;
         activity::SetBit(bits, slot);
         if (hits256 != nullptr) {
-          double v = rng::NextLogNormal(hit_gen, pp.hits_mu, pp.hits_sigma);
-          v = std::min(v * spec.step_days, 1.0e9);
-          hits256[slot] = static_cast<std::uint32_t>(std::max(v, 1.0));
+          hits256[slot] = AlwaysOnHits(hit_gen, pp.hits_mu, pp.hits_sigma,
+                                       spec.step_days);
         }
       }
       return;
@@ -562,13 +579,177 @@ void RenderPolicy(const BlockPlan& plan, const StepSpec& spec,
   }
 }
 
+// --- Hits pass ------------------------------------------------------------
+//
+// Hit magnitudes come from one generator per (block, step), hit_gen, whose
+// draws GenerateStep consumes in emission order. That order is not
+// slot-major, so hits are produced in a second, step-major pass over the
+// rows the bits kernels above already wrote: a set bit is exactly an
+// emission, so only the draw order and each emission's propensity need
+// reconstructing, never the activity decisions.
+
+// An epoch-occupant policy's current subscriber at one host: its
+// propensity changes only when the tenure / lease epoch does.
+struct EpochOccupant {
+  int period = 0;  // 0 = not yet derived on this step interval
+  int phase = 0;
+  int epoch = 0;
+  double propensity = 0.0;
+};
+
+// Hits for the hosts policy `pp` emitted at step s within one ownership
+// segment (`emitted` = the step's row restricted to the segment), in
+// GenerateStep's per-policy emission order.
+void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
+                 const PolicyParams& pp, int s, bool weekend,
+                 const activity::DayBits& emitted, rng::Xoshiro256& hit_gen,
+                 std::array<EpochOccupant, 256>& occupants,
+                 std::uint32_t* out) {
+  const int pool = std::min<int>(pp.pool_size, 256);
+  if (pool == 0 || emitted == activity::DayBits{}) return;
+  const double weekend_adj = weekend ? double{pp.weekend_factor} : 1.0;
+  const std::int32_t mid = MidOf(spec, s);
+  // kStatic / kDynamicLong: slot order, host_perm-scattered for static.
+  auto epoch_hits = [&](int slot, int host) {
+    EpochOccupant& o = occupants[static_cast<std::size_t>(host)];
+    if (o.period == 0) {
+      if (pp.kind == PolicyKind::kStatic) {
+        std::uint64_t tenure_h =
+            rng::Substream(plan.block_seed, kTagTenure, slot);
+        o.period = 150 + static_cast<int>(tenure_h & 511u);
+        o.phase = static_cast<int>((tenure_h >> 16) %
+                                   static_cast<unsigned>(o.period));
+      } else {
+        o.period = std::max<int>(1, pp.lease_days);
+        o.phase = static_cast<int>(
+            rng::Substream(plan.block_seed, kTagLease, slot) %
+            static_cast<unsigned>(o.period));
+      }
+      o.epoch = std::numeric_limits<int>::min();
+    }
+    const int epoch = (mid + o.phase) / o.period;
+    if (epoch != o.epoch) {
+      o.epoch = epoch;
+      o.propensity = SubscriberPropensity(
+          rng::Substream(plan.block_seed, kTagOccupant, slot, epoch));
+    }
+    out[host] = SubscriberHits(hit_gen, pp, o.propensity,
+                               std::min(0.98, o.propensity * weekend_adj),
+                               spec.step_days);
+  };
+  switch (pp.kind) {
+    case PolicyKind::kUnused:
+    case PolicyKind::kRouterInfra:
+    case PolicyKind::kMiddlebox:
+      return;
+    case PolicyKind::kStatic:
+      for (int slot = 0; slot < pool; ++slot) {
+        const int host = plan.host_perm[static_cast<std::size_t>(slot)];
+        if (activity::TestBit(emitted, host)) epoch_hits(slot, host);
+      }
+      return;
+    case PolicyKind::kDynamicLong:
+      activity::ForEachSetBit(emitted,
+                              [&](int slot) { epoch_hits(slot, slot); });
+      return;
+    case PolicyKind::kDynamicShort: {
+      const double p_day = std::min(0.98, double{pp.daily_p} * weekend_adj);
+      if (pp.rotating) {
+        // Band order: j counts from the band's start, wrapping mod pool.
+        const int stride = std::max<int>(
+            1, static_cast<int>(pp.subscribers * double{pp.daily_p}));
+        const int start = static_cast<int>(
+            (plan.block_seed + static_cast<std::uint64_t>(s) *
+                                   static_cast<std::uint64_t>(stride)) %
+            static_cast<std::uint64_t>(pool));
+        for (int j = 0; j < pool; ++j) {
+          const int slot = (start + j) % pool;
+          if (!activity::TestBit(emitted, slot)) continue;
+          std::uint64_t occ =
+              rng::Substream(plan.block_seed, kTagShortOccupant, s, j);
+          out[slot] = SubscriberHits(hit_gen, pp, SubscriberPropensity(occ),
+                                     p_day, spec.step_days);
+        }
+      } else {
+        activity::ForEachSetBit(emitted, [&](int slot) {
+          std::uint64_t occ =
+              rng::Substream(plan.block_seed, kTagShortOccupant, slot, s);
+          out[slot] = SubscriberHits(hit_gen, pp, SubscriberPropensity(occ),
+                                     p_day, spec.step_days);
+        });
+      }
+      return;
+    }
+    case PolicyKind::kCgnGateway: {
+      const double growth =
+          spec.gateway_growth * (static_cast<double>(mid) / 364.0);
+      activity::ForEachSetBit(emitted, [&](int slot) {
+        out[slot] = AlwaysOnHits(hit_gen, double{pp.hits_mu} + growth,
+                                 double{pp.hits_sigma}, spec.step_days);
+      });
+      return;
+    }
+    case PolicyKind::kCrawlerBots:
+      activity::ForEachSetBit(emitted, [&](int slot) {
+        out[slot] = AlwaysOnHits(hit_gen, pp.hits_mu, pp.hits_sigma,
+                                 spec.step_days);
+      });
+      return;
+    case PolicyKind::kServerFarm:
+      activity::ForEachSetBit(emitted, [&](int slot) {
+        out[slot] =
+            SubscriberHits(hit_gen, pp, 0.1, pp.daily_p, spec.step_days);
+      });
+      return;
+  }
+}
+
+// Fills hits[s * 256 + host] for steps [s0, s1), over which `owner` is the
+// per-host policy: ownership segments in ascending host order, each in its
+// policy's emission order, all from the step's one hit_gen.
+void HitsPass(const BlockPlan& plan, const StepSpec& spec,
+              const std::array<const PolicyParams*, 256>& owner, int s0,
+              int s1, const std::uint8_t* weekend,
+              const activity::DayBits* rows, std::uint32_t* hits) {
+  struct Segment {
+    activity::DayBits hosts;
+    const PolicyParams* pp;
+  };
+  std::vector<Segment> segments;
+  for (int lo = 0; lo < 256;) {
+    int hi = lo + 1;
+    while (hi < 256 && owner[static_cast<std::size_t>(hi)] ==
+                           owner[static_cast<std::size_t>(lo)]) {
+      ++hi;
+    }
+    Segment seg{{}, owner[static_cast<std::size_t>(lo)]};
+    activity::SetBitRange(seg.hosts, lo, hi);
+    segments.push_back(seg);
+    lo = hi;
+  }
+  std::array<EpochOccupant, 256> occupants{};
+  for (int s = s0; s < s1; ++s) {
+    const activity::DayBits& row = rows[s];
+    if (row == activity::DayBits{}) continue;  // no emissions, no draws
+    rng::Xoshiro256 hit_gen{rng::Substream(plan.block_seed, kTagHits, s)};
+    std::uint32_t* out = hits + static_cast<std::size_t>(s) * 256;
+    for (const Segment& seg : segments) {
+      SegmentHits(plan, spec, *seg.pp, s, weekend[s] != 0,
+                  activity::AndBits(row, seg.hosts), hit_gen, occupants, out);
+    }
+  }
+}
+
 }  // namespace
 
 void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
-                   activity::DayBits* rows) {
+                   activity::DayBits* rows, std::uint32_t* hits) {
   const int steps = spec.steps;
   std::fill_n(rows, steps, activity::DayBits{});
   if (steps <= 0) return;
+  if (hits != nullptr) {
+    std::fill_n(hits, static_cast<std::size_t>(steps) * 256, 0u);
+  }
 
   // Mid-days increase strictly with the step index, so the activation
   // window maps to one contiguous step interval [s_lo, s_hi).
@@ -641,6 +822,9 @@ void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
     for (int k = 0; k < np; ++k) {
       RenderPolicy(plan, spec, *params[k], masks[k], i0, i1, weekend.data(),
                    fill_scratch, rows);
+    }
+    if (hits != nullptr) {
+      HitsPass(plan, spec, owner, i0, i1, weekend.data(), rows, hits);
     }
   }
 }

@@ -129,13 +129,19 @@ inline void GenerateStep(const BlockPlan& plan, const StepSpec& spec,
 }
 
 // Fills rows[0 .. spec.steps) with the block's whole activity matrix in one
-// call — bit-identical to calling GenerateStep(bits-only) per step, but
-// slot-major: every Substream draw is a pure function of (seed, tags), so
-// the per-step × per-slot loop nest can be transposed and the per-slot
-// state (tenure epochs, occupants, propensities, activity-run decisions)
-// hoisted out of the step sweep. This is the store-build hot path; callers
-// that need hits or occupants stay on GenerateStep.
+// call — bit-identical to calling GenerateStep per step, but slot-major:
+// every Substream draw is a pure function of (seed, tags), so the per-step
+// × per-slot loop nest can be transposed and the per-slot state (tenure
+// epochs, occupants, propensities, activity-run decisions) hoisted out of
+// the step sweep. This is the store-build, ICMP-scan and hits-stream hot
+// path; GenerateStep stays as its reference.
+//
+// If `hits` is non-null it receives spec.steps × 256 per-address request
+// counts (hits[step * 256 + host], zero where inactive), bit-identical to
+// GenerateStep's hits256 for every step. They come from a second,
+// step-major pass over the finished rows, so the bits-only call pays
+// nothing for them. Callers that need occupants stay on GenerateStep.
 void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
-                   activity::DayBits* rows);
+                   activity::DayBits* rows, std::uint32_t* hits = nullptr);
 
 }  // namespace ipscope::sim

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 #include "cdn/dataset.h"
+#include "par/pool.h"
+#include "scan/icmp.h"
 
 namespace ipscope::cdn {
 namespace {
@@ -109,6 +115,155 @@ TEST(Observatory, ParallelBuildMatchesSerial) {
       ASSERT_EQ(m.Row(d), other->Row(d)) << key << " day " << d;
     }
   });
+}
+
+// One ForEachBlockHits consume call: the block key plus an FNV-1a digest
+// of its rows and hits.
+struct Visit {
+  net::BlockKey key;
+  std::uint64_t digest;
+  bool operator==(const Visit&) const = default;
+};
+
+std::uint64_t Digest(const activity::ActivityMatrix& m,
+                     std::span<const std::uint32_t> hits) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  for (int d = 0; d < m.days(); ++d) {
+    for (std::uint64_t word : m.Row(d)) mix(word);
+  }
+  for (std::uint32_t v : hits) mix(v);
+  return h;
+}
+
+std::vector<Visit> Record(const Observatory& obs) {
+  std::vector<Visit> visits;
+  obs.ForEachBlockHits([&](const sim::BlockPlan& plan,
+                           const activity::ActivityMatrix& m,
+                           std::span<const std::uint32_t> hits) {
+    visits.push_back({net::BlockKeyOf(plan.block), Digest(m, hits)});
+  });
+  return visits;
+}
+
+// Restores the default pool size when a test exits, even on failure.
+struct PoolSize {
+  explicit PoolSize(int threads) { par::GlobalPool().Resize(threads); }
+  ~PoolSize() { par::GlobalPool().Resize(0); }
+};
+
+TEST(Observatory, ForEachBlockHitsSameSequenceAtPoolSizes1And4) {
+  // A partial last batch is part of the contract under test.
+  ASSERT_NE(SmallWorld().blocks().size() % Observatory::kHitsBatchBlocks, 0u);
+  for (const Observatory& obs : {Observatory::Daily(SmallWorld()),
+                                 Observatory::Weekly(SmallWorld())}) {
+    std::vector<Visit> serial;
+    std::vector<Visit> parallel;
+    {
+      PoolSize pool{1};
+      serial = Record(obs);
+    }
+    {
+      PoolSize pool{4};
+      parallel = Record(obs);
+    }
+    ASSERT_GT(serial.size(), Observatory::kHitsBatchBlocks);
+    EXPECT_TRUE(serial == parallel) << "steps " << obs.steps();
+    for (std::size_t i = 1; i < serial.size(); ++i) {
+      ASSERT_LT(serial[i - 1].key, serial[i].key) << "not in key order";
+    }
+  }
+}
+
+TEST(Observatory, ForEachBlockHitsMatchesGenerateStepReference) {
+  // The batched slot-major stream against the per-step reference: the same
+  // blocks, in key order, with the same rows and hits.
+  for (const Observatory& obs : {Observatory::Daily(SmallWorld()),
+                                 Observatory::Weekly(SmallWorld())}) {
+    std::vector<const sim::BlockPlan*> plans;
+    for (const sim::BlockPlan& plan : SmallWorld().blocks()) {
+      plans.push_back(&plan);
+    }
+    std::sort(plans.begin(), plans.end(), [](const auto* a, const auto* b) {
+      return net::BlockKeyOf(a->block) < net::BlockKeyOf(b->block);
+    });
+    std::vector<Visit> reference;
+    for (const sim::BlockPlan* plan : plans) {
+      activity::ActivityMatrix m{obs.steps()};
+      std::vector<std::uint32_t> hits(
+          static_cast<std::size_t>(obs.steps()) * 256);
+      bool any = false;
+      for (int s = 0; s < obs.steps(); ++s) {
+        sim::GenerateStep(*plan, obs.spec(), s, m.Row(s),
+                          hits.data() + static_cast<std::size_t>(s) * 256);
+        any = any || m.Row(s) != activity::DayBits{};
+      }
+      if (any) {
+        reference.push_back({net::BlockKeyOf(plan->block), Digest(m, hits)});
+      }
+    }
+    PoolSize pool{4};
+    EXPECT_TRUE(Record(obs) == reference) << "steps " << obs.steps();
+  }
+}
+
+TEST(Observatory, MapExceptionReachesCallerBeforeItsBatchIsConsumed) {
+  // Fail in the map stage on the last visible block: every block of the
+  // earlier batches is consumed, none of the failing batch.
+  Observatory daily = Observatory::Daily(SmallWorld());
+  std::vector<net::BlockKey> all;
+  for (const sim::BlockPlan& plan : SmallWorld().blocks()) {
+    all.push_back(net::BlockKeyOf(plan.block));
+  }
+  std::sort(all.begin(), all.end());
+  const net::BlockKey batch_first =
+      all[(all.size() - 1) / Observatory::kHitsBatchBlocks *
+          Observatory::kHitsBatchBlocks];
+  std::vector<Visit> visible = Record(daily);
+  const net::BlockKey target = visible.back().key;
+  ASSERT_GE(target, batch_first);
+  const auto before = static_cast<std::size_t>(std::count_if(
+      visible.begin(), visible.end(),
+      [&](const Visit& v) { return v.key < batch_first; }));
+  for (int threads : {1, 4}) {
+    PoolSize pool{threads};
+    std::size_t consumed = 0;
+    EXPECT_THROW(
+        daily.ForEachBlockHits(
+            [&](const sim::BlockPlan& plan, const activity::ActivityMatrix&,
+                std::span<const std::uint32_t>) {
+              if (net::BlockKeyOf(plan.block) == target) {
+                throw std::runtime_error("map failed");
+              }
+              return 0;
+            },
+            [&](const sim::BlockPlan& plan, const activity::ActivityMatrix&,
+                std::span<const std::uint32_t>, int) {
+              EXPECT_LT(net::BlockKeyOf(plan.block), batch_first);
+              ++consumed;
+            }),
+        std::runtime_error);
+    EXPECT_EQ(consumed, before) << threads << " threads";
+  }
+}
+
+TEST(IcmpScanner, ScanMonthSameSetAtPoolSizes1And4) {
+  scan::IcmpScanner scanner{SmallWorld()};
+  net::Ipv4Set serial;
+  net::Ipv4Set parallel;
+  {
+    PoolSize pool{1};
+    serial = scanner.ScanMonth(273, 31, 8);
+  }
+  {
+    PoolSize pool{4};
+    parallel = scanner.ScanMonth(273, 31, 8);
+  }
+  EXPECT_GT(serial.Count(), 0u);
+  EXPECT_TRUE(serial == parallel);
 }
 
 TEST(Dataset, SummarizeTotalsConsistent) {

@@ -1,12 +1,15 @@
 // Property tests for the slot-major generation kernels and the arena-backed
 // store. GenerateBlock is an aggressive loop transposition of GenerateStep
-// (epoch caching, hoisted owner tables, branchless word building), so its
-// contract is exact bit-identity — every test here compares whole matrices
-// against the naive per-step reference, never statistics.
+// (epoch caching, hoisted owner tables, branchless word building, a
+// separate step-major hits pass), so its contract is exact identity — every
+// test here compares whole matrices and hit arrays against the naive
+// per-step reference, never statistics.
 #include "sim/policy.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "activity/matrix.h"
@@ -59,17 +62,49 @@ StepSpec WeeklySpec() {
 }
 
 // The contract under test: GenerateBlock(plan, spec, rows) must equal the
-// per-step reference row for row.
-void ExpectBlockMatchesSteps(const BlockPlan& plan, const StepSpec& spec,
-                             const std::string& label) {
-  std::vector<activity::DayBits> rows(
-      static_cast<std::size_t>(spec.steps));
+// per-step reference row for row, and GenerateBlock(plan, spec, rows, hits)
+// must return the same rows plus GenerateStep's hits256 for every step.
+// Returns the number of non-zero hit counts, so callers can tell a real
+// comparison from an all-zero one.
+std::size_t ExpectBlockMatchesSteps(const BlockPlan& plan,
+                                    const StepSpec& spec,
+                                    const std::string& label) {
+  const auto steps = static_cast<std::size_t>(spec.steps);
+  std::vector<activity::DayBits> rows(steps);
+  std::vector<activity::DayBits> hit_rows(steps);
+  // Poisoned: every entry must be written, zeros included.
+  std::vector<std::uint32_t> hits(steps * 256, 0xFFFFFFFFu);
   GenerateBlock(plan, spec, rows.data());
+  GenerateBlock(plan, spec, hit_rows.data(), hits.data());
   activity::DayBits ref;
+  std::uint32_t ref_hits[256];
+  std::size_t nonzero = 0;
   for (int s = 0; s < spec.steps; ++s) {
-    GenerateStep(plan, spec, s, ref, nullptr);
-    ASSERT_EQ(rows[static_cast<std::size_t>(s)], ref)
-        << label << " step " << s;
+    const auto si = static_cast<std::size_t>(s);
+    GenerateStep(plan, spec, s, ref, ref_hits);
+    EXPECT_EQ(rows[si], ref) << label << " step " << s;
+    EXPECT_EQ(hit_rows[si], ref) << label << " step " << s << " (hits call)";
+    if (rows[si] != ref || hit_rows[si] != ref) return nonzero;
+    for (std::size_t h = 0; h < 256; ++h) {
+      if (hits[si * 256 + h] != ref_hits[h]) {
+        ADD_FAILURE() << label << " step " << s << " host " << h << ": hits "
+                      << hits[si * 256 + h] << " != reference "
+                      << ref_hits[h];
+        return nonzero;
+      }
+      nonzero += ref_hits[h] != 0 ? 1 : 0;
+    }
+  }
+  return nonzero;
+}
+
+// A host_perm that is not the identity, so static slot order and host
+// order disagree (the draw order then follows slots, not hosts).
+void Shuffle(BlockPlan& plan) {
+  rng::Xoshiro256 g{plan.block_seed};
+  for (std::size_t i = plan.host_perm.size() - 1; i > 0; --i) {
+    std::swap(plan.host_perm[i],
+              plan.host_perm[g.NextBounded(static_cast<std::uint32_t>(i + 1))]);
   }
 }
 
@@ -114,10 +149,15 @@ TEST(GenerateBlock, MatchesPerStepAcrossKindsGranularitiesAndSeeds) {
             std::uint64_t{0x9e3779b97f4a7c15ULL}}) {
         BlockPlan plan = MakePlan(kind);
         plan.block_seed = seed;
+        Shuffle(plan);
         std::string label = std::string{PolicyKindName(kind)} + "/step" +
                             std::to_string(spec.step_days) + "/seed" +
                             std::to_string(seed);
-        ExpectBlockMatchesSteps(plan, spec, label);
+        std::size_t nonzero = ExpectBlockMatchesSteps(plan, spec, label);
+        const bool cdn_visible = IsClientPolicy(kind) ||
+                                 kind == PolicyKind::kCrawlerBots ||
+                                 kind == PolicyKind::kServerFarm;
+        EXPECT_EQ(nonzero > 0, cdn_visible) << label;
       }
     }
   }
@@ -137,6 +177,7 @@ TEST(GenerateBlock, MatchesPerStepForWeekendAndPoolVariants) {
         plan.base.rotating = rotating;
         plan.base.pool_size = 100;
         plan.base.subscribers = 60;
+        Shuffle(plan);
         std::string label = std::string{PolicyKindName(kind)} + "/wf" +
                             std::to_string(weekend) +
                             (rotating ? "/rotating" : "");
@@ -201,10 +242,67 @@ TEST(GenerateBlock, MatchesPerStepAcrossEventShapes) {
     p.events[0] = BlockEvent{330, off};
     cases.push_back({"pre_window_activation", p});
   }
+  // Partial events in the middle of the block split the base policy into
+  // two non-contiguous ownership segments; each segment draws hits in its
+  // policy's own slot order, one after the other.
+  {
+    BlockPlan p = MakePlan(PolicyKind::kStatic);
+    Shuffle(p);
+    p.base.weekend_factor = 0.5f;
+    p.events[0] = BlockEvent{280, dense, 64, 191};
+    cases.push_back({"middle_partial_static", p});
+  }
+  {
+    BlockPlan p = MakePlan(PolicyKind::kDynamicShort);
+    p.base.rotating = true;
+    p.base.pool_size = 200;
+    p.base.subscribers = 150;
+    p.events[0] = BlockEvent{260, MakePlan(PolicyKind::kStatic).base, 100,
+                             150};
+    cases.push_back({"middle_partial_rotating", p});
+  }
+  {
+    BlockPlan p = MakePlan(PolicyKind::kDynamicLong);
+    p.events[0] = BlockEvent{250, MakePlan(PolicyKind::kCgnGateway).base,
+                             0, 63};
+    p.events[1] = BlockEvent{300, MakePlan(PolicyKind::kCrawlerBots).base,
+                             200, 255};
+    cases.push_back({"two_partial_events", p});
+  }
+  {
+    BlockPlan p = MakePlan(PolicyKind::kServerFarm);
+    p.events[0] = BlockEvent{240, dense, 10, 20};
+    p.events[1] = BlockEvent{270, MakePlan(PolicyKind::kDynamicLong).base,
+                             30, 240};
+    cases.push_back({"nested_partial_events", p});
+  }
   for (const Case& c : cases) {
     ExpectBlockMatchesSteps(c.plan, DailySpec(), std::string{c.name});
     ExpectBlockMatchesSteps(c.plan, WeeklySpec(),
                             std::string{c.name} + "/weekly");
+  }
+}
+
+TEST(GenerateBlock, MatchesPerStepOverIcmpScanWindow) {
+  // IcmpScanner generates a 7-day window centred on the scan day; day 276
+  // (Sun 2015-10-04) puts Sat and Sun inside it, so weekend gating runs.
+  StepSpec spec;
+  spec.start_day = 276 - 3;
+  spec.step_days = 1;
+  spec.steps = 7;
+  for (PolicyKind kind : {PolicyKind::kStatic, PolicyKind::kDynamicShort,
+                          PolicyKind::kDynamicLong, PolicyKind::kCgnGateway,
+                          PolicyKind::kCrawlerBots}) {
+    for (bool rotating : {false, true}) {
+      if (rotating && kind != PolicyKind::kDynamicShort) continue;
+      BlockPlan plan = MakePlan(kind);
+      Shuffle(plan);
+      plan.base.weekend_factor = 0.3f;
+      plan.base.rotating = rotating;
+      ExpectBlockMatchesSteps(plan, spec,
+                              std::string{PolicyKindName(kind)} + "/icmp" +
+                                  (rotating ? "/rotating" : ""));
+    }
   }
 }
 
