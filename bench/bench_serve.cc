@@ -1,11 +1,11 @@
 // Query-daemon benchmark: per-request latency (p50/p99) and QPS for the
 // serve router, swept over client thread counts {1, 2, ceil(half), all}
 // (deduplicated), plus a reload-race phase that hammers the server while
-// snapshots flip underneath it. Every response — including cache hits and
-// responses raced against Reload — is byte-compared to the DirectAnswer
-// oracle for the snapshot id it claims, so the benchmark doubles as a
-// correctness gate: a single divergent byte fails the run. Writes
-// BENCH_serve.json (bench-JSON v2; baseline_only on 1-thread hosts).
+// snapshots flip underneath it. Every response — including memoized
+// aggregates and responses raced against Reload — is byte-compared to the
+// DirectAnswer oracle for the snapshot id it claims, so the benchmark
+// doubles as a correctness gate: a single divergent byte fails the run.
+// Writes BENCH_serve.json (bench-JSON v2; baseline_only on 1-thread hosts).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -153,8 +153,8 @@ std::uint64_t ReloadRace(serve::Server& server,
   stop.store(true);
   for (std::thread& t : swarm) t.join();
 
-  // Quiesced: a fresh request must report the final snapshot id (a stale
-  // cache key — the IPSCOPE_SERVE_SKIP_PIN seeded bug — fails here).
+  // Quiesced: a fresh request must report the final snapshot id (a request
+  // answered from a stale pin fails here).
   std::string fresh = server.HandleRequest(mix.front());
   auto doc = ipscope::obs::json::Parse(fresh);
   const ipscope::obs::json::Value* id_field = doc.Find("snapshot");
@@ -239,8 +239,8 @@ int main(int argc, char** argv) {
   std::vector<RunResult> runs;
   std::uint64_t total_mismatches = 0;
   for (int t : sweep) {
-    // A fresh server per thread count: every run starts with a cold cache,
-    // so p50/p99 are comparable across the sweep.
+    // A fresh server per thread count: every run starts with no aggregate
+    // memoized, so p50/p99 are comparable across the sweep.
     serve::Server server{activity::ActivityStore{oracle_a}};
     server.SetAttribution(attribution);
     runs.push_back(RunSwarm(server, mix, expected, t, requests_per_thread));

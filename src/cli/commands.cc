@@ -112,7 +112,6 @@ commands:
       iff every point x seed cell passes.
   serve PATH | serve --session DIR [--days N]
         [--port N] [--bind ADDR] [--world-blocks N] [--world-seed S]
-        [--cache N]
       Long-running query daemon: loads an IPSCOPE store (or an ingest
       session's shard set) and answers JSON queries over a length-prefixed
       binary protocol (frame: "IPSQ" + u32 LE body length + JSON body; see
@@ -1507,8 +1506,9 @@ int CmdServeSmoke(const CommandLine& cmd, std::ostream& out,
 
   // Oracle copies: the smoke diffs wire responses against direct calls on
   // these, per claimed snapshot id. Snapshot 2 is snapshot 1 with day 0
-  // marked uncovered — summary/churn/point answers all shift, so a stale
-  // (pre-reload) cache entry cannot masquerade as a fresh answer.
+  // marked uncovered — summary/churn/point answers all shift, so an
+  // aggregate carried over from snapshot 1 cannot masquerade as a fresh
+  // answer (tests/serve_test.cc checks which bodies discriminate).
   activity::ActivityStore oracle_v1 = store;
   activity::ActivityStore reloaded = store;
   reloaded.SetDayCovered(0, false);
@@ -1592,9 +1592,6 @@ int CmdServeSmoke(const CommandLine& cmd, std::ostream& out,
 int CmdServe(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   if (cmd.Flag("smoke")) return CmdServeSmoke(cmd, out, err);
 
-  serve::ServerOptions options;
-  options.cache_capacity = static_cast<std::size_t>(
-      cmd.IntFlag("cache", static_cast<int>(options.cache_capacity)));
   activity::ActivityStore store{1};
   if (auto session_dir = cmd.Flag("session")) {
     auto session =
@@ -1616,7 +1613,7 @@ int CmdServe(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     return 2;
   }
 
-  serve::Server server{std::move(store), options};
+  serve::Server server{std::move(store)};
   int world_blocks = cmd.IntFlag("world-blocks", 0);
   if (world_blocks > 0) {
     sim::WorldConfig config;

@@ -19,8 +19,7 @@ namespace ipscope::io {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'I', 'P', 'S', 'C', 'O', 'P', 'E', '1'};
-constexpr char kMagicV2[8] = {'I', 'P', 'S', 'C', 'O', 'P', 'E', '2'};
+constexpr char kMagic[8] = {'I', 'P', 'S', 'C', 'O', 'P', 'E', '2'};
 constexpr char kFooterMagic[4] = {'E', 'N', 'D', '2'};
 constexpr std::uint32_t kMaxDays = 4096;
 constexpr std::uint64_t kMaxBlocks = std::uint64_t{1} << 24;
@@ -45,8 +44,8 @@ T ParseInt(const char* bytes) {
   return value;
 }
 
-// The per-block record shared by both formats: key, non-empty day count,
-// then each non-empty day's index + bitmap.
+// One block record: key, non-empty day count, then each non-empty day's
+// index + bitmap.
 void AppendBlockRecord(std::string& buf, net::BlockKey key,
                        const activity::ActivityMatrix& m) {
   AppendInt<std::uint32_t>(buf, key);
@@ -67,7 +66,7 @@ void AppendBlockRecord(std::string& buf, net::BlockKey key,
 // Offset-tracking input cursor. `offset` counts successfully consumed
 // bytes (so it is the absolute position of the next unread byte), and
 // `stream_crc` accumulates CRC32C over everything consumed — which is
-// exactly what the v2 footer checksum covers.
+// exactly what the footer checksum covers.
 struct Reader {
   std::istream& is;
   std::uint64_t offset = 0;
@@ -126,7 +125,7 @@ struct LoadContext {
   }
 };
 
-// Validates and applies one decoded block record (both formats). Returns
+// Validates and applies one decoded block record. Returns
 // std::nullopt on success, the error otherwise. `base` is the absolute
 // offset of the record's first byte, for error reporting.
 std::optional<StoreError> ApplyBlockRecord(LoadContext& ctx, const char* rec,
@@ -168,55 +167,8 @@ std::optional<StoreError> ApplyBlockRecord(LoadContext& ctx, const char* rec,
   return std::nullopt;
 }
 
-Result<LoadResult, StoreError> LoadV1(Reader& r, const LoadOptions& options) {
-  std::uint32_t days = 0;
-  if (!r.ReadInt(&days)) return Truncated(r, "day count");
-  if (days == 0 || days > kMaxDays) {
-    return Malformed(r.offset - 4,
-                     "implausible day count " + std::to_string(days));
-  }
-  std::uint64_t blocks = 0;
-  if (!r.ReadInt(&blocks)) return Truncated(r, "block count");
-  if (blocks > kMaxBlocks) {
-    return Malformed(r.offset - 8,
-                     "implausible block count " + std::to_string(blocks));
-  }
-
-  LoadContext ctx{activity::ActivityStore{static_cast<int>(days)},
-                  LoadStats{}, options.salvage};
-  ctx.stats.format_version = 1;
-  ctx.stats.blocks_expected = blocks;
-
-  std::uint64_t prev_key = 0;
-  bool first = true;
-  std::string rec;
-  for (std::uint64_t b = 0; b < blocks; ++b) {
-    std::uint64_t base = r.offset;
-    rec.resize(8);
-    if (!r.Read(rec.data(), 8)) return ctx.Fail(Truncated(r, "block header"));
-    auto nonzero = ParseInt<std::uint32_t>(rec.data() + 4);
-    if (nonzero > days) {
-      return ctx.Fail(Malformed(
-          base + 4, "day list length " + std::to_string(nonzero) +
-                        " exceeds day count " + std::to_string(days)));
-    }
-    rec.resize(8 + nonzero * kDayRecordBytes);
-    if (!r.Read(rec.data() + 8, rec.size() - 8)) {
-      return ctx.Fail(Truncated(r, "block payload"));
-    }
-    if (auto err = ApplyBlockRecord(ctx, rec.data(), days, prev_key, first,
-                                    base)) {
-      return ctx.Fail(std::move(*err));
-    }
-    prev_key = ParseInt<std::uint32_t>(rec.data());
-    first = false;
-    ++ctx.stats.blocks_loaded;
-  }
-  return ctx.Finish();
-}
-
-Result<LoadResult, StoreError> LoadV2(Reader& r, const LoadOptions& options) {
-  // Header (magic already consumed by the dispatcher, and already folded
+Result<LoadResult, StoreError> LoadBody(Reader& r, const LoadOptions& options) {
+  // Header (magic already consumed by TryLoadStore, and already folded
   // into r.stream_crc). The header carries its own CRC so that corrupted
   // dimensions are caught before they can misdirect the rest of the parse;
   // a bad header is never salvageable.
@@ -246,7 +198,6 @@ Result<LoadResult, StoreError> LoadV2(Reader& r, const LoadOptions& options) {
 
   LoadContext ctx{activity::ActivityStore{static_cast<int>(days)},
                   LoadStats{}, options.salvage};
-  ctx.stats.format_version = 2;
   ctx.stats.blocks_expected = blocks;
   for (std::uint32_t d = 0; d < days; ++d) {
     bool covered = (static_cast<unsigned char>(coverage[d / 8]) >> (d % 8)) & 1;
@@ -324,10 +275,8 @@ Result<LoadResult, StoreError> LoadV2(Reader& r, const LoadOptions& options) {
 
 }  // namespace
 
-void SaveStore(const activity::ActivityStore& store, std::ostream& os,
-               StoreFormat format) {
+void SaveStore(const activity::ActivityStore& store, std::ostream& os) {
   obs::Span span{"io.store.save_seconds"};
-  const bool v2 = format == StoreFormat::kV2;
   std::uint64_t bytes_written = 0;
   std::uint32_t stream_crc = kCrc32cInit;
   auto emit = [&](const std::string& buf) {
@@ -339,21 +288,19 @@ void SaveStore(const activity::ActivityStore& store, std::ostream& os,
   {
     obs::Span header_span{"io.store.save.header_seconds"};
     std::string buf;
-    buf.append(v2 ? kMagicV2 : kMagicV1, 8);
+    buf.append(kMagic, sizeof(kMagic));
     AppendInt<std::uint32_t>(buf, static_cast<std::uint32_t>(store.days()));
     AppendInt<std::uint64_t>(buf, store.BlockCount());
-    if (v2) {
-      std::string coverage((static_cast<std::size_t>(store.days()) + 7) / 8,
-                           '\0');
-      for (int d = 0; d < store.days(); ++d) {
-        if (store.DayCovered(d)) {
-          coverage[static_cast<std::size_t>(d / 8)] |=
-              static_cast<char>(1 << (d % 8));
-        }
+    std::string coverage((static_cast<std::size_t>(store.days()) + 7) / 8,
+                         '\0');
+    for (int d = 0; d < store.days(); ++d) {
+      if (store.DayCovered(d)) {
+        coverage[static_cast<std::size_t>(d / 8)] |=
+            static_cast<char>(1 << (d % 8));
       }
-      buf += coverage;
-      AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
     }
+    buf += coverage;
+    AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
     emit(buf);
   }
 
@@ -363,12 +310,12 @@ void SaveStore(const activity::ActivityStore& store, std::ostream& os,
     store.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
       buf.clear();
       AppendBlockRecord(buf, key, m);
-      if (v2) AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
+      AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
       emit(buf);
     });
   }
 
-  if (v2) {
+  {
     obs::Span footer_span{"io.store.save.footer_seconds"};
     std::string buf;
     buf.append(kFooterMagic, sizeof(kFooterMagic));
@@ -402,9 +349,8 @@ Result<LoadResult, StoreError> TryLoadStore(std::istream& is,
     return Truncated(r, "magic");
   }
   Result<LoadResult, StoreError> result =
-      std::memcmp(magic, kMagicV1, sizeof(magic)) == 0 ? LoadV1(r, options)
-      : std::memcmp(magic, kMagicV2, sizeof(magic)) == 0
-          ? LoadV2(r, options)
+      std::memcmp(magic, kMagic, sizeof(magic)) == 0
+          ? LoadBody(r, options)
           : Result<LoadResult, StoreError>{StoreError{
                 StoreErrorKind::kBadMagic, 0,
                 "bad magic (not a store file?)"}};
@@ -437,13 +383,13 @@ activity::ActivityStore LoadStore(std::istream& is) {
 }
 
 void SaveStoreFile(const activity::ActivityStore& store,
-                   const std::string& path, StoreFormat format) {
+                   const std::string& path) {
   // Serialize in memory, then commit through the atomic temp+rename path:
   // a killed or failing process never leaves a truncated store under the
   // final name, and flush/fsync/close results are all checked (an ENOSPC
   // that only surfaces at close used to be reported as success here).
   std::ostringstream buffer{std::ios::binary};
-  SaveStore(store, buffer, format);
+  SaveStore(store, buffer);
   if (auto error = WriteFileAtomic(path, buffer.view())) {
     obs::GlobalRegistry().GetCounter("io.store.save_errors").Add(1);
     throw std::runtime_error(

@@ -4,32 +4,26 @@
 // to a compact stream and reloaded later, so expensive worlds need to be
 // generated once and analyses can run out-of-process (see tools/ipscope_cli).
 //
-// Two on-disk formats, both little-endian:
-//
-// IPSCOPE1 (legacy, still readable; written with StoreFormat::kV1):
-//   8 bytes  magic "IPSCOPE1"
-//   u32      days (steps) per matrix
-//   u64      block count
-//   then per block, in ascending key order:
-//     u32    block key (top 24 bits of the /24 network address)
-//     u32    number of non-empty days
-//     then per non-empty day: u16 day index + 4 x u64 bitmap words
-//
-// IPSCOPE2 (default): the same block payloads, hardened for corruption
+// One on-disk format, IPSCOPE2, little-endian, hardened for corruption
 // detection and partial recovery, and carrying the per-day coverage mask:
 //   8 bytes  magic "IPSCOPE2"
-//   u32      days
+//   u32      days (steps) per matrix
 //   u64      block count
 //   bytes    coverage bitmap, ceil(days/8) bytes (bit d set = day d covered)
 //   u32      header CRC32C (over everything above)
 //   then per block, in ascending key order:
-//     u32 key | u32 non-empty days | per-day payload as in v1
-//     u32 block CRC32C (over this block's key/count/payload bytes)
+//     u32    block key (top 24 bits of the /24 network address)
+//     u32    number of non-empty days
+//     then per non-empty day: u16 day index + 4 x u64 bitmap words
+//     u32    block CRC32C (over this block's key/count/payload bytes)
 //   footer:
 //     4 bytes "END2" | u64 block count echo
 //     u32 stream CRC32C (over every byte from offset 0 through the echo)
 //
-// Every byte of a v2 stream is covered by at least one checksum, so any
+// Any other magic — including the retired unchecksummed v1 layout — is
+// rejected as a typed StoreErrorKind::kBadMagic.
+//
+// Every byte of a stream is covered by at least one checksum, so any
 // single-byte corruption is detected (property-swept in
 // tests/io_fault_test.cc). Per-block checksums make salvage possible:
 // TryLoadStore with salvage=true recovers all intact blocks up to the
@@ -54,11 +48,6 @@
 
 namespace ipscope::io {
 
-enum class StoreFormat {
-  kV1,  // legacy "IPSCOPE1": no checksums, no coverage mask
-  kV2,  // "IPSCOPE2": checksummed, carries the coverage mask (default)
-};
-
 struct LoadOptions {
   // When true, a truncated or corrupt block stops the load but the intact
   // prefix is returned (stats.complete = false, stats.error set) instead
@@ -68,7 +57,6 @@ struct LoadOptions {
 };
 
 struct LoadStats {
-  int format_version = 0;            // 1 or 2
   std::uint64_t blocks_expected = 0; // from the header
   std::uint64_t blocks_loaded = 0;
   // Blocks recovered by a salvage load that hit an error; 0 on clean loads.
@@ -83,13 +71,10 @@ struct LoadResult {
   LoadStats stats;
 };
 
-// Serializes `store`. StoreFormat::kV1 writes the legacy byte stream
-// exactly as the original writer did (the coverage mask is dropped — the
-// format cannot carry it); kV2 is the default for all new data.
-void SaveStore(const activity::ActivityStore& store, std::ostream& os,
-               StoreFormat format = StoreFormat::kV2);
+// Serializes `store`, coverage mask included.
+void SaveStore(const activity::ActivityStore& store, std::ostream& os);
 
-// Non-throwing load; dispatches on the magic, accepting both formats.
+// Non-throwing load.
 [[nodiscard]] Result<LoadResult, StoreError> TryLoadStore(
     std::istream& is, const LoadOptions& options = {});
 
@@ -101,8 +86,7 @@ activity::ActivityStore LoadStore(std::istream& is);
 // errno/strerror detail; the Try variant returns them as
 // StoreErrorKind::kOpenFailed.
 void SaveStoreFile(const activity::ActivityStore& store,
-                   const std::string& path,
-                   StoreFormat format = StoreFormat::kV2);
+                   const std::string& path);
 [[nodiscard]] Result<LoadResult, StoreError> TryLoadStoreFile(
     const std::string& path, const LoadOptions& options = {});
 activity::ActivityStore LoadStoreFile(const std::string& path);

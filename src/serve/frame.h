@@ -21,7 +21,7 @@
 
 namespace ipscope::serve {
 
-// "IPSQ" — IPscope Query. Distinct from the store magics (IPSCOPE1/2) so a
+// "IPSQ" — IPscope Query. Distinct from the store magic (IPSCOPE2) so a
 // store file piped at the daemon fails loudly as kBadMagic.
 inline constexpr char kFrameMagic[4] = {'I', 'P', 'S', 'Q'};
 inline constexpr std::size_t kFrameHeaderBytes = 8;

@@ -114,8 +114,21 @@ std::pair<int, int> WindowFields(const json::Value& req, int days) {
 // is inherited from the store reductions (ParallelReduce merges in chunk
 // order, so thread count never changes a byte).
 
-void AnswerSummary(std::string& out, const activity::ActivityStore& store) {
-  out += R"("result": {"days": )";
+// Appends an aggregate of the answering store to `out`: through the
+// snapshot's memo slot when HandleRequest answers, freshly computed when
+// the oracle does (it has no snapshot, so `slot` is null).
+template <typename Fill>
+void AppendAggregate(std::string& out, const Memo<std::string>* slot,
+                     Fill&& fill) {
+  if (slot != nullptr) {
+    out += slot->Get(fill);
+  } else {
+    out += fill();
+  }
+}
+
+std::string SummaryResult(const activity::ActivityStore& store) {
+  std::string out = R"("result": {"days": )";
   AppendInt(out, store.days());
   out += R"(, "blocks": )";
   AppendInt(out, static_cast<std::int64_t>(store.BlockCount()));
@@ -130,6 +143,7 @@ void AnswerSummary(std::string& out, const activity::ActivityStore& store) {
     AppendInt(out, daily[i]);
   }
   out += "]}";
+  return out;
 }
 
 void AnswerPoint(std::string& out, const activity::ActivityStore& store,
@@ -295,11 +309,9 @@ void AnswerCountry(std::string& out, const activity::ActivityStore& store,
       [want](const BlockAttribution& e) { return e.country == want; });
 }
 
-void AnswerChurn(std::string& out, const activity::ActivityStore& store,
-                 const json::Value& req) {
-  int window = static_cast<int>(
-      IntField(req, "window", 7, 1, std::max(1, store.days())));
+std::string ChurnResult(const activity::ActivityStore& store, int window) {
   auto series = activity::ChurnAnalyzer{store}.Churn(window);
+  std::string out;
   auto append_doubles = [&out](const std::vector<double>& values) {
     out += "[";
     for (std::size_t i = 0; i < values.size(); ++i) {
@@ -332,33 +344,68 @@ void AnswerChurn(std::string& out, const activity::ActivityStore& store,
   out += R"(, "max": )";
   out += JsonNumber(series.down.max);
   out += "}}";
+  return out;
+}
+
+// Running per-class block counts over store blocks [lo, hi) in key order:
+// entry i counts the classes of blocks [lo, lo + i), so entry hi - lo holds
+// the range's histogram and any sub-range is a difference of two entries.
+std::vector<PatternCounts> CumulativePatternCounts(
+    const activity::ActivityStore& store, std::size_t lo, std::size_t hi) {
+  std::vector<activity::BlockPattern> classes(hi - lo);
+  par::ParallelFor(
+      par::GlobalPool(), lo, hi,
+      [&store, &classes, lo](std::size_t first, std::size_t last) {
+        for (std::size_t i = first; i < last; ++i) {
+          classes[i - lo] = activity::ClassifyPattern(store.MatrixAt(i));
+        }
+      },
+      /*grain=*/64);
+  std::vector<PatternCounts> cumulative(classes.size() + 1);
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    cumulative[i + 1] = cumulative[i];
+    ++cumulative[i + 1][static_cast<std::size_t>(classes[i])];
+  }
+  return cumulative;
+}
+
+void AnswerChurn(std::string& out, const activity::ActivityStore& store,
+                 const json::Value& req, const Snapshot* memo) {
+  int window = static_cast<int>(
+      IntField(req, "window", 7, 1, std::max(1, store.days())));
+  AppendAggregate(
+      out,
+      memo != nullptr ? &memo->churn[static_cast<std::size_t>(window - 1)]
+                      : nullptr,
+      [&store, window] { return ChurnResult(store, window); });
 }
 
 void AnswerPatterns(std::string& out, const activity::ActivityStore& store,
-                    const json::Value& req) {
+                    const json::Value& req, const Snapshot* memo) {
   std::size_t lo = 0;
   std::size_t hi = store.BlockCount();
   if (Find(req, "prefix") != nullptr) {
     std::tie(lo, hi) = BlockRange(store, PrefixField(req, "prefix", 24));
   }
-  constexpr int kPatterns = 6;  // BlockPattern enumerators
-  using Counts = std::array<std::int64_t, kPatterns>;
-  Counts counts = par::ParallelReduce(
-      lo, hi, Counts{},
-      [&store](Counts& acc, std::size_t first, std::size_t last) {
-        for (std::size_t i = first; i < last; ++i) {
-          auto p = activity::ClassifyPattern(store.MatrixAt(i));
-          ++acc[static_cast<std::size_t>(p)];
-        }
-      },
-      [](Counts& into, Counts&& from) {
-        for (int p = 0; p < kPatterns; ++p) into[static_cast<std::size_t>(p)] += from[static_cast<std::size_t>(p)];
-      },
-      /*grain=*/64);
+  // A snapshot classifies every block once and answers any prefix as the
+  // difference of two running counts; the oracle classifies just the
+  // requested range.
+  PatternCounts counts{};
+  if (memo != nullptr) {
+    const std::vector<PatternCounts>& cumulative =
+        memo->patterns.Get([&store] {
+          return CumulativePatternCounts(store, 0, store.BlockCount());
+        });
+    for (std::size_t p = 0; p < counts.size(); ++p) {
+      counts[p] = cumulative[hi][p] - cumulative[lo][p];
+    }
+  } else {
+    counts = CumulativePatternCounts(store, lo, hi).back();
+  }
   out += R"("result": {"blocks": )";
   AppendInt(out, static_cast<std::int64_t>(hi - lo));
   out += R"(, "counts": {)";
-  for (int p = 0; p < kPatterns; ++p) {
+  for (int p = 0; p < kPatternClasses; ++p) {
     if (p) out += ", ";
     out += "\"";
     out += activity::PatternName(static_cast<activity::BlockPattern>(p));
@@ -366,6 +413,65 @@ void AnswerPatterns(std::string& out, const activity::ActivityStore& store,
     AppendInt(out, counts[static_cast<std::size_t>(p)]);
   }
   out += "}}";
+}
+
+// Parse + route + render one request against `store`. `memo` is the
+// snapshot `store` belongs to when HandleRequest answers (its aggregate
+// slots are read and filled), and null for the DirectAnswer oracle.
+std::string Answer(const activity::ActivityStore& store,
+                   std::uint64_t snapshot_id,
+                   std::span<const BlockAttribution> attribution,
+                   std::string_view body, const Snapshot* memo) {
+  auto& reg = obs::GlobalRegistry();
+  json::Value req = json::Value::Null();
+  try {
+    req = json::Parse(body);
+  } catch (const std::runtime_error& e) {
+    reg.GetCounter("serve.errors").Add();
+    return ErrorResponse("bad-json", e.what());
+  }
+  std::string endpoint;
+  try {
+    if (!req.is_object()) {
+      FailRequest("bad-request", "request body must be a JSON object");
+    }
+    endpoint = StringField(req, "endpoint");
+    obs::ScopedTimer timer{reg,
+                           "serve.endpoint." + endpoint + ".seconds"};
+    std::string out = R"({"ok": true, "endpoint": ")";
+    out += json::Escape(endpoint);
+    out += R"(", "snapshot": )";
+    AppendInt(out, static_cast<std::int64_t>(snapshot_id));
+    out += ", ";
+    if (endpoint == "summary") {
+      AppendAggregate(out, memo != nullptr ? &memo->summary : nullptr,
+                      [&store] { return SummaryResult(store); });
+    } else if (endpoint == "point") {
+      AnswerPoint(out, store, req);
+    } else if (endpoint == "prefix") {
+      AnswerPrefix(out, store, req);
+    } else if (endpoint == "as") {
+      AnswerAs(out, store, attribution, req);
+    } else if (endpoint == "country") {
+      AnswerCountry(out, store, attribution, req);
+    } else if (endpoint == "churn") {
+      AnswerChurn(out, store, req, memo);
+    } else if (endpoint == "patterns") {
+      AnswerPatterns(out, store, req, memo);
+    } else {
+      FailRequest("unknown-endpoint",
+                  "unknown endpoint '" + endpoint + "'");
+    }
+    out += "}";
+    return out;
+  } catch (const RequestError& e) {
+    reg.GetCounter("serve.errors").Add();
+    return ErrorResponse(e.kind, e.message);
+  } catch (const std::runtime_error& e) {
+    // A schema error from the json accessors (wrong kinds, etc).
+    reg.GetCounter("serve.errors").Add();
+    return ErrorResponse("bad-request", e.what());
+  }
 }
 
 }  // namespace
@@ -377,15 +483,7 @@ std::string JsonNumber(double value) {
 }
 
 Server::Server(activity::ActivityStore store, ServerOptions options)
-    : options_(options),
-      snapshots_(std::move(store)),
-      cache_(options.cache_capacity, options.cache_shards) {
-  // Seeded stale-snapshot bug for the run_all.sh teeth check: with the
-  // flag set, the cache key ignores the snapshot id, so responses cached
-  // before a reload keep being served afterwards. The client-swarm smoke
-  // must catch the stale snapshot id in post-reload responses.
-  skip_pin_ = obs::EnvString("IPSCOPE_SERVE_SKIP_PIN").has_value();
-}
+    : options_(options), snapshots_(std::move(store)) {}
 
 void Server::SetAttribution(std::vector<BlockAttribution> attribution) {
   std::sort(attribution.begin(), attribution.end(),
@@ -431,81 +529,13 @@ std::string Server::HandleRequest(std::string_view body) {
 
   // Pin exactly one snapshot for the whole request.
   std::shared_ptr<const Snapshot> pin = snapshots_.Current();
-  std::uint64_t key =
-      FingerprintQuery(body, skip_pin_ ? 0 : pin->id);  // see ctor comment
-  if (auto hit = cache_.Get(key)) return std::move(*hit);
-
-  std::string response =
-      DirectAnswer(pin->store, pin->id, attribution_, body);
-  cache_.Put(key, response);
-  return response;
-}
-
-std::vector<std::string> Server::HandleBatch(
-    const std::vector<std::string>& bodies) {
-  std::vector<std::string> responses(bodies.size());
-  par::ParallelFor(
-      par::GlobalPool(), 0, bodies.size(),
-      [this, &bodies, &responses](std::size_t first, std::size_t last) {
-        for (std::size_t i = first; i < last; ++i) {
-          responses[i] = HandleRequest(bodies[i]);
-        }
-      });
-  return responses;
+  return Answer(pin->store, pin->id, attribution_, body, pin.get());
 }
 
 std::string Server::DirectAnswer(
     const activity::ActivityStore& store, std::uint64_t snapshot_id,
     std::span<const BlockAttribution> attribution, std::string_view body) {
-  auto& reg = obs::GlobalRegistry();
-  json::Value req = json::Value::Null();
-  try {
-    req = json::Parse(body);
-  } catch (const std::runtime_error& e) {
-    reg.GetCounter("serve.errors").Add();
-    return ErrorResponse("bad-json", e.what());
-  }
-  std::string endpoint;
-  try {
-    if (!req.is_object()) {
-      FailRequest("bad-request", "request body must be a JSON object");
-    }
-    endpoint = StringField(req, "endpoint");
-    obs::ScopedTimer timer{reg,
-                           "serve.endpoint." + endpoint + ".seconds"};
-    std::string out = R"({"ok": true, "endpoint": ")";
-    out += json::Escape(endpoint);
-    out += R"(", "snapshot": )";
-    AppendInt(out, static_cast<std::int64_t>(snapshot_id));
-    out += ", ";
-    if (endpoint == "summary") {
-      AnswerSummary(out, store);
-    } else if (endpoint == "point") {
-      AnswerPoint(out, store, req);
-    } else if (endpoint == "prefix") {
-      AnswerPrefix(out, store, req);
-    } else if (endpoint == "as") {
-      AnswerAs(out, store, attribution, req);
-    } else if (endpoint == "country") {
-      AnswerCountry(out, store, attribution, req);
-    } else if (endpoint == "churn") {
-      AnswerChurn(out, store, req);
-    } else if (endpoint == "patterns") {
-      AnswerPatterns(out, store, req);
-    } else {
-      FailRequest("unknown-endpoint",
-                  "unknown endpoint '" + endpoint + "'");
-    }
-    out += "}";
-    return out;
-  } catch (const RequestError& e) {
-    reg.GetCounter("serve.errors").Add();
-    return ErrorResponse(e.kind, e.message);
-  } catch (const std::runtime_error& e) {
-    // A schema error from the json accessors (wrong kinds, etc).
-    reg.GetCounter("serve.errors").Add();
-    return ErrorResponse("bad-request", e.what());
-  }
+  return Answer(store, snapshot_id, attribution, body, /*memo=*/nullptr);
 }
 
 }  // namespace ipscope::serve

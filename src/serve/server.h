@@ -1,12 +1,17 @@
 // The serve request router: JSON request in, JSON response out.
 //
-// A Server owns a SnapshotManager (reloadable store), an optional
-// block→(AS, country) attribution table, and a sharded ResultCache. The
-// transport (serve/tcp.h, tests, bench_serve) hands it one frame or one
-// JSON body at a time; everything here is thread-safe and deterministic:
-// the same request against the same snapshot renders byte-identical
-// output, which is what the oracle tests diff against direct
-// ActivityStore/analysis calls.
+// A Server owns a SnapshotManager (reloadable store) and an optional
+// block→(AS, country) attribution table. The transport (serve/tcp.h,
+// tests, bench_serve) hands it one frame or one JSON body at a time;
+// everything here is thread-safe and deterministic: the same request
+// against the same snapshot renders byte-identical output, which is what
+// the oracle tests diff against direct ActivityStore/analysis calls.
+//
+// There is no response cache. point/prefix/as/country are computed on
+// every request (microseconds, under one wire round trip); the
+// whole-snapshot aggregates behind summary/churn/patterns are memoized on
+// the pinned Snapshot itself (serve/snapshot.h), filled once on first use
+// and freed with it.
 //
 // Endpoints (request: {"endpoint": "<name>", ...}):
 //   summary   — whole-store totals and the daily active series
@@ -33,7 +38,6 @@
 
 #include "netbase/prefix.h"
 #include "obs/timer.h"
-#include "serve/cache.h"
 #include "serve/snapshot.h"
 
 namespace ipscope::sim {
@@ -53,8 +57,6 @@ struct BlockAttribution {
 
 struct ServerOptions {
   std::size_t max_frame_bytes = 1 << 20;
-  std::size_t cache_capacity = 4096;  // rendered responses, all shards
-  std::size_t cache_shards = 8;
 };
 
 class Server {
@@ -81,17 +83,13 @@ class Server {
   // never a throw.
   std::string HandleFrame(std::string_view frame_bytes);
 
-  // One JSON request body -> one JSON response body (cache + metrics).
+  // One JSON request body -> one JSON response body: DirectAnswer on the
+  // pinned snapshot, with its whole-snapshot aggregates memoized.
   std::string HandleRequest(std::string_view body);
 
-  // Answers a batch on the shared par::Pool: the daemon's worker loop.
-  // Results are positionally aligned with `bodies`.
-  std::vector<std::string> HandleBatch(const std::vector<std::string>& bodies);
-
   // The oracle path: parse + route + render against an explicit store, no
-  // cache, no snapshot pinning, no metrics. HandleRequest is exactly
-  // "DirectAnswer against the pinned snapshot, memoized" — tests and
-  // bench_serve diff the two byte-for-byte.
+  // memo, no snapshot pinning, no request metrics. Tests, bench_serve and
+  // the TCP smoke diff HandleRequest against it byte-for-byte.
   static std::string DirectAnswer(const activity::ActivityStore& store,
                                   std::uint64_t snapshot_id,
                                   std::span<const BlockAttribution> attribution,
@@ -100,9 +98,7 @@ class Server {
  private:
   ServerOptions options_;
   SnapshotManager snapshots_;
-  ResultCache cache_;
   std::vector<BlockAttribution> attribution_;
-  bool skip_pin_ = false;  // IPSCOPE_SERVE_SKIP_PIN seeded bug (run_all teeth)
   obs::Stopwatch uptime_;
   std::atomic<std::uint64_t> requests_{0};
 };

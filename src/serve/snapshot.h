@@ -8,23 +8,70 @@
 // snapshot-isolation contract of DESIGN.md §4.14: answers are always
 // internally consistent with exactly one snapshot, and a query that
 // *starts* after a reload completes sees the new snapshot.
+//
+// A Snapshot also carries its whole-snapshot aggregates (the rendered
+// summary, the rendered churn series per window, and running pattern-class
+// counts over its blocks). They are functions of the store alone, so each is
+// computed at most once, on first use, and freed with the snapshot: the
+// memo is keyed exactly (one slot per aggregate), never evicts, and
+// cannot outlive or cross the snapshot it was computed from. Install does
+// no aggregate work, so a reload stays as cheap as the pointer swap.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "activity/store.h"
 #include "obs/registry.h"
 
 namespace ipscope::serve {
 
+// One memo slot: the first Get runs `fill` and keeps its value; callers
+// that arrive while it runs block until it is done (single flight), and
+// every later Get returns the same value. A fill that throws leaves the
+// slot empty for the next caller.
+template <typename T>
+class Memo {
+ public:
+  template <typename Fill>
+  const T& Get(Fill&& fill) const {
+    std::call_once(once_, [&] {
+      value_ = fill();
+      obs::GlobalRegistry()
+          .GetCounter("serve.snapshot.aggregates_computed")
+          .Add();
+    });
+    return value_;
+  }
+
+ private:
+  mutable std::once_flag once_;
+  mutable T value_;  // written once inside call_once, read-only after
+};
+
+// Block counts per activity::BlockPattern class, indexed by enumerator.
+inline constexpr int kPatternClasses = 6;
+using PatternCounts = std::array<std::int64_t, kPatternClasses>;
+
 struct Snapshot {
   std::uint64_t id = 0;
   activity::ActivityStore store;
+  // Memoized aggregates of `store`; see the file comment.
+  Memo<std::string> summary;             // rendered "result" member
+  std::vector<Memo<std::string>> churn;  // [window - 1], window 1..max(1, days)
+  // Running pattern-class counts over the blocks in key order: entry i
+  // counts blocks [0, i).
+  Memo<std::vector<PatternCounts>> patterns;
 
   Snapshot(std::uint64_t id_, activity::ActivityStore store_)
-      : id(id_), store(std::move(store_)) {}
+      : id(id_),
+        store(std::move(store_)),
+        churn(static_cast<std::size_t>(std::max(1, store.days()))) {}
 };
 
 class SnapshotManager {

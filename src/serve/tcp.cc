@@ -8,8 +8,9 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
-#include <mutex>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -158,9 +159,25 @@ Result<std::uint64_t, TcpError> RunTcpServer(
 
   auto& reg = obs::GlobalRegistry();
   std::uint64_t accepted = 0;
-  std::atomic<int> active{0};
-  std::vector<std::thread> workers;
-  std::mutex workers_mu;
+  struct Worker {
+    std::thread thread;
+    std::unique_ptr<std::atomic<bool>> done;
+  };
+  std::vector<Worker> workers;  // touched by this thread only
+  // Joins the connection threads that have finished. Run before every
+  // admission, so at most max_connections threads (and their stack
+  // mappings) are ever held, not one per connection ever served.
+  auto reap = [&workers] {
+    for (std::size_t i = 0; i < workers.size();) {
+      if (!workers[i].done->load(std::memory_order_acquire)) {
+        ++i;
+        continue;
+      }
+      workers[i].thread.join();
+      workers[i] = std::move(workers.back());
+      workers.pop_back();
+    }
+  };
 
   while (!should_stop()) {
     struct pollfd pfd = {};
@@ -174,28 +191,40 @@ Result<std::uint64_t, TcpError> RunTcpServer(
     if (ready == 0) continue;
     int conn = ::accept(listen_fd, nullptr, nullptr);
     if (conn < 0) {
-      if (errno == EINTR) continue;
-      continue;  // transient accept failure; keep serving
+      const int err = errno;
+      if (err == EINTR) continue;
+      reg.GetCounter("serve.tcp.accept_errors").Add();
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+        // Out of descriptors or memory: the connection stays queued, so
+        // poll would report the listen fd readable again at once. Back off
+        // one tick instead of spinning; a drain is still noticed within it.
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(options.poll_millis));
+      }
+      continue;  // keep serving
     }
-    if (active.load(std::memory_order_relaxed) >= options.max_connections) {
+    reap();
+    if (workers.size() >=
+        static_cast<std::size_t>(options.max_connections)) {
       reg.GetCounter("serve.tcp.rejected").Add();
       CloseFd(conn);
       continue;
     }
     ++accepted;
     reg.GetCounter("serve.tcp.connections").Add();
-    active.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock{workers_mu};
-    workers.emplace_back([&server, conn, &options, &should_stop, &active] {
+    auto done = std::make_unique<std::atomic<bool>>(false);
+    std::thread thread{[&server, conn, &options, &should_stop,
+                        flag = done.get()] {
       ServeConnection(server, conn, server.max_frame_bytes(), should_stop,
                       options.poll_millis);
-      active.fetch_sub(1, std::memory_order_relaxed);
-    });
+      flag->store(true, std::memory_order_release);
+    }};
+    workers.push_back(Worker{std::move(thread), std::move(done)});
   }
   CloseFd(listen_fd);
   // Drain: every connection thread exits at its next frame boundary (or
   // poll tick); in-flight requests complete first.
-  for (std::thread& t : workers) t.join();
+  for (Worker& w : workers) w.thread.join();
   return accepted;
 }
 

@@ -12,7 +12,12 @@
 // This is deliberately not an async i/o engine: the query engine below it
 // is CPU-bound and already parallel (par::Pool), so a thread per
 // connection with a bounded accept backlog is enough for the client
-// swarms the bench drives.
+// swarms the bench drives. The accept loop joins finished connection
+// threads before admitting a new one, so held threads stay bounded by
+// max_connections however many connections the daemon has served. An
+// accept that fails for lack of descriptors or memory is counted
+// (serve.tcp.accept_errors) and backs off one poll tick instead of
+// spinning on the still-readable listen socket.
 #pragma once
 
 #include <cstdint>

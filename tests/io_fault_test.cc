@@ -37,7 +37,7 @@ activity::ActivityStore SweepStore() {
 
 std::string SerializeV2(const activity::ActivityStore& store) {
   std::stringstream buffer;
-  SaveStore(store, buffer, StoreFormat::kV2);
+  SaveStore(store, buffer);
   return buffer.str();
 }
 
@@ -107,7 +107,6 @@ TEST(IoFault, RoundTripV2PreservesCoverage) {
   auto result = TryLoadStore(buffer);
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   const auto& loaded = result.value();
-  EXPECT_EQ(loaded.stats.format_version, 2);
   EXPECT_TRUE(loaded.stats.complete);
   EXPECT_EQ(loaded.stats.blocks_loaded, store.BlockCount());
   EXPECT_FALSE(loaded.store.DayCovered(2));
@@ -154,9 +153,8 @@ TEST(IoFault, FlipSweepDetectsEverySingleByteCorruption) {
   auto store = SweepStore();
   const std::string bytes = SerializeV2(store);
   // 0xFF inverts the whole byte; 0x01/0x80 are the lowest- and highest-bit
-  // single-bit flips. (None of these can turn the 'IPSCOPE2' magic into
-  // 'IPSCOPE1', which differs in bit pattern 0x03 — a flipped magic is an
-  // unknown format, not a silent downgrade.)
+  // single-bit flips. A flipped magic is an unknown format, never another
+  // readable one.
   for (char mask : {'\x01', '\x80', '\xFF'}) {
     for (std::size_t off = 0; off < bytes.size(); ++off) {
       std::string flipped = bytes;
@@ -191,32 +189,13 @@ TEST(IoFault, FlipSweepSalvageNeverCrashesAndKeepsIntactBlocksOnly) {
   }
 }
 
-TEST(IoFault, V1RoundTripStillWorks) {
-  auto store = SweepStore();
-  std::stringstream buffer;
-  SaveStore(store, buffer, StoreFormat::kV1);
-  auto result = TryLoadStore(buffer);
-  ASSERT_TRUE(result.ok()) << result.error().ToString();
-  const auto& loaded = result.value();
-  EXPECT_EQ(loaded.stats.format_version, 1);
-  EXPECT_TRUE(loaded.stats.complete);
-  // v1 cannot carry a coverage mask; a loaded v1 store is fully covered.
-  EXPECT_TRUE(loaded.store.FullyCovered());
-  ExpectIntactPrefix(store, loaded.store, store.BlockCount());
-}
-
-TEST(IoFault, V1ByteLayoutIsFrozen) {
-  // Byte-exact pin of the legacy format so old stores stay loadable
-  // forever: one block (key 100), day 2, host 7.
-  activity::ActivityStore store{5};
-  store.GetOrCreate(100).Set(2, 7);
-  std::stringstream buffer;
-  SaveStore(store, buffer, StoreFormat::kV1);
-
-  std::string expected = "IPSCOPE1";
+TEST(IoFault, RetiredV1StreamIsBadMagic) {
+  // The unchecksummed v1 layout is no longer read: a well-formed v1 stream
+  // (one block, key 100, day 2, host 7) is an unknown format.
+  std::string v1 = {'I', 'P', 'S', 'C', 'O', 'P', 'E', '1'};
   auto put = [&](std::uint64_t v, int n) {
     for (int i = 0; i < n; ++i) {
-      expected.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+      v1.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
     }
   };
   put(5, 4);        // days
@@ -228,7 +207,11 @@ TEST(IoFault, V1ByteLayoutIsFrozen) {
   put(0, 8);
   put(0, 8);
   put(0, 8);
-  EXPECT_EQ(buffer.str(), expected);
+  std::stringstream is{v1};
+  auto result = TryLoadStore(is);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().kind, StoreErrorKind::kBadMagic);
+  EXPECT_EQ(result.error().offset, 0u);
 }
 
 TEST(IoFault, TypedErrorKindsAndOffsets) {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "cdn/observatory.h"
+#include "io/crc32c.h"
 #include "rng/rng.h"
 #include "sim/world.h"
 
@@ -97,15 +98,29 @@ TEST(StoreIo, RejectsCorruptedDayIndex) {
   activity::ActivityStore store{5};
   store.GetOrCreate(100).Set(2, 7);
   std::stringstream buffer;
-  SaveStore(store, buffer, StoreFormat::kV1);
+  SaveStore(store, buffer);
   std::string bytes = buffer.str();
-  // In the v1 format the day index u16 sits right after magic(8) +
-  // days(4) + count(8) + key(4) + nonzero(4) = offset 28. Corrupt it
-  // beyond the day range; v1 has no checksum, so only the semantic
-  // validation can catch this.
-  bytes[28] = 99;
+  // Layout: magic(8) + days(4) + count(8) + coverage(1) + header crc(4)
+  // = 25; the block record (key 4, nonzero 4, day u16 + 4 words = 42
+  // bytes) follows with its crc at 67, then the footer (71..83) and the
+  // stream crc. Corrupt the day index (offset 33) beyond the day range and
+  // re-seal both checksums, so only the semantic validation can catch it.
+  bytes[33] = 99;
+  auto seal = [&bytes](std::size_t at, std::size_t from) {
+    std::uint32_t crc = Crc32c(bytes.data() + from, at - from);
+    for (int i = 0; i < 4; ++i) {
+      bytes[at + static_cast<std::size_t>(i)] =
+          static_cast<char>((crc >> (8 * i)) & 0xFF);
+    }
+  };
+  ASSERT_EQ(bytes.size(), 87u);
+  seal(67, 25);
+  seal(83, 0);
   std::stringstream corrupted{bytes};
-  EXPECT_THROW(LoadStore(corrupted), std::runtime_error);
+  auto result = TryLoadStore(corrupted);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().kind, StoreErrorKind::kMalformed);
+  EXPECT_EQ(result.error().offset, 33u);
 }
 
 TEST(StoreIo, FileRoundTrip) {
@@ -124,16 +139,13 @@ TEST(StoreIo, MissingFileThrows) {
 
 TEST(StoreIo, CompressionSkipsEmptyDays) {
   // A store with one active day out of 1000 must serialize far smaller
-  // than the dense equivalent (~32KB). The v2 format adds a coverage
-  // bitmap (one bit per day), per-block checksums, and a footer, so its
-  // fixed overhead is larger than v1's but still tiny vs dense.
+  // than the dense equivalent (~32KB); the coverage bitmap (one bit per
+  // day), the per-block checksum and the footer are the fixed overhead.
   activity::ActivityStore store{1000};
   store.GetOrCreate(5).Set(500, 1);
-  std::stringstream v1, v2;
-  SaveStore(store, v1, StoreFormat::kV1);
-  SaveStore(store, v2, StoreFormat::kV2);
-  EXPECT_LT(v1.str().size(), 100u);
-  EXPECT_LT(v2.str().size(), 250u);
+  std::stringstream buffer;
+  SaveStore(store, buffer);
+  EXPECT_LT(buffer.str().size(), 250u);
 }
 
 }  // namespace

@@ -1,24 +1,41 @@
-// Query-daemon tests: frame decoding, the DirectAnswer oracle, cache
-// byte-identity, snapshot isolation under concurrent reload, and a
-// multi-threaded hammer that diffs every served response against direct
-// ActivityStore/analysis calls on the same snapshot.
+// Query-daemon tests: frame decoding, the DirectAnswer oracle, the
+// per-snapshot aggregate memo, snapshot isolation under concurrent reload,
+// a multi-threaded hammer that diffs every served response against direct
+// ActivityStore/analysis calls on the same snapshot, and the TCP accept
+// loop's thread reaping and fd-exhaustion backoff.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <future>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "activity/churn.h"
 #include "activity/store.h"
+#include "cdn/observatory.h"
 #include "geo/country.h"
 #include "netbase/prefix.h"
 #include "obs/json.h"
 #include "obs/registry.h"
-#include "serve/cache.h"
+#include "obs/timer.h"
+#include "par/pool.h"
 #include "serve/frame.h"
 #include "serve/server.h"
+#include "serve/tcp.h"
+#include "sim/world.h"
 
 namespace ipscope::serve {
 namespace {
@@ -275,29 +292,7 @@ TEST(ServeDirect, TypedErrorsForBadInput) {
   EXPECT_EQ(kind_of(R"({"endpoint": "churn", "window": 0})"), "bad-request");
 }
 
-// --- Server: cache, frames, batch ------------------------------------------
-
-TEST(ServeServer, CacheHitIsByteIdenticalToMiss) {
-  Server server{MakeStore()};
-  auto& hits = obs::GlobalRegistry().GetCounter("serve.cache.hits");
-  std::string body = R"({"endpoint": "summary"})";
-  std::string miss = server.HandleRequest(body);
-  std::uint64_t before = hits.value();
-  std::string hit = server.HandleRequest(body);
-  EXPECT_EQ(miss, hit);
-  EXPECT_GT(hits.value(), before);
-  EXPECT_EQ(miss, Server::DirectAnswer(MakeStore(), 1, {}, body));
-}
-
-TEST(ServeServer, DisabledCacheStillMatchesOracle) {
-  ServerOptions options;
-  options.cache_capacity = 0;
-  Server server{MakeStore(), options};
-  std::string body = R"({"endpoint": "churn", "window": 7})";
-  EXPECT_EQ(server.HandleRequest(body), server.HandleRequest(body));
-  EXPECT_EQ(server.HandleRequest(body),
-            Server::DirectAnswer(MakeStore(), 1, {}, body));
-}
+// --- Server: frames -----------------------------------------------------------
 
 TEST(ServeServer, HandleFrameWrapsBadFramesAsTypedErrors) {
   Server server{MakeStore()};
@@ -318,25 +313,134 @@ TEST(ServeServer, HandleFrameRoundTripsGoodRequests) {
   EXPECT_EQ(decoded.value().body, server.HandleRequest(body));
 }
 
-TEST(ServeServer, BatchIsPositionallyAlignedWithIndividualAnswers) {
-  Server server{MakeStore()};
+// --- per-snapshot aggregate memo ----------------------------------------------
+
+// Every aggregate body a snapshot memoizes for MakeStore(): summary, each
+// churn window, and patterns whole, under /0, a populated /8, one /24 and
+// a prefix that holds no blocks.
+std::vector<std::string> AggregateBodies(int days) {
   std::vector<std::string> bodies = {
       R"({"endpoint": "summary"})",
       R"({"endpoint": "patterns"})",
-      R"({"endpoint": "point", "block": "10.0.0.0/24"})",
-      "{bad json",
+      R"({"endpoint": "patterns", "prefix": "0.0.0.0/0"})",
+      R"({"endpoint": "patterns", "prefix": "10.0.0.0/8"})",
+      R"({"endpoint": "patterns", "prefix": "10.0.1.0/24"})",
+      R"({"endpoint": "patterns", "prefix": "172.16.0.0/12"})",
   };
-  auto batch = server.HandleBatch(bodies);
-  ASSERT_EQ(batch.size(), bodies.size());
-  for (std::size_t i = 0; i < bodies.size(); ++i) {
-    EXPECT_EQ(batch[i], server.HandleRequest(bodies[i])) << "index " << i;
+  for (int w = 1; w <= days; ++w) {
+    bodies.push_back(R"({"endpoint": "churn", "window": )" +
+                     std::to_string(w) + "}");
+  }
+  return bodies;
+}
+
+// MakeStore(1) plus a fully utilized 10.0.3.0/24: every aggregate body
+// above that can tell two stores apart answers differently than on
+// MakeStore(0).
+activity::ActivityStore ReloadedStore() {
+  activity::ActivityStore store = MakeStore(1);
+  activity::ActivityMatrix& full = store.GetOrCreate(0x0A0003);
+  for (int day = 1; day < store.days(); ++day) {
+    for (int host = 0; host < 256; ++host) full.Set(day, host);
+  }
+  return store;
+}
+
+TEST(ServeMemo, FilledSlotsMatchOracleBeforeAndAfterReload) {
+  const int days = MakeStore().days();
+  const auto bodies = AggregateBodies(days);
+  // A slot carried over from snapshot 1 must be visible after the reload,
+  // except for the bodies that answer alike on any two of these stores:
+  // the unchanged /24, the empty prefix, and churn windows too wide for a
+  // single window pair (2 * window > days; their slots still differ from
+  // each other by "window").
+  for (const std::string& body : bodies) {
+    bool alike = body.find("10.0.1.0/24") != std::string::npos ||
+                 body.find("172.16.0.0/12") != std::string::npos;
+    for (int w = days / 2 + 1; w <= days; ++w) {
+      alike |= body == R"({"endpoint": "churn", "window": )" +
+                           std::to_string(w) + "}";
+    }
+    if (alike) continue;
+    EXPECT_NE(Server::DirectAnswer(MakeStore(0), 1, {}, body),
+              Server::DirectAnswer(ReloadedStore(), 1, {}, body))
+        << body;
+  }
+  Server server{MakeStore(0)};
+  // Fill every slot of snapshot 1, then read each one back.
+  for (const std::string& body : bodies) server.HandleRequest(body);
+  for (const std::string& body : bodies) {
+    EXPECT_EQ(server.HandleRequest(body),
+              Server::DirectAnswer(MakeStore(0), 1, {}, body))
+        << body;
+  }
+  ASSERT_EQ(server.Reload(ReloadedStore()), 2u);
+  for (const std::string& body : bodies) {
+    EXPECT_EQ(server.HandleRequest(body),
+              Server::DirectAnswer(ReloadedStore(), 2, {}, body))
+        << body;
   }
 }
 
-TEST(ServeCache, FingerprintSeparatesSnapshots) {
-  EXPECT_NE(FingerprintQuery("q", 1), FingerprintQuery("q", 2));
-  EXPECT_NE(FingerprintQuery("a", 1), FingerprintQuery("b", 1));
-  EXPECT_EQ(FingerprintQuery("a", 7), FingerprintQuery("a", 7));
+TEST(ServeMemo, SmokeAggregatesDiscriminateSnapshots) {
+  // The aggregate bodies of `ipscope_cli serve --smoke` (SmokeRequests in
+  // src/cli/commands.cc) on its world, against its reloaded snapshot: the
+  // same store with day 0 uncovered. summary and both churn windows answer
+  // differently on the two stores under one snapshot id, so a summary or
+  // churn memo carried across the reload cannot pass the smoke.
+  //
+  // The two patterns bodies do NOT discriminate: uncovering day 0 leaves
+  // every block's pattern class unchanged on this world, so the smoke
+  // cannot catch a pattern-class vector carried across the reload.
+  // ServeMemo.FilledSlotsMatchOracleBeforeAndAfterReload covers that
+  // case with a reload that does change the classes.
+  sim::WorldConfig config;
+  config.target_client_blocks = 400;
+  sim::World world{config};
+  activity::ActivityStore v1 = cdn::Observatory::Daily(world).BuildStore();
+  activity::ActivityStore v2 = v1;
+  v2.SetDayCovered(0, false);
+  net::BlockKey first = v1.keys().front();
+  net::Prefix p16{net::IPv4Addr{(first << 8) & 0xFFFF0000u}, 16};
+  for (const char* body : {R"({"endpoint": "summary"})",
+                           R"({"endpoint": "churn", "window": 7})",
+                           R"({"endpoint": "churn", "window": 28})"}) {
+    EXPECT_NE(Server::DirectAnswer(v1, 7, {}, body),
+              Server::DirectAnswer(v2, 7, {}, body))
+        << body;
+  }
+  for (const std::string& body :
+       {std::string{R"({"endpoint": "patterns"})"},
+        R"({"endpoint": "patterns", "prefix": ")" + p16.ToString() +
+            "\"}"}) {
+    EXPECT_EQ(Server::DirectAnswer(v1, 7, {}, body),
+              Server::DirectAnswer(v2, 7, {}, body))
+        << body << " now discriminates; move it to the loop above";
+  }
+}
+
+TEST(ServeMemo, ConcurrentFirstTouchComputesOnce) {
+  Server server{MakeStore(0)};
+  server.Reload(MakeStore(1));  // a fresh snapshot: no slot filled yet
+  auto& computed =
+      obs::GlobalRegistry().GetCounter("serve.snapshot.aggregates_computed");
+  const std::string body = R"({"endpoint": "churn", "window": 5})";
+  const std::uint64_t before = computed.value();
+  std::vector<std::string> got(8);
+  std::atomic<int> waiting{static_cast<int>(got.size())};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      got[t] = server.HandleRequest(body);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(computed.value() - before, 1u);
+  for (const std::string& response : got) {
+    EXPECT_EQ(response, Server::DirectAnswer(MakeStore(1), 2, {}, body));
+  }
 }
 
 // --- snapshot isolation -----------------------------------------------------
@@ -433,6 +537,198 @@ TEST(ServeHammer, EightThreadsStayBitIdenticalToOracle) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// --- TCP transport ----------------------------------------------------------
+
+// One numeric field of /proc/self/status ("VmSize" in kB, "Threads").
+std::uint64_t ProcStatus(const std::string& field) {
+  std::ifstream in{"/proc/self/status"};
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(field + ":", 0) != 0) continue;
+    std::istringstream value{line.substr(field.size() + 1)};
+    std::uint64_t n = 0;
+    value >> n;
+    return n;
+  }
+  return 0;
+}
+
+int ConnectLoopback(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    EXPECT_EQ(::close(fd), 0);
+    return -1;
+  }
+  return fd;
+}
+
+bool ReadFully(int fd, char* buf, std::size_t want) {
+  while (want > 0) {
+    ssize_t n = ::read(fd, buf, want);
+    if (n <= 0) return false;
+    buf += n;
+    want -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// One request frame out, one response body back ("" on a transport error).
+std::string Exchange(int fd, const std::string& body) {
+  std::string frame = EncodeFrame(body);
+  if (::write(fd, frame.data(), frame.size()) !=
+      static_cast<ssize_t>(frame.size())) {
+    return {};
+  }
+  std::string response(kFrameHeaderBytes, '\0');
+  if (!ReadFully(fd, response.data(), kFrameHeaderBytes)) return {};
+  std::uint32_t length = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    length |= static_cast<std::uint32_t>(
+                  static_cast<unsigned char>(response[4 + i]))
+              << (8 * i);
+  }
+  response.resize(kFrameHeaderBytes + length);
+  if (!ReadFully(fd, response.data() + kFrameHeaderBytes, length)) return {};
+  return response.substr(kFrameHeaderBytes);
+}
+
+TEST(ServeTcp, FinishedConnectionsAreReapedAndDrainJoinsLiveOnes) {
+  par::GlobalPool();  // start the pool's workers before the thread baseline
+  const std::uint64_t threads_before = ProcStatus("Threads");
+  Server server{MakeStore()};
+  TcpOptions options;
+  options.poll_millis = 20;
+  std::atomic<bool> stop{false};
+  std::promise<int> listening;
+  std::uint64_t accepted = 0;
+  std::thread daemon{[&] {
+    auto result = RunTcpServer(
+        server, options, [&stop] { return stop.load(); },
+        [&listening](int port) { listening.set_value(port); });
+    accepted = result.ok() ? result.value() : 0;
+  }};
+  const int port = listening.get_future().get();
+  const std::string body = R"({"endpoint": "summary"})";
+  const std::string want = Server::DirectAnswer(MakeStore(), 1, {}, body);
+  // One connection, then a wait until its thread has exited, so that at
+  // most one connection thread is ever alive and VmSize moves only with
+  // the threads the daemon keeps.
+  const std::uint64_t threads_idle = threads_before + 1;  // + the daemon
+  auto cycle = [&] {
+    int fd = ConnectLoopback(port);
+    if (fd < 0) return false;
+    bool same = Exchange(fd, body) == want;
+    bool closed = ::close(fd) == 0;
+    for (int wait = 0; ProcStatus("Threads") > threads_idle; ++wait) {
+      if (wait == 5000) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return closed && same;
+  };
+
+  // Warm up (malloc arenas, the thread-stack cache), then serve 500
+  // sequential connections. An exited but unjoined thread keeps its ~8 MB
+  // stack mapped, so holding them would grow VmSize by gigabytes.
+  int bad = 0;
+  for (int i = 0; i < 20; ++i) bad += cycle() ? 0 : 1;
+  const std::uint64_t vm_before_kb = ProcStatus("VmSize");
+  for (int i = 0; i < 500; ++i) bad += cycle() ? 0 : 1;
+  const std::uint64_t vm_after_kb = ProcStatus("VmSize");
+  EXPECT_EQ(bad, 0);
+  EXPECT_LT(static_cast<std::int64_t>(vm_after_kb) -
+                static_cast<std::int64_t>(vm_before_kb),
+            100 * 1024)
+      << "VmSize " << vm_before_kb << " kB -> " << vm_after_kb << " kB";
+
+  // Drain with three live, idle connections: each is closed by its
+  // connection thread and every thread is joined before RunTcpServer
+  // returns.
+  std::vector<int> live;
+  for (int i = 0; i < 3; ++i) {
+    int fd = ConnectLoopback(port);
+    ASSERT_GE(fd, 0);
+    EXPECT_EQ(Exchange(fd, body), want);
+    live.push_back(fd);
+  }
+  stop.store(true);
+  daemon.join();
+  EXPECT_EQ(accepted, 523u);
+  for (int fd : live) {
+    char byte = 0;
+    EXPECT_EQ(::read(fd, &byte, 1), 0);  // EOF: the server side closed
+    EXPECT_EQ(::close(fd), 0);
+  }
+  EXPECT_EQ(ProcStatus("Threads"), threads_before);
+}
+
+TEST(ServeTcp, AcceptBacksOffWhenOutOfDescriptors) {
+  constexpr int kPollMillis = 20;
+  constexpr double kRunSeconds = 0.3;
+  int report[2];
+  ASSERT_EQ(::pipe(report), 0);
+  pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // The daemon, capped to the descriptors it already holds once it
+    // listens: every accept then fails with EMFILE while the parent's
+    // connection stays queued.
+    Server server{MakeStore()};
+    TcpOptions options;
+    options.poll_millis = kPollMillis;
+    std::optional<obs::Stopwatch> since_listen;
+    auto result = RunTcpServer(
+        server, options,
+        [&since_listen] {
+          return since_listen && since_listen->Seconds() >= kRunSeconds;
+        },
+        [&](int port) {
+          if (::write(report[1], &port, sizeof(port)) != sizeof(port)) {
+            ::_exit(2);
+          }
+          int lowest_free = ::dup(report[1]);
+          if (lowest_free < 0 || ::close(lowest_free) != 0) ::_exit(3);
+          struct rlimit limit = {};
+          if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(4);
+          limit.rlim_cur = static_cast<rlim_t>(lowest_free);
+          if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(5);
+          since_listen.emplace();
+        });
+    std::uint64_t errors =
+        obs::GlobalRegistry().GetCounter("serve.tcp.accept_errors").value();
+    if (::write(report[1], &errors, sizeof(errors)) != sizeof(errors)) {
+      ::_exit(6);
+    }
+    ::_exit(result.ok() && result.value() == 0 ? 0 : 1);
+  }
+  ASSERT_EQ(::close(report[1]), 0);
+  int port = 0;
+  ASSERT_TRUE(ReadFully(report[0], reinterpret_cast<char*>(&port),
+                        sizeof(port)));
+  int fd = ConnectLoopback(port);
+  EXPECT_GE(fd, 0);
+  std::uint64_t errors = 0;
+  EXPECT_TRUE(ReadFully(report[0], reinterpret_cast<char*>(&errors),
+                        sizeof(errors)));
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "child status " << status;
+  EXPECT_GE(errors, 1u);
+  EXPECT_LE(errors, static_cast<std::uint64_t>(kRunSeconds * 1000 /
+                                               kPollMillis) +
+                        2);
+  if (fd >= 0) {
+    EXPECT_EQ(::close(fd), 0);
+  }
+  EXPECT_EQ(::close(report[0]), 0);
 }
 
 }  // namespace
