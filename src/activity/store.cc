@@ -17,10 +17,19 @@ constexpr std::size_t kBlockGrain = 16;
 }  // namespace
 
 ActivityMatrix& ActivityStore::GetOrCreate(net::BlockKey key) {
-  auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  auto idx = static_cast<std::size_t>(it - keys_.begin());
-  if (it != keys_.end() && *it == key) return matrices_[idx];
-  keys_.insert(it, key);
+  auto cursor = static_cast<std::size_t>(
+      std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+  return GetOrCreateFrom(&cursor, key);
+}
+
+ActivityMatrix& ActivityStore::GetOrCreateFrom(std::size_t* cursor,
+                                               net::BlockKey key) {
+  std::size_t idx = std::min(*cursor, keys_.size());
+  assert(idx == 0 || keys_[idx - 1] < key);  // the sweep ascends
+  while (idx < keys_.size() && keys_[idx] < key) ++idx;
+  *cursor = idx + 1;
+  if (idx < keys_.size() && keys_[idx] == key) return matrices_[idx];
+  keys_.insert(keys_.begin() + static_cast<std::ptrdiff_t>(idx), key);
   matrices_.insert(matrices_.begin() + static_cast<std::ptrdiff_t>(idx),
                    ActivityMatrix{days_});
   return matrices_[idx];

@@ -55,6 +55,13 @@ class ActivityStore {
   // Insertions may arrive in any order; the store keeps blocks sorted.
   ActivityMatrix& GetOrCreate(net::BlockKey key);
 
+  // GetOrCreate for a sweep of ascending keys: `*cursor` (0 before the
+  // first key) is where the search starts, and is left just past `key`.
+  // A sweep over m keys costs O(BlockCount() + m) comparisons — a merge
+  // walk — instead of m binary searches. Insertions are as in
+  // GetOrCreate.
+  ActivityMatrix& GetOrCreateFrom(std::size_t* cursor, net::BlockKey key);
+
   // One-shot bulk adoption for builders that generate every block's rows
   // into a single contiguous arena (day-major per block): the store takes
   // ownership of `arena` and installs each keys[i] as a view over days()

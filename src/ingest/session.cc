@@ -36,14 +36,20 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-// Reads a whole file; returns false on any open/read failure.
+// Reads a whole file with one read sized from its length; returns false
+// on any open/read failure. A file that shrinks meanwhile reads short,
+// which the callers' size and checksum checks report.
 bool ReadFile(const fs::path& path, std::string* out) {
   std::ifstream is{path, std::ios::binary};
   if (!is) return false;
-  std::ostringstream buf;
-  buf << is.rdbuf();
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (ec) return false;
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (is.bad()) return false;
-  *out = std::move(buf).str();
+  bytes.resize(static_cast<std::size_t>(is.gcount()));
+  *out = std::move(bytes);
   return true;
 }
 
@@ -241,11 +247,14 @@ Result<AppendResult, io::StoreError> Session::Append(
   }
 
   // Serialize the shard in memory; the bytes are committed via the atomic
-  // write path below. (SaveStore is pool-free, so Append is safe even in
-  // a forked child of a multithreaded parent — the chaos gate relies on
-  // this.)
+  // write path below. An encoder error (a row on an uncovered day, which
+  // Load would reject forever after) returns here, before any file is
+  // created. (The codec is pool-free, so Append is safe even in a forked
+  // child of a multithreaded parent — the chaos gate relies on this.)
   std::ostringstream buffer{std::ios::binary};
-  io::SaveStore(delta, buffer);
+  if (auto saved = io::TrySaveStore(delta, buffer); !saved.ok()) {
+    return saved.error();
+  }
   std::string bytes = std::move(buffer).str();
 
   char shard_name[64];
@@ -309,37 +318,18 @@ Result<activity::ActivityStore, io::StoreError> Session::Load() const {
   activity::ActivityStore combined{manifest_.days};
   for (int d = 0; d < manifest_.days; ++d) combined.SetDayCovered(d, false);
 
+  // Each shard is decoded straight into `combined` (coverage union, rows
+  // ORed in manifest order), so no per-shard store is ever built.
   for (const ShardEntry& entry : manifest_.shards) {
     auto bytes = ReadShard(dir_, entry);
     if (!bytes.ok()) return bytes.error();
     std::istringstream is{std::move(bytes).value(), std::ios::binary};
-    auto loaded = io::TryLoadStore(is);
-    if (!loaded.ok()) {
-      io::StoreError error = loaded.error();
+    auto merged = io::TryMergeStore(is, combined);
+    if (!merged.ok()) {
+      io::StoreError error = merged.error();
       error.message = entry.file + ": " + error.message;
       return error;
     }
-    const activity::ActivityStore& shard = loaded.value().store;
-    if (shard.days() != manifest_.days) {
-      return io::StoreError{
-          io::StoreErrorKind::kMalformed, 0,
-          entry.file + " has days=" + std::to_string(shard.days()) +
-              ", manifest has days=" + std::to_string(manifest_.days)};
-    }
-    // Coverage union first (marking a day covered never clears rows;
-    // marking it uncovered would), then OR the activity rows.
-    for (int d = 0; d < shard.days(); ++d) {
-      if (shard.DayCovered(d)) combined.SetDayCovered(d, true);
-    }
-    shard.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
-      activity::ActivityMatrix& target = combined.GetOrCreate(key);
-      for (int d = 0; d < shard.days(); ++d) {
-        if (!shard.DayCovered(d)) continue;
-        const activity::DayBits& row = m.Row(d);
-        activity::DayBits& out = target.Row(d);
-        for (std::size_t w = 0; w < row.size(); ++w) out[w] |= row[w];
-      }
-    });
     registry.GetCounter("ingest.shards_loaded").Add(1);
   }
   registry.GetCounter("ingest.loads").Add(1);

@@ -7,8 +7,15 @@
 // and any burst shorter than 32 bits — changes the checksum, which is what
 // the corruption property sweep in tests/io_fault_test.cc relies on.
 //
-// Implementation is portable table-driven slicing-by-4: no hardware CRC
-// intrinsics, identical results on every platform.
+// Two implementations compute the same function:
+//   * hardware: the SSE4.2 `crc32` instruction, 8 bytes per step, on
+//     x86 CPUs that report SSE4.2;
+//   * portable: table-driven slicing-by-4, on every other CPU.
+// Crc32cExtend picks one at run time from a CPU feature flag read once
+// during static initialization (no lock, no knob); a call made before
+// that flag is set simply takes the portable path. Both return identical
+// values for every input (tests/io_crc32c_test.cc checks the RFC 3720
+// vectors and path equality at every length and alignment).
 #pragma once
 
 #include <cstddef>
@@ -26,5 +33,14 @@ std::uint32_t Crc32cExtend(std::uint32_t crc, const void* data,
 inline std::uint32_t Crc32c(const void* data, std::size_t size) {
   return Crc32cExtend(kCrc32cInit, data, size);
 }
+
+// The two implementations behind Crc32cExtend, callable directly so both
+// are testable on any host. Crc32cExtendHardware may only be called when
+// Crc32cHardwareAvailable() is true.
+std::uint32_t Crc32cExtendPortable(std::uint32_t crc, const void* data,
+                                   std::size_t size);
+std::uint32_t Crc32cExtendHardware(std::uint32_t crc, const void* data,
+                                   std::size_t size);
+bool Crc32cHardwareAvailable();
 
 }  // namespace ipscope::io

@@ -1,5 +1,7 @@
 #include "io/store_io.h"
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -8,7 +10,9 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <utility>
+#include <vector>
 
 #include "io/atomic_file.h"
 #include "io/crc32c.h"
@@ -23,59 +27,108 @@ constexpr char kMagic[8] = {'I', 'P', 'S', 'C', 'O', 'P', 'E', '2'};
 constexpr char kFooterMagic[4] = {'E', 'N', 'D', '2'};
 constexpr std::uint32_t kMaxDays = 4096;
 constexpr std::uint64_t kMaxBlocks = std::uint64_t{1} << 24;
-// One non-empty day in a block record: u16 index + 4 x u64 bitmap words.
+// A block record starts with u32 key + u32 non-empty day count and ends
+// with its u32 CRC; each non-empty day is u16 index + 4 x u64 bitmap words.
+constexpr std::size_t kBlockHeadBytes = 8;
 constexpr std::size_t kDayRecordBytes = 2 + 4 * 8;
 
-// All simulation targets are little-endian in practice; the explicit
-// byte-wise encoders below keep the format portable regardless.
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "mixed-endian hosts are not supported");
+
+// Little-endian fixed-width fields: one memcpy on little-endian hosts, a
+// byte loop on big-endian ones, chosen at compile time.
 template <typename T>
-void AppendInt(std::string& buf, T value) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+void PutLE(char* p, T value) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &value, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
   }
 }
 
 template <typename T>
-T ParseInt(const char* bytes) {
+T GetLE(const char* p) {
   T value = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    value |= static_cast<T>(static_cast<unsigned char>(bytes[i])) << (8 * i);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&value, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      value |= static_cast<T>(static_cast<unsigned char>(p[i])) << (8 * i);
+    }
   }
   return value;
 }
 
-// One block record: key, non-empty day count, then each non-empty day's
-// index + bitmap.
-void AppendBlockRecord(std::string& buf, net::BlockKey key,
-                       const activity::ActivityMatrix& m) {
-  AppendInt<std::uint32_t>(buf, key);
-  std::uint32_t nonzero = 0;
+bool NonEmpty(const activity::DayBits& row) {
+  return (row[0] | row[1] | row[2] | row[3]) != 0;
+}
+
+StoreError Malformed(std::uint64_t offset, std::string message) {
+  return StoreError{StoreErrorKind::kMalformed, offset, std::move(message)};
+}
+
+// Encodes one block record — key, non-empty day count, day records, block
+// CRC — into `rec`, which has room for a record with every day non-empty,
+// and returns its length. A non-empty row on a day `store` does not cover
+// is an error (the decoder would reject the record); `base` is the
+// record's absolute stream offset, for that error.
+Result<std::size_t, StoreError> EncodeBlock(
+    char* rec, net::BlockKey key, const activity::ActivityMatrix& m,
+    const activity::ActivityStore& store, std::uint64_t base) {
+  PutLE<std::uint32_t>(rec, key);
+  char* p = rec + kBlockHeadBytes;
   for (int d = 0; d < m.days(); ++d) {
     const activity::DayBits& row = m.Row(d);
-    if ((row[0] | row[1] | row[2] | row[3]) != 0) ++nonzero;
+    if (!NonEmpty(row)) continue;
+    if (!store.DayCovered(d)) {
+      return Malformed(base + static_cast<std::uint64_t>(p - rec),
+                       "block " + std::to_string(key) +
+                           ": activity recorded on uncovered day " +
+                           std::to_string(d));
+    }
+    PutLE<std::uint16_t>(p, static_cast<std::uint16_t>(d));
+    for (std::size_t w = 0; w < row.size(); ++w) {
+      PutLE<std::uint64_t>(p + 2 + 8 * w, row[w]);
+    }
+    p += kDayRecordBytes;
   }
-  AppendInt<std::uint32_t>(buf, nonzero);
-  for (int d = 0; d < m.days(); ++d) {
-    const activity::DayBits& row = m.Row(d);
-    if ((row[0] | row[1] | row[2] | row[3]) == 0) continue;
-    AppendInt<std::uint16_t>(buf, static_cast<std::uint16_t>(d));
-    for (std::uint64_t word : row) AppendInt<std::uint64_t>(buf, word);
-  }
+  const auto body = static_cast<std::size_t>(p - rec);
+  PutLE<std::uint32_t>(
+      rec + 4,
+      static_cast<std::uint32_t>((body - kBlockHeadBytes) / kDayRecordBytes));
+  PutLE<std::uint32_t>(p, Crc32c(rec, body));
+  return body + 4;
 }
 
 // Offset-tracking input cursor. `offset` counts successfully consumed
 // bytes (so it is the absolute position of the next unread byte), and
 // `stream_crc` accumulates CRC32C over everything consumed — which is
-// exactly what the footer checksum covers.
+// exactly what the footer checksum covers. Reads go straight to the
+// stream buffer (a record is two reads, so istream::read's per-call
+// sentry showed in shard composition); a short read marks the istream
+// eof|fail as istream::read would.
 struct Reader {
+  explicit Reader(std::istream& stream)
+      : is(stream), buf(stream.good() ? stream.rdbuf() : nullptr) {}
+
   std::istream& is;
+  std::streambuf* buf;
   std::uint64_t offset = 0;
   std::uint32_t stream_crc = kCrc32cInit;
+  std::size_t last_read = 0;  // bytes the latest Read obtained
 
-  bool Read(char* buf, std::size_t n) {
-    is.read(buf, static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(is.gcount()) != n) return false;
-    stream_crc = Crc32cExtend(stream_crc, buf, n);
+  bool Read(char* out, std::size_t n) {
+    last_read = buf == nullptr ? 0
+                               : static_cast<std::size_t>(buf->sgetn(
+                                     out, static_cast<std::streamsize>(n)));
+    if (last_read != n) {
+      is.setstate(std::ios::eofbit | std::ios::failbit);
+      return false;
+    }
+    stream_crc = Crc32cExtend(stream_crc, out, n);
     offset += n;
     return true;
   }
@@ -84,16 +137,14 @@ struct Reader {
   bool ReadInt(T* out) {
     char buf[sizeof(T)];
     if (!Read(buf, sizeof(T))) return false;
-    *out = ParseInt<T>(buf);
+    *out = GetLE<T>(buf);
     return true;
   }
 
-  // Where the input actually ended relative to the stream start — offset
-  // of the last successfully consumed byte plus whatever a failed partial
-  // read managed to pull.
-  std::uint64_t FailurePosition() const {
-    return offset + static_cast<std::uint64_t>(is.gcount());
-  }
+  // Bytes a failed Read managed to pull before the input ended.
+  std::uint64_t Partial() const { return last_read; }
+  // Where the input actually ended relative to the stream start.
+  std::uint64_t FailurePosition() const { return offset + Partial(); }
 };
 
 StoreError Truncated(const Reader& r, const std::string& what) {
@@ -101,77 +152,80 @@ StoreError Truncated(const Reader& r, const std::string& what) {
                     "truncated input while reading " + what};
 }
 
-StoreError Malformed(std::uint64_t offset, std::string message) {
-  return StoreError{StoreErrorKind::kMalformed, offset, std::move(message)};
+bool BitSet(const char* bitmap, std::uint32_t i) {
+  return (static_cast<unsigned char>(bitmap[i / 8]) >> (i % 8)) & 1u;
 }
 
-// Shared loader state: a header-validated store plus running stats.
-// `Fail` implements the salvage policy in one place — return the intact
-// prefix when salvaging, the error otherwise.
-struct LoadContext {
-  activity::ActivityStore store;
-  LoadStats stats;
-  bool salvage = false;
-
-  Result<LoadResult, StoreError> Fail(StoreError error) {
-    if (!salvage) return error;
-    stats.complete = false;
-    stats.blocks_salvaged = stats.blocks_loaded;
-    stats.error = std::move(error);
-    return LoadResult{std::move(store), std::move(stats)};
-  }
-  Result<LoadResult, StoreError> Finish() {
-    return LoadResult{std::move(store), std::move(stats)};
-  }
-};
-
-// Validates and applies one decoded block record. Returns
-// std::nullopt on success, the error otherwise. `base` is the absolute
-// offset of the record's first byte, for error reporting.
-std::optional<StoreError> ApplyBlockRecord(LoadContext& ctx, const char* rec,
-                                           std::uint32_t days,
-                                           std::uint64_t prev_key, bool first,
-                                           std::uint64_t base) {
-  auto key = ParseInt<std::uint32_t>(rec);
-  auto nonzero = ParseInt<std::uint32_t>(rec + 4);
+// Structural checks on a CRC-verified block record: key in the /24
+// keyspace and ascending, day indices in range, ascending and covered.
+// Runs before OrRecord applies the record, so a rejected record is never
+// half-applied. `base` is the record's absolute offset.
+std::optional<StoreError> CheckBlock(const char* rec, std::uint32_t count,
+                                     std::uint32_t days, const char* coverage,
+                                     const std::uint32_t* prev_key,
+                                     std::uint64_t base) {
+  const auto key = GetLE<std::uint32_t>(rec);
   if (key >= (1u << 24)) {
     return Malformed(base, "block key " + std::to_string(key) +
                                " out of /24 keyspace");
   }
-  if (!first && key <= prev_key) {
+  if (prev_key != nullptr && key <= *prev_key) {
     return Malformed(base, "block keys out of order (" +
                                std::to_string(key) + " after " +
-                               std::to_string(prev_key) + ")");
+                               std::to_string(*prev_key) + ")");
   }
-  activity::ActivityMatrix& m = ctx.store.GetOrCreate(key);
   int prev_day = -1;
-  const char* p = rec + 8;
-  for (std::uint32_t i = 0; i < nonzero; ++i) {
-    std::uint64_t day_off = base + 8 + i * kDayRecordBytes;
-    auto day = ParseInt<std::uint16_t>(p);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::size_t at = kBlockHeadBytes + i * kDayRecordBytes;
+    const auto day = GetLE<std::uint16_t>(rec + at);
     if (day >= days || static_cast<int>(day) <= prev_day) {
-      return Malformed(day_off, "invalid day index " + std::to_string(day));
+      return Malformed(base + at, "invalid day index " + std::to_string(day));
     }
-    if (!ctx.store.DayCovered(day)) {
-      return Malformed(day_off, "activity recorded on uncovered day " +
-                                    std::to_string(day));
+    if (!BitSet(coverage, day)) {
+      return Malformed(base + at, "activity recorded on uncovered day " +
+                                      std::to_string(day));
     }
     prev_day = day;
-    activity::DayBits& row = m.Row(day);
-    p += 2;
-    for (auto& word : row) {
-      word = ParseInt<std::uint64_t>(p);
-      p += 8;
-    }
   }
   return std::nullopt;
 }
 
-Result<LoadResult, StoreError> LoadBody(Reader& r, const LoadOptions& options) {
-  // Header (magic already consumed by TryLoadStore, and already folded
-  // into r.stream_crc). The header carries its own CRC so that corrupted
-  // dimensions are caught before they can misdirect the rest of the parse;
-  // a bad header is never salvageable.
+// ORs a checked block record's rows into `store`, creating the block's
+// matrix if absent (also when the record has no non-empty day). The
+// decoder has checked that keys ascend, so with one `*cursor` per stream
+// the placement is a single merge walk over the store.
+void OrRecord(activity::ActivityStore& store, std::size_t* cursor,
+              const char* rec, std::uint32_t count) {
+  activity::ActivityMatrix& m =
+      store.GetOrCreateFrom(cursor, GetLE<std::uint32_t>(rec));
+  const char* p = rec + kBlockHeadBytes;
+  for (std::uint32_t i = 0; i < count; ++i, p += kDayRecordBytes) {
+    activity::DayBits& row = m.Row(GetLE<std::uint16_t>(p));
+    for (std::size_t w = 0; w < row.size(); ++w) {
+      row[w] |= GetLE<std::uint64_t>(p + 2 + 8 * w);
+    }
+  }
+}
+
+// The one IPSCOPE2 decoder. Its sink is `begin(days, coverage)`, called
+// once the header CRC matched; it returns the store to OR the stream into
+// (or an error). Every block record then passes its CRC and every
+// structural check before OrRecord applies it. Returns std::nullopt on a
+// clean decode, else the first error; `*header_ok` tells the caller
+// whether the error came after a verified header (the salvage boundary).
+// Memory is one record buffer sized from the record's own day count,
+// never from the header's block count.
+template <typename Begin>
+std::optional<StoreError> Decode(Reader& r, Begin&& begin, LoadStats& stats,
+                                 bool* header_ok) {
+  char magic[sizeof(kMagic)];
+  if (!r.Read(magic, sizeof(magic))) return Truncated(r, "magic");
+  if (std::memcmp(magic, kMagic, sizeof(magic)) != 0) {
+    return StoreError{StoreErrorKind::kBadMagic, 0,
+                      "bad magic (not a store file?)"};
+  }
+  // The header carries its own CRC so that corrupted dimensions are caught
+  // before they can misdirect the rest of the parse.
   std::uint32_t days = 0;
   if (!r.ReadInt(&days)) return Truncated(r, "day count");
   if (days == 0 || days > kMaxDays) {
@@ -184,65 +238,63 @@ Result<LoadResult, StoreError> LoadBody(Reader& r, const LoadOptions& options) {
     return Malformed(r.offset - 8,
                      "implausible block count " + std::to_string(blocks));
   }
-  std::string coverage((days + 7) / 8, '\0');
-  if (!r.Read(coverage.data(), coverage.size())) {
+  char coverage[kMaxDays / 8];
+  if (!r.Read(coverage, (days + 7) / 8)) {
     return Truncated(r, "coverage bitmap");
   }
-  std::uint32_t header_crc_expected = r.stream_crc;  // covers magic..bitmap
+  const std::uint32_t header_crc_expected = r.stream_crc;
   std::uint32_t header_crc = 0;
   if (!r.ReadInt(&header_crc)) return Truncated(r, "header checksum");
   if (header_crc != header_crc_expected) {
     return StoreError{StoreErrorKind::kChecksumMismatch, r.offset - 4,
                       "header checksum mismatch"};
   }
+  Result<activity::ActivityStore*, StoreError> into = begin(days, coverage);
+  if (!into.ok()) return into.error();
+  activity::ActivityStore& store = *into.value();
+  *header_ok = true;
+  stats.blocks_expected = blocks;
 
-  LoadContext ctx{activity::ActivityStore{static_cast<int>(days)},
-                  LoadStats{}, options.salvage};
-  ctx.stats.blocks_expected = blocks;
-  for (std::uint32_t d = 0; d < days; ++d) {
-    bool covered = (static_cast<unsigned char>(coverage[d / 8]) >> (d % 8)) & 1;
-    if (!covered) ctx.store.SetDayCovered(static_cast<int>(d), false);
-  }
-
-  std::uint64_t prev_key = 0;
-  bool first = true;
-  std::string rec;
   {
     // Sub-span: the block loop dominates load time; the header and footer
     // are a few dozen bytes each, so this is the phase worth attributing.
     obs::Span blocks_span{"io.store.load.blocks_seconds"};
+    std::vector<char> rec(kBlockHeadBytes + 4);
+    std::uint32_t prev_key = 0;
+    std::size_t cursor = 0;
     for (std::uint64_t b = 0; b < blocks; ++b) {
-      std::uint64_t base = r.offset;
-      rec.resize(8);
-      if (!r.Read(rec.data(), 8)) {
-        return ctx.Fail(Truncated(r, "block header"));
+      const std::uint64_t base = r.offset;
+      if (!r.Read(rec.data(), kBlockHeadBytes)) {
+        return Truncated(r, "block header");
       }
-      auto nonzero = ParseInt<std::uint32_t>(rec.data() + 4);
-      if (nonzero > days) {
-        return ctx.Fail(Malformed(
-            base + 4, "day list length " + std::to_string(nonzero) +
-                          " exceeds day count " + std::to_string(days)));
+      const auto count = GetLE<std::uint32_t>(rec.data() + 4);
+      if (count > days) {
+        return Malformed(base + 4, "day list length " +
+                                       std::to_string(count) +
+                                       " exceeds day count " +
+                                       std::to_string(days));
       }
-      rec.resize(8 + nonzero * kDayRecordBytes);
-      if (!r.Read(rec.data() + 8, rec.size() - 8)) {
-        return ctx.Fail(Truncated(r, "block payload"));
+      // Payload and block CRC in one read; a short read still reports
+      // which of the two fields ran out, at the exact byte.
+      const std::size_t payload = count * kDayRecordBytes;
+      const std::size_t body = kBlockHeadBytes + payload;
+      if (rec.size() < body + 4) rec.resize(body + 4);
+      if (!r.Read(rec.data() + kBlockHeadBytes, payload + 4)) {
+        return Truncated(
+            r, r.Partial() < payload ? "block payload" : "block checksum");
       }
-      std::uint32_t block_crc = 0;
-      if (!r.ReadInt(&block_crc)) {
-        return ctx.Fail(Truncated(r, "block checksum"));
+      if (GetLE<std::uint32_t>(rec.data() + body) !=
+          Crc32c(rec.data(), body)) {
+        return StoreError{StoreErrorKind::kChecksumMismatch, base,
+                          "block " + std::to_string(b) + " checksum mismatch"};
       }
-      if (block_crc != Crc32c(rec.data(), rec.size())) {
-        return ctx.Fail(StoreError{
-            StoreErrorKind::kChecksumMismatch, base,
-            "block " + std::to_string(b) + " checksum mismatch"});
+      if (auto error = CheckBlock(rec.data(), count, days, coverage,
+                                  b == 0 ? nullptr : &prev_key, base)) {
+        return error;
       }
-      if (auto err = ApplyBlockRecord(ctx, rec.data(), days, prev_key, first,
-                                      base)) {
-        return ctx.Fail(std::move(*err));
-      }
-      prev_key = ParseInt<std::uint32_t>(rec.data());
-      first = false;
-      ++ctx.stats.blocks_loaded;
+      OrRecord(store, &cursor, rec.data(), count);
+      prev_key = GetLE<std::uint32_t>(rec.data());
+      ++stats.blocks_loaded;
     }
   }
 
@@ -250,86 +302,88 @@ Result<LoadResult, StoreError> LoadBody(Reader& r, const LoadOptions& options) {
   // preceding byte. A failure here with salvage on keeps the blocks — each
   // was individually checksummed, so they are intact even if the tail of
   // the file is not.
-  char footer[12];
-  std::uint64_t footer_base = r.offset;
-  if (!r.Read(footer, sizeof(footer))) return ctx.Fail(Truncated(r, "footer"));
+  char footer[sizeof(kFooterMagic) + 8];
+  const std::uint64_t footer_base = r.offset;
+  if (!r.Read(footer, sizeof(footer))) return Truncated(r, "footer");
   if (std::memcmp(footer, kFooterMagic, sizeof(kFooterMagic)) != 0) {
-    return ctx.Fail(Malformed(footer_base, "bad footer magic"));
+    return Malformed(footer_base, "bad footer magic");
   }
-  auto echo = ParseInt<std::uint64_t>(footer + 4);
+  const auto echo = GetLE<std::uint64_t>(footer + sizeof(kFooterMagic));
   if (echo != blocks) {
-    return ctx.Fail(Malformed(
-        footer_base + 4, "footer block count " + std::to_string(echo) +
-                             " does not match header " +
-                             std::to_string(blocks)));
+    return Malformed(footer_base + sizeof(kFooterMagic),
+                     "footer block count " + std::to_string(echo) +
+                         " does not match header " + std::to_string(blocks));
   }
-  std::uint32_t stream_crc_expected = r.stream_crc;
+  const std::uint32_t stream_crc_expected = r.stream_crc;
   std::uint32_t stream_crc = 0;
-  if (!r.ReadInt(&stream_crc)) return ctx.Fail(Truncated(r, "stream checksum"));
+  if (!r.ReadInt(&stream_crc)) return Truncated(r, "stream checksum");
   if (stream_crc != stream_crc_expected) {
-    return ctx.Fail(StoreError{StoreErrorKind::kChecksumMismatch,
-                               r.offset - 4, "stream checksum mismatch"});
+    return StoreError{StoreErrorKind::kChecksumMismatch, r.offset - 4,
+                      "stream checksum mismatch"};
   }
-  return ctx.Finish();
+  return std::nullopt;
 }
 
 }  // namespace
 
-void SaveStore(const activity::ActivityStore& store, std::ostream& os) {
+Result<std::uint64_t, StoreError> TrySaveStore(
+    const activity::ActivityStore& store, std::ostream& os) {
   obs::Span span{"io.store.save_seconds"};
+  const auto days = static_cast<std::size_t>(store.days());
+  const std::size_t coverage_bytes = (days + 7) / 8;
+  // One reused buffer, large enough for the header and for a block record
+  // with every day non-empty.
+  std::vector<char> buf(std::max(sizeof(kMagic) + 4 + 8 + coverage_bytes + 4,
+                                 kBlockHeadBytes + days * kDayRecordBytes + 4));
   std::uint64_t bytes_written = 0;
   std::uint32_t stream_crc = kCrc32cInit;
-  auto emit = [&](const std::string& buf) {
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    stream_crc = Crc32cExtend(stream_crc, buf.data(), buf.size());
-    bytes_written += buf.size();
+  auto emit = [&](const char* p, std::size_t n) {
+    os.write(p, static_cast<std::streamsize>(n));
+    stream_crc = Crc32cExtend(stream_crc, p, n);
+    bytes_written += n;
   };
 
   {
     obs::Span header_span{"io.store.save.header_seconds"};
-    std::string buf;
-    buf.append(kMagic, sizeof(kMagic));
-    AppendInt<std::uint32_t>(buf, static_cast<std::uint32_t>(store.days()));
-    AppendInt<std::uint64_t>(buf, store.BlockCount());
-    std::string coverage((static_cast<std::size_t>(store.days()) + 7) / 8,
-                         '\0');
-    for (int d = 0; d < store.days(); ++d) {
-      if (store.DayCovered(d)) {
-        coverage[static_cast<std::size_t>(d / 8)] |=
-            static_cast<char>(1 << (d % 8));
+    char* p = buf.data();
+    std::memcpy(p, kMagic, sizeof(kMagic));
+    PutLE<std::uint32_t>(p + 8, static_cast<std::uint32_t>(days));
+    PutLE<std::uint64_t>(p + 12, store.BlockCount());
+    char* coverage = p + 20;
+    std::memset(coverage, 0, coverage_bytes);
+    for (std::size_t d = 0; d < days; ++d) {
+      if (store.DayCovered(static_cast<int>(d))) {
+        coverage[d / 8] = static_cast<char>(coverage[d / 8] | (1 << (d % 8)));
       }
     }
-    buf += coverage;
-    AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
-    emit(buf);
+    const std::size_t n = 20 + coverage_bytes;
+    PutLE<std::uint32_t>(p + n, Crc32c(p, n));
+    emit(p, n + 4);
   }
 
   {
     obs::Span blocks_span{"io.store.save.blocks_seconds"};
-    std::string buf;
-    store.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
-      buf.clear();
-      AppendBlockRecord(buf, key, m);
-      AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
-      emit(buf);
-    });
+    for (std::size_t i = 0; i < store.BlockCount(); ++i) {
+      auto n = EncodeBlock(buf.data(), store.KeyAt(i), store.MatrixAt(i),
+                           store, bytes_written);
+      if (!n.ok()) return n.error();
+      emit(buf.data(), n.value());
+    }
   }
 
   {
     obs::Span footer_span{"io.store.save.footer_seconds"};
-    std::string buf;
-    buf.append(kFooterMagic, sizeof(kFooterMagic));
-    AppendInt<std::uint64_t>(buf, store.BlockCount());
-    emit(buf);  // folds the footer magic + echo into the stream CRC
-    buf.clear();
-    AppendInt<std::uint32_t>(buf, stream_crc);
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    bytes_written += buf.size();
+    char* p = buf.data();
+    std::memcpy(p, kFooterMagic, sizeof(kFooterMagic));
+    PutLE<std::uint64_t>(p + sizeof(kFooterMagic), store.BlockCount());
+    emit(p, sizeof(kFooterMagic) + 8);  // folds magic + echo into the CRC
+    PutLE<std::uint32_t>(p, stream_crc);
+    os.write(p, 4);
+    bytes_written += 4;
   }
   if (!os) {
-    throw std::runtime_error(
-        StoreError{StoreErrorKind::kWriteFailed, bytes_written, "write failed"}
-            .ToString());
+    return StoreError{StoreErrorKind::kWriteFailed, bytes_written,
+                      "write failed"};
   }
 
   double seconds = std::max(span.Stop(), 1e-9);
@@ -338,42 +392,79 @@ void SaveStore(const activity::ActivityStore& store, std::ostream& os) {
   registry.GetCounter("io.store.save_bytes").Add(bytes_written);
   registry.GetGauge("io.store.save_mb_per_s")
       .Set(static_cast<double>(bytes_written) / 1e6 / seconds);
+  return bytes_written;
+}
+
+void SaveStore(const activity::ActivityStore& store, std::ostream& os) {
+  auto result = TrySaveStore(store, os);
+  if (!result.ok()) throw std::runtime_error(result.error().ToString());
 }
 
 Result<LoadResult, StoreError> TryLoadStore(std::istream& is,
                                             const LoadOptions& options) {
   obs::Span span{"io.store.load_seconds"};
   Reader r{is};
-  char magic[8];
-  if (!r.Read(magic, sizeof(magic))) {
-    return Truncated(r, "magic");
+  activity::ActivityStore store{1};
+  auto begin = [&store](std::uint32_t days, const char* coverage)
+      -> Result<activity::ActivityStore*, StoreError> {
+    store = activity::ActivityStore{static_cast<int>(days)};
+    for (std::uint32_t d = 0; d < days; ++d) {
+      if (!BitSet(coverage, d)) store.SetDayCovered(static_cast<int>(d), false);
+    }
+    return &store;
+  };
+  LoadStats stats;
+  bool header_ok = false;
+  std::optional<StoreError> error = Decode(r, begin, stats, &header_ok);
+  // Salvage keeps the verified prefix; a bad header is never salvageable,
+  // since without trustworthy dimensions nothing was decoded.
+  if (error && options.salvage && header_ok) {
+    stats.complete = false;
+    stats.blocks_salvaged = stats.blocks_loaded;
+    stats.error = std::exchange(error, std::nullopt);
   }
-  Result<LoadResult, StoreError> result =
-      std::memcmp(magic, kMagic, sizeof(magic)) == 0
-          ? LoadBody(r, options)
-          : Result<LoadResult, StoreError>{StoreError{
-                StoreErrorKind::kBadMagic, 0,
-                "bad magic (not a store file?)"}};
 
   double seconds = std::max(span.Stop(), 1e-9);
   auto& registry = obs::GlobalRegistry();
-  if (result.ok()) {
-    const LoadStats& stats = result.value().stats;
-    registry.GetCounter("io.store.loads").Add(1);
-    registry.GetCounter("io.store.load_bytes").Add(r.offset);
-    registry.GetGauge("io.store.load_mb_per_s")
-        .Set(static_cast<double>(r.offset) / 1e6 / seconds);
-    if (!stats.complete) {
-      registry.GetCounter("io.store.salvaged_loads").Add(1);
-      registry.GetCounter("io.store.blocks_salvaged")
-          .Add(stats.blocks_salvaged);
-    }
-    registry.GetGauge("activity.days_missing")
-        .Set(static_cast<double>(result.value().store.MissingDays()));
-  } else {
+  if (error) {
     registry.GetCounter("io.store.load_errors").Add(1);
+    return std::move(*error);
   }
-  return result;
+  registry.GetCounter("io.store.loads").Add(1);
+  registry.GetCounter("io.store.load_bytes").Add(r.offset);
+  registry.GetGauge("io.store.load_mb_per_s")
+      .Set(static_cast<double>(r.offset) / 1e6 / seconds);
+  if (!stats.complete) {
+    registry.GetCounter("io.store.salvaged_loads").Add(1);
+    registry.GetCounter("io.store.blocks_salvaged").Add(stats.blocks_salvaged);
+  }
+  registry.GetGauge("activity.days_missing")
+      .Set(static_cast<double>(store.MissingDays()));
+  return LoadResult{std::move(store), std::move(stats)};
+}
+
+Result<LoadStats, StoreError> TryMergeStore(std::istream& is,
+                                            activity::ActivityStore& target) {
+  Reader r{is};
+  // Marking a day covered never clears rows, so the coverage union can be
+  // applied before any row is ORed.
+  auto begin = [&target](std::uint32_t days, const char* coverage)
+      -> Result<activity::ActivityStore*, StoreError> {
+    if (static_cast<int>(days) != target.days()) {
+      return Malformed(sizeof(kMagic),
+                       "stream has days=" + std::to_string(days) +
+                           ", target store has days=" +
+                           std::to_string(target.days()));
+    }
+    for (std::uint32_t d = 0; d < days; ++d) {
+      if (BitSet(coverage, d)) target.SetDayCovered(static_cast<int>(d), true);
+    }
+    return &target;
+  };
+  LoadStats stats;
+  bool header_ok = false;
+  if (auto error = Decode(r, begin, stats, &header_ok)) return *error;
+  return stats;
 }
 
 activity::ActivityStore LoadStore(std::istream& is) {

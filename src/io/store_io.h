@@ -29,12 +29,27 @@
 // TryLoadStore with salvage=true recovers all intact blocks up to the
 // first truncated/corrupt record instead of failing outright.
 //
+// Codec. Fields are little-endian words copied with memcpy (a byte loop
+// on big-endian hosts, chosen at compile time), through one reused
+// per-record buffer in each direction. There is one decoder: it streams
+// from the istream a record at a time, verifies the header, block and
+// stream CRCs, the key range and order, the day range and order, that
+// every recorded day is covered, and the footer magic and block-count
+// echo, and only then hands a record to a sink. Two sinks use it:
+// TryLoadStore builds a new store, and TryMergeStore ORs the stream into
+// an existing one (how ingest::Session::Load composes shards without a
+// store per shard). No allocation is sized from the header's block
+// count, so a forged header fails as a typed error at the first missing
+// byte. The encoder refuses a non-empty row on an uncovered day — the
+// decoder would reject the stream it wrote.
+//
 // Error handling comes in two flavors:
-//   * TryLoadStore returns ipscope::Result<LoadResult, StoreError> — a
-//     typed error with kind + absolute byte offset, never throws on bad
-//     input.
-//   * LoadStore/LoadStoreFile keep the classic throwing API
-//     (std::runtime_error whose message includes the kind and offset).
+//   * TryLoadStore/TryMergeStore/TrySaveStore return
+//     ipscope::Result<..., StoreError> — a typed error with kind +
+//     absolute byte offset, never throwing on bad input.
+//   * SaveStore/LoadStore/LoadStoreFile keep the classic throwing API
+//     (std::runtime_error whose message is StoreError::ToString(), which
+//     includes the kind and offset).
 #pragma once
 
 #include <cstdint>
@@ -71,12 +86,31 @@ struct LoadResult {
   LoadStats stats;
 };
 
-// Serializes `store`, coverage mask included.
+// Serializes `store`, coverage mask included, and returns the bytes
+// written. Errors: kMalformed when a block has a non-empty row on a day
+// the store does not cover, kWriteFailed when `os` fails. On error `os`
+// may hold a partial image, which the caller must discard.
+[[nodiscard]] Result<std::uint64_t, StoreError> TrySaveStore(
+    const activity::ActivityStore& store, std::ostream& os);
+
+// Throwing TrySaveStore: the runtime_error message is the
+// StoreError::ToString() of the same error.
 void SaveStore(const activity::ActivityStore& store, std::ostream& os);
 
 // Non-throwing load.
 [[nodiscard]] Result<LoadResult, StoreError> TryLoadStore(
     std::istream& is, const LoadOptions& options = {});
+
+// Decodes one stream into `target`: its coverage becomes the union of
+// both, its rows are ORed with the stream's, and every key the stream
+// names exists in it afterwards (also a record with no non-empty day).
+// Strict (no salvage), with the same checks and errors as TryLoadStore,
+// plus kMalformed when the stream's day count differs from
+// target.days(). On error `target` holds a partial merge and should be
+// discarded. Of the load metrics it records only the shared block-loop
+// span (io.store.load.blocks_seconds); the caller owns the rest.
+[[nodiscard]] Result<LoadStats, StoreError> TryMergeStore(
+    std::istream& is, activity::ActivityStore& target);
 
 // Throwing load (strict: salvage disabled). The runtime_error message is
 // StoreError::ToString(), i.e. includes kind and absolute byte offset.

@@ -21,6 +21,36 @@ TEST(ActivityStore, GetOrCreateKeepsSortedOrder) {
   EXPECT_EQ(keys, (std::vector<net::BlockKey>{100, 200, 300}));
 }
 
+TEST(ActivityStore, GetOrCreateFromSweepsLikeGetOrCreate) {
+  // Two ascending sweeps over an existing store: hits, misses before,
+  // between and after the stored keys, each returning the same matrix a
+  // plain GetOrCreate would.
+  ActivityStore swept{3};
+  ActivityStore plain{3};
+  for (ActivityStore* store : {&swept, &plain}) {
+    store->GetOrCreate(10).Set(0, 1);
+    store->GetOrCreate(20).Set(1, 2);
+    store->GetOrCreate(30).Set(2, 3);
+  }
+  for (const std::vector<net::BlockKey>& sweep :
+       {std::vector<net::BlockKey>{5, 10, 25, 30, 40},
+        std::vector<net::BlockKey>{0, 20, 26, 41}}) {
+    std::size_t cursor = 0;
+    for (net::BlockKey key : sweep) {
+      swept.GetOrCreateFrom(&cursor, key).Set(0, static_cast<int>(key));
+      plain.GetOrCreate(key).Set(0, static_cast<int>(key));
+    }
+  }
+  ASSERT_EQ(swept.BlockCount(), plain.BlockCount());
+  for (std::size_t i = 0; i < plain.BlockCount(); ++i) {
+    ASSERT_EQ(swept.KeyAt(i), plain.KeyAt(i));
+    for (int d = 0; d < 3; ++d) {
+      EXPECT_EQ(swept.MatrixAt(i).Row(d), plain.MatrixAt(i).Row(d));
+    }
+  }
+  EXPECT_EQ(plain.BlockCount(), 9u);
+}
+
 TEST(ActivityStore, FindMissingReturnsNull) {
   ActivityStore store{5};
   store.GetOrCreate(100);
