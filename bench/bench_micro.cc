@@ -13,6 +13,7 @@
 #include "netbase/ip_set.h"
 #include "scan/zmap_order.h"
 #include "netbase/prefix_trie.h"
+#include "rng/lognormal_batch.h"
 #include "rng/rng.h"
 #include "sim/world.h"
 
@@ -133,6 +134,45 @@ void BM_GenerateBlockHits(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 112 * 256);
 }
 BENCHMARK(BM_GenerateBlockHits);
+
+// One step's worth of hit draws (256 subscriber-like lanes: mu 2..10.2,
+// sigma 0.5..1.3, daily cap), evaluated by the scalar libm formula
+// (arg 0) or by the certified batch kernel with its exact fallback
+// (arg 1). Items are draws, so the reported time per item is ns per draw.
+void BM_HitDraws(benchmark::State& state) {
+  constexpr std::size_t kLanes = 256;
+  rng::Xoshiro256 g{9};
+  std::vector<double> u1(kLanes), u2(kLanes), mu(kLanes), sigma(kLanes);
+  std::vector<double> scale(kLanes, 1.0), cap(kLanes, 5.0e7);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    u1[i] = g.NextDouble();
+    u2[i] = g.NextDouble();
+    mu[i] = 2.0 + 8.2 * g.NextDouble();
+    sigma[i] = 0.5 + 0.8 * g.NextDouble();
+  }
+  const rng::FlooredLogNormalLanes lanes{u1.data(),    u2.data(),
+                                         mu.data(),    sigma.data(),
+                                         scale.data(), cap.data()};
+  std::vector<std::uint32_t> out(kLanes);
+  const bool batch = state.range(0) == 1;
+  for (auto _ : state) {
+    if (batch) {
+      benchmark::DoNotOptimize(
+          rng::FlooredLogNormalBatch(kLanes, lanes, out.data()));
+    } else {
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        out[i] = rng::FlooredLogNormal(u1[i], u2[i], mu[i], sigma[i],
+                                       scale[i], cap[i]);
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(batch ? "batch" : "scalar");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kLanes));
+}
+BENCHMARK(BM_HitDraws)->Arg(0)->Arg(1);
 
 void BM_IsolatingMask(benchmark::State& state) {
   rng::Xoshiro256 g{11};

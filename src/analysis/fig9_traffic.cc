@@ -1,8 +1,10 @@
 #include "analysis/fig9_traffic.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <ostream>
 #include <span>
 #include <vector>
@@ -81,27 +83,38 @@ Fig9Result RunFig9(const cdn::Observatory& daily,
   daily.ForEachBlockHits(
       [days](const sim::BlockPlan&, const activity::ActivityMatrix& m,
              std::span<const std::uint32_t> hits) {
+        // Gather every address's active-day hit counts in one set-bit
+        // sweep per day: address `host` owns day_hits[offset[host] ..
+        // offset[host + 1]), filled in day order.
+        const std::array<std::uint16_t, 256> counts = m.HostActiveDayCounts();
+        std::array<std::uint32_t, 257> offset{};
+        for (std::size_t h = 0; h < 256; ++h) {
+          offset[h + 1] = offset[h] + counts[h];
+        }
+        std::vector<std::uint32_t> day_hits(offset[256]);
+        std::array<std::uint32_t, 256> next{};
+        std::copy_n(offset.begin(), 256, next.begin());
+        for (int d = 0; d < days; ++d) {
+          const std::uint32_t* day =
+              hits.data() + static_cast<std::size_t>(d) * 256;
+          activity::ForEachSetBit(m.Row(d), [&](int host) {
+            const auto h = static_cast<std::size_t>(host);
+            day_hits[next[h]++] = day[h];
+          });
+        }
         std::vector<AddressHits> addresses;
-        for (int host = 0; host < 256; ++host) {
-          // Gather this address's active-day hit counts.
-          std::uint32_t day_hits[512];
-          int n = 0;
-          std::uint64_t total = 0;
-          for (int d = 0; d < days; ++d) {
-            std::uint32_t h = hits[static_cast<std::size_t>(d) * 256 +
-                                   static_cast<std::size_t>(host)];
-            if (m.Get(d, host)) {
-              day_hits[n++] = h;
-              total += h;
-            }
-          }
+        for (std::size_t h = 0; h < 256; ++h) {
+          const int n = counts[h];
           if (n == 0) continue;
+          std::uint32_t* first = day_hits.data() + offset[h];
+          std::uint32_t* last = first + n;
+          const std::uint64_t total =
+              std::accumulate(first, last, std::uint64_t{0});
           auto mid = static_cast<std::size_t>(n / 2);
-          std::nth_element(day_hits, day_hits + mid, day_hits + n);
-          double median = day_hits[mid];
+          std::nth_element(first, first + mid, last);
+          double median = first[mid];
           if (n % 2 == 0) {
-            std::uint32_t below =
-                *std::max_element(day_hits, day_hits + mid);
+            std::uint32_t below = *std::max_element(first, first + mid);
             median = (median + below) / 2.0;
           }
           addresses.push_back({n, total, median});
@@ -155,17 +168,26 @@ Fig9Result RunFig9(const cdn::Observatory& daily,
   const int weeks = weekly.steps();
   std::vector<HitVolumeHistogram> per_week(static_cast<std::size_t>(weeks));
   // The log1p binning runs in the map stage: one bin per active
-  // (week, host), in the order the consume walks them.
+  // (week, host), in the order the consume walks them. Counts below
+  // kBinTableSize (nearly all of them) read a table of the same BinOf.
+  constexpr std::uint32_t kBinTableSize = 65536;
+  std::vector<std::uint16_t> bin_table(kBinTableSize);
+  for (std::uint32_t h = 0; h < kBinTableSize; ++h) {
+    bin_table[h] = static_cast<std::uint16_t>(HitVolumeHistogram::BinOf(h));
+  }
   weekly.ForEachBlockHits(
-      [weeks](const sim::BlockPlan&, const activity::ActivityMatrix& m,
-              std::span<const std::uint32_t> hits) {
+      [weeks, &bin_table](const sim::BlockPlan&,
+                          const activity::ActivityMatrix& m,
+                          std::span<const std::uint32_t> hits) {
         std::vector<std::uint16_t> bins;
         for (int w = 0; w < weeks; ++w) {
           activity::ForEachSetBit(m.Row(w), [&](int host) {
-            int bin = HitVolumeHistogram::BinOf(
-                hits[static_cast<std::size_t>(w) * 256 +
-                     static_cast<std::size_t>(host)]);
-            bins.push_back(static_cast<std::uint16_t>(bin));
+            const std::uint32_t h = hits[static_cast<std::size_t>(w) * 256 +
+                                         static_cast<std::size_t>(host)];
+            bins.push_back(h < kBinTableSize
+                               ? bin_table[h]
+                               : static_cast<std::uint16_t>(
+                                     HitVolumeHistogram::BinOf(h)));
           });
         }
         return bins;

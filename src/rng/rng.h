@@ -110,17 +110,33 @@ class Xoshiro256 {
 // Free functions over Xoshiro256, kept deliberately small: each experiment
 // documents which distribution shapes it depends on.
 
-// Standard normal via Box–Muller (one value per call; simple > fast here).
-inline double NextNormal(Xoshiro256& g) {
-  double u1 = g.NextDouble();
-  double u2 = g.NextDouble();
+// Standard normal via Box–Muller, one value per two uniforms. Split into
+// "draw u1, then u2" (NextNormal) and "value from (u1, u2)"
+// (NormalFromUniforms) so a caller can draw now and evaluate later: the
+// sim hits pass queues its uniforms and evaluates a whole step at once in
+// a certified polynomial kernel (rng/lognormal_batch.h), whose uncertain
+// lanes fall back to exactly this scalar libm formula.
+inline double NormalFromUniforms(double u1, double u2) {
   if (u1 <= 0) u1 = 0x1.0p-53;
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
+inline double NextNormal(Xoshiro256& g) {
+  const double u1 = g.NextDouble();
+  const double u2 = g.NextDouble();
+  return NormalFromUniforms(u1, u2);
+}
+
+inline double LogNormalFromUniforms(double u1, double u2, double mu,
+                                    double sigma) {
+  return std::exp(mu + sigma * NormalFromUniforms(u1, u2));
+}
+
 inline double NextLogNormal(Xoshiro256& g, double mu, double sigma) {
-  return std::exp(mu + sigma * NextNormal(g));
+  const double u1 = g.NextDouble();
+  const double u2 = g.NextDouble();
+  return LogNormalFromUniforms(u1, u2, mu, sigma);
 }
 
 // Binomial(n, p). Exact inversion for small n·p, normal approximation with

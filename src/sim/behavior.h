@@ -38,13 +38,12 @@ inline double StepProbability(double daily_p, int step_days) {
 }
 
 // Daily request count for an active subscriber: lognormal, location shifted
-// by propensity so heavy users also produce more traffic.
-inline std::uint32_t DailyHits(rng::Xoshiro256& g, double hits_mu,
-                               double hits_sigma, double propensity) {
-  double mu = hits_mu + 1.2 * propensity;
-  double v = rng::NextLogNormal(g, mu, hits_sigma);
-  v = std::min(v, 5.0e7);
-  return v < 1.0 ? 1u : static_cast<std::uint32_t>(v);
+// by propensity so heavy users also produce more traffic, floored at 1 and
+// capped at kDailyHitsCap — rng::FlooredLogNormal(u1, u2,
+// DailyHitsMu(hits_mu, propensity), hits_sigma, 1.0, kDailyHitsCap).
+inline double DailyHitsMu(double hits_mu, double propensity) {
+  return hits_mu + 1.2 * propensity;
 }
+inline constexpr double kDailyHitsCap = 5.0e7;
 
 }  // namespace ipscope::sim

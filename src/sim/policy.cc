@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "obs/registry.h"
+#include "rng/lognormal_batch.h"
 #include "rng/rng.h"
 #include "sim/behavior.h"
 
@@ -72,26 +74,42 @@ int ActiveDaysInStep(double p_day, int step_days) {
   return std::clamp(d, 1, step_days);
 }
 
-// Hit count of one emitted subscriber address for one step: the daily
-// lognormal draw scaled by the expected active days, clamped. GenerateStep
-// and the GenerateBlock hits pass both draw through here, so they consume
-// hit_gen identically.
-std::uint32_t SubscriberHits(rng::Xoshiro256& hit_gen, const PolicyParams& pp,
-                             double propensity, double p_day, int step_days) {
-  std::uint32_t daily =
-      DailyHits(hit_gen, pp.hits_mu, pp.hits_sigma, propensity);
-  std::uint64_t total =
-      std::uint64_t{daily} * ActiveDaysInStep(p_day, step_days);
-  return static_cast<std::uint32_t>(std::min<std::uint64_t>(total, 1u << 30));
+// The parameters of one emission's hit count for one step:
+// rng::FlooredLogNormal(u1, u2, mu, sigma, scale, cap) × days, capped at
+// 2^30. A subscriber draws a daily count scaled by its expected active
+// days in the step; an always-on gateway or crawler address scales the
+// lognormal itself by the step length and is clamped to [1, 1e9].
+struct HitDraw {
+  double mu = 0.0;
+  double sigma = 0.0;
+  double scale = 1.0;
+  double cap = 1.0;
+  int days = 1;
+};
+
+HitDraw SubscriberDraw(const PolicyParams& pp, double propensity,
+                       double p_day, int step_days) {
+  return {DailyHitsMu(pp.hits_mu, propensity), pp.hits_sigma, 1.0,
+          kDailyHitsCap, ActiveDaysInStep(p_day, step_days)};
 }
 
-// Hit count of an always-on gateway or crawler address: lognormal with
-// location mu, scaled by the step length, clamped to [1, 1e9].
-std::uint32_t AlwaysOnHits(rng::Xoshiro256& hit_gen, double mu, double sigma,
-                           int step_days) {
-  double v = rng::NextLogNormal(hit_gen, mu, sigma);
-  v = std::min(v * step_days, 1.0e9);
-  return static_cast<std::uint32_t>(std::max(v, 1.0));
+HitDraw AlwaysOnDraw(double mu, double sigma, int step_days) {
+  return {mu, sigma, static_cast<double>(step_days), 1.0e9, 1};
+}
+
+std::uint32_t ScaledHits(std::uint32_t value, int days) {
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(std::uint64_t{value} * days, 1u << 30));
+}
+
+// GenerateStep's hit count: draws u1, then u2, from hit_gen and evaluates
+// the scalar formula at once. The GenerateBlock hits pass draws the same
+// uniforms in the same order but evaluates them in batches (HitQueue).
+std::uint32_t DrawHits(rng::Xoshiro256& hit_gen, const HitDraw& d) {
+  const double u1 = hit_gen.NextDouble();
+  const double u2 = hit_gen.NextDouble();
+  return ScaledHits(
+      rng::FlooredLogNormal(u1, u2, d.mu, d.sigma, d.scale, d.cap), d.days);
 }
 
 }  // namespace
@@ -174,8 +192,8 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
     activity::SetBit(bits, host);
     if (occupants256 != nullptr) occupants256[host] = occupant;
     if (hits256 == nullptr) return;
-    hits256[host] =
-        SubscriberHits(hit_gen, pp, propensity, p_day, spec.step_days);
+    hits256[host] = DrawHits(
+        hit_gen, SubscriberDraw(pp, propensity, p_day, spec.step_days));
   };
 
   switch (pp.kind) {
@@ -291,9 +309,9 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
         if (slot < seg_lo || slot > seg_hi) continue;
         activity::SetBit(bits, slot);
         if (hits256 != nullptr) {
-          hits256[slot] =
-              AlwaysOnHits(hit_gen, double{pp.hits_mu} + growth,
-                           double{pp.hits_sigma}, spec.step_days);
+          hits256[slot] = DrawHits(
+              hit_gen, AlwaysOnDraw(double{pp.hits_mu} + growth,
+                                    double{pp.hits_sigma}, spec.step_days));
         }
       }
       return;
@@ -308,8 +326,8 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
         if (slot < seg_lo || slot > seg_hi) continue;
         activity::SetBit(bits, slot);
         if (hits256 != nullptr) {
-          hits256[slot] = AlwaysOnHits(hit_gen, pp.hits_mu, pp.hits_sigma,
-                                       spec.step_days);
+          hits256[slot] = DrawHits(
+              hit_gen, AlwaysOnDraw(pp.hits_mu, pp.hits_sigma, spec.step_days));
         }
       }
       return;
@@ -587,6 +605,57 @@ void RenderPolicy(const BlockPlan& plan, const StepSpec& spec,
 // rows the bits kernels above already wrote: a set bit is exactly an
 // emission, so only the draw order and each emission's propensity need
 // reconstructing, never the activity decisions.
+//
+// The pass draws each emission's two uniforms from hit_gen in that order
+// but does not evaluate them on the spot: they are queued, and at the end
+// of the step the whole queue goes through rng::FlooredLogNormalBatch — a
+// vectorized polynomial kernel that certifies each lane's integer against
+// an error bound and recomputes the few it cannot certify with the same
+// scalar formula GenerateStep uses. The result is GenerateStep's, bit for
+// bit, at a fraction of the scalar log/cos/exp cost.
+
+// One step's queued hit draws, in hit_gen's draw order. A step emits each
+// host at most once (ownership segments partition the hosts), so 256
+// lanes always suffice.
+class HitQueue {
+ public:
+  void Push(rng::Xoshiro256& hit_gen, int host, const HitDraw& d) {
+    u1_[n_] = hit_gen.NextDouble();
+    u2_[n_] = hit_gen.NextDouble();
+    mu_[n_] = d.mu;
+    sigma_[n_] = d.sigma;
+    scale_[n_] = d.scale;
+    cap_[n_] = d.cap;
+    host_[n_] = static_cast<std::uint8_t>(host);
+    days_[n_] = d.days;
+    ++n_;
+  }
+
+  // Evaluates every queued draw into out[host] and empties the queue.
+  void Flush(std::uint32_t* out) {
+    const rng::FlooredLogNormalLanes lanes{u1_.data(),    u2_.data(),
+                                           mu_.data(),    sigma_.data(),
+                                           scale_.data(), cap_.data()};
+    fallbacks_ += rng::FlooredLogNormalBatch(n_, lanes, value_.data());
+    for (std::size_t i = 0; i < n_; ++i) {
+      out[host_[i]] = ScaledHits(value_[i], days_[i]);
+    }
+    draws_ += n_;
+    n_ = 0;
+  }
+
+  std::uint64_t draws() const { return draws_; }
+  std::uint64_t fallbacks() const { return fallbacks_; }
+
+ private:
+  std::size_t n_ = 0;
+  std::array<double, 256> u1_{}, u2_{}, mu_{}, sigma_{}, scale_{}, cap_{};
+  std::array<std::uint32_t, 256> value_{};
+  std::array<std::uint8_t, 256> host_{};
+  std::array<int, 256> days_{};
+  std::uint64_t draws_ = 0;
+  std::uint64_t fallbacks_ = 0;
+};
 
 // An epoch-occupant policy's current subscriber at one host: its
 // propensity changes only when the tenure / lease epoch does.
@@ -597,14 +666,13 @@ struct EpochOccupant {
   double propensity = 0.0;
 };
 
-// Hits for the hosts policy `pp` emitted at step s within one ownership
-// segment (`emitted` = the step's row restricted to the segment), in
-// GenerateStep's per-policy emission order.
+// Queues the draws of the hosts policy `pp` emitted at step s within one
+// ownership segment (`emitted` = the step's row restricted to the
+// segment), in GenerateStep's per-policy emission order.
 void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
                  const PolicyParams& pp, int s, bool weekend,
                  const activity::DayBits& emitted, rng::Xoshiro256& hit_gen,
-                 std::array<EpochOccupant, 256>& occupants,
-                 std::uint32_t* out) {
+                 std::array<EpochOccupant, 256>& occupants, HitQueue& queue) {
   const int pool = std::min<int>(pp.pool_size, 256);
   if (pool == 0 || emitted == activity::DayBits{}) return;
   const double weekend_adj = weekend ? double{pp.weekend_factor} : 1.0;
@@ -633,9 +701,10 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
       o.propensity = SubscriberPropensity(
           rng::Substream(plan.block_seed, kTagOccupant, slot, epoch));
     }
-    out[host] = SubscriberHits(hit_gen, pp, o.propensity,
-                               std::min(0.98, o.propensity * weekend_adj),
-                               spec.step_days);
+    queue.Push(hit_gen, host,
+               SubscriberDraw(pp, o.propensity,
+                              std::min(0.98, o.propensity * weekend_adj),
+                              spec.step_days));
   };
   switch (pp.kind) {
     case PolicyKind::kUnused:
@@ -667,15 +736,17 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
           if (!activity::TestBit(emitted, slot)) continue;
           std::uint64_t occ =
               rng::Substream(plan.block_seed, kTagShortOccupant, s, j);
-          out[slot] = SubscriberHits(hit_gen, pp, SubscriberPropensity(occ),
-                                     p_day, spec.step_days);
+          queue.Push(hit_gen, slot,
+                     SubscriberDraw(pp, SubscriberPropensity(occ), p_day,
+                                    spec.step_days));
         }
       } else {
         activity::ForEachSetBit(emitted, [&](int slot) {
           std::uint64_t occ =
               rng::Substream(plan.block_seed, kTagShortOccupant, slot, s);
-          out[slot] = SubscriberHits(hit_gen, pp, SubscriberPropensity(occ),
-                                     p_day, spec.step_days);
+          queue.Push(hit_gen, slot,
+                     SubscriberDraw(pp, SubscriberPropensity(occ), p_day,
+                                    spec.step_days));
         });
       }
       return;
@@ -684,21 +755,22 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
       const double growth =
           spec.gateway_growth * (static_cast<double>(mid) / 364.0);
       activity::ForEachSetBit(emitted, [&](int slot) {
-        out[slot] = AlwaysOnHits(hit_gen, double{pp.hits_mu} + growth,
-                                 double{pp.hits_sigma}, spec.step_days);
+        queue.Push(hit_gen, slot,
+                   AlwaysOnDraw(double{pp.hits_mu} + growth,
+                                double{pp.hits_sigma}, spec.step_days));
       });
       return;
     }
     case PolicyKind::kCrawlerBots:
       activity::ForEachSetBit(emitted, [&](int slot) {
-        out[slot] = AlwaysOnHits(hit_gen, pp.hits_mu, pp.hits_sigma,
-                                 spec.step_days);
+        queue.Push(hit_gen, slot,
+                   AlwaysOnDraw(pp.hits_mu, pp.hits_sigma, spec.step_days));
       });
       return;
     case PolicyKind::kServerFarm:
       activity::ForEachSetBit(emitted, [&](int slot) {
-        out[slot] =
-            SubscriberHits(hit_gen, pp, 0.1, pp.daily_p, spec.step_days);
+        queue.Push(hit_gen, slot,
+                   SubscriberDraw(pp, 0.1, pp.daily_p, spec.step_days));
       });
       return;
   }
@@ -710,7 +782,8 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
 void HitsPass(const BlockPlan& plan, const StepSpec& spec,
               const std::array<const PolicyParams*, 256>& owner, int s0,
               int s1, const std::uint8_t* weekend,
-              const activity::DayBits* rows, std::uint32_t* hits) {
+              const activity::DayBits* rows, HitQueue& queue,
+              std::uint32_t* hits) {
   struct Segment {
     activity::DayBits hosts;
     const PolicyParams* pp;
@@ -732,11 +805,12 @@ void HitsPass(const BlockPlan& plan, const StepSpec& spec,
     const activity::DayBits& row = rows[s];
     if (row == activity::DayBits{}) continue;  // no emissions, no draws
     rng::Xoshiro256 hit_gen{rng::Substream(plan.block_seed, kTagHits, s)};
-    std::uint32_t* out = hits + static_cast<std::size_t>(s) * 256;
     for (const Segment& seg : segments) {
       SegmentHits(plan, spec, *seg.pp, s, weekend[s] != 0,
-                  activity::AndBits(row, seg.hosts), hit_gen, occupants, out);
+                  activity::AndBits(row, seg.hosts), hit_gen, occupants,
+                  queue);
     }
+    queue.Flush(hits + static_cast<std::size_t>(s) * 256);
   }
 }
 
@@ -789,6 +863,7 @@ void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
   if (nb == 3 && bounds[1] > bounds[2]) std::swap(bounds[1], bounds[2]);
 
   std::vector<double> fill_scratch;  // sized lazily by the dense kernel
+  HitQueue queue;
   for (int b = 0; b < nb; ++b) {
     const int i0 = bounds[b];
     const int i1 = b + 1 < nb ? bounds[b + 1] : s_hi;
@@ -824,8 +899,17 @@ void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
                    fill_scratch, rows);
     }
     if (hits != nullptr) {
-      HitsPass(plan, spec, owner, i0, i1, weekend.data(), rows, hits);
+      HitsPass(plan, spec, owner, i0, i1, weekend.data(), rows, queue, hits);
     }
+  }
+  if (hits != nullptr) {
+    // One Add per call: the counters cost nothing per draw.
+    static obs::Counter& draws =
+        obs::GlobalRegistry().GetCounter("sim.hits.draws");
+    static obs::Counter& fallbacks =
+        obs::GlobalRegistry().GetCounter("sim.hits.exact_fallbacks");
+    draws.Add(queue.draws());
+    fallbacks.Add(queue.fallbacks());
   }
 }
 

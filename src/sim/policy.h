@@ -140,7 +140,13 @@ inline void GenerateStep(const BlockPlan& plan, const StepSpec& spec,
 // counts (hits[step * 256 + host], zero where inactive), bit-identical to
 // GenerateStep's hits256 for every step. They come from a second,
 // step-major pass over the finished rows, so the bits-only call pays
-// nothing for them. Callers that need occupants stay on GenerateStep.
+// nothing for them. That pass draws each emission's uniforms in
+// GenerateStep's order but evaluates a whole step's lognormals at once
+// with rng::FlooredLogNormalBatch, whose certified polynomial kernel falls
+// back to GenerateStep's own scalar formula wherever it cannot prove the
+// integer; it counts `sim.hits.draws` and `sim.hits.exact_fallbacks`
+// (one Add each per call). Callers that need occupants stay on
+// GenerateStep.
 void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
                    activity::DayBits* rows, std::uint32_t* hits = nullptr);
 

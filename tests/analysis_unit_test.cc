@@ -2,10 +2,15 @@
 // suite covers the full experiments; these pin down the arithmetic).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "analysis/fig1_growth.h"
+#include "analysis/fig9_traffic.h"
 #include "analysis/visibility.h"
+#include "stats/quantile.h"
+#include "stats/summary.h"
 
 namespace ipscope::analysis {
 namespace {
@@ -59,6 +64,72 @@ TEST(Fig1, PrintMentionsKeyElements) {
   EXPECT_NE(text.find("ARIN"), std::string::npos);   // exhaustion dates
   EXPECT_NE(text.find("2014"), std::string::npos);
   EXPECT_NE(text.find("stagnation"), std::string::npos);
+}
+
+
+// A daily observatory longer than a year (600 steps): every address's
+// active-day hits, total and median must match a naive per-address gather
+// over m.Get. The map stage once gathered into a fixed 512-entry stack
+// array, which overflowed here.
+TEST(Fig9, LongDailyObservatoryMatchesNaivePerAddressBins) {
+  sim::WorldConfig config;
+  config.target_client_blocks = 40;
+  const sim::World world{config};
+  sim::StepSpec spec;
+  spec.start_day = 0;
+  spec.step_days = 1;
+  spec.steps = 600;
+  spec.world_seed = config.seed;
+  spec.gateway_growth = config.gateway_traffic_growth;
+  const cdn::Observatory daily{world, spec};
+  const Fig9Result result =
+      RunFig9(daily, cdn::Observatory::Weekly(world));
+
+  std::vector<Fig9Result::DaysActiveBin> bins(600);
+  std::vector<std::vector<double>> medians(600);
+  std::vector<double> totals;
+  daily.ForEachBlockHits([&](const sim::BlockPlan&,
+                             const activity::ActivityMatrix& m,
+                             std::span<const std::uint32_t> hits) {
+    for (int host = 0; host < 256; ++host) {
+      std::vector<std::uint32_t> active;
+      std::uint64_t total = 0;
+      for (int d = 0; d < 600; ++d) {
+        if (!m.Get(d, host)) continue;
+        active.push_back(hits[static_cast<std::size_t>(d) * 256 +
+                              static_cast<std::size_t>(host)]);
+        total += active.back();
+      }
+      if (active.empty()) continue;
+      std::sort(active.begin(), active.end());
+      const std::size_t n = active.size();
+      double median = active[n / 2];
+      if (n % 2 == 0) median = (median + active[n / 2 - 1]) / 2.0;
+      bins[n - 1].ips += 1;
+      bins[n - 1].total_hits += total;
+      medians[n - 1].push_back(median);
+      totals.push_back(static_cast<double>(total));
+    }
+  });
+
+  ASSERT_EQ(result.bins.size(), 600u);
+  std::uint64_t long_lived = 0;
+  for (std::size_t d = 0; d < 600; ++d) {
+    EXPECT_EQ(result.bins[d].ips, bins[d].ips) << "bin " << d;
+    EXPECT_EQ(result.bins[d].total_hits, bins[d].total_hits) << "bin " << d;
+    if (d >= 512) long_lived += bins[d].ips;
+    if (medians[d].empty()) continue;
+    const double qs[] = {0.05, 0.25, 0.5, 0.75, 0.95};
+    const std::vector<double> q = stats::Quantiles(medians[d], qs);
+    EXPECT_EQ(result.bins[d].p5, q[0]) << "bin " << d;
+    EXPECT_EQ(result.bins[d].p25, q[1]) << "bin " << d;
+    EXPECT_EQ(result.bins[d].median, q[2]) << "bin " << d;
+    EXPECT_EQ(result.bins[d].p75, q[3]) << "bin " << d;
+    EXPECT_EQ(result.bins[d].p95, q[4]) << "bin " << d;
+  }
+  // The regression needs addresses active on more than 512 days.
+  EXPECT_GT(long_lived, 0u);
+  EXPECT_EQ(result.traffic_gini, stats::Gini(totals));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cdn/dataset.h"
+#include "obs/registry.h"
 #include "par/pool.h"
 #include "scan/icmp.h"
 
@@ -20,6 +21,32 @@ sim::World& SmallWorld() {
     return config;
   }()};
   return world;
+}
+
+// sim.hits.draws counts one draw per emitted (address, step), which is a
+// set bit of the generated rows; exact fallbacks of the batched lognormal
+// kernel stay rare.
+TEST(Observatory, HitDrawCountersMatchThePassPopcount) {
+  obs::Counter& draws = obs::GlobalRegistry().GetCounter("sim.hits.draws");
+  obs::Counter& fallbacks =
+      obs::GlobalRegistry().GetCounter("sim.hits.exact_fallbacks");
+  for (const Observatory& o : {Observatory::Daily(SmallWorld()),
+                               Observatory::Weekly(SmallWorld())}) {
+    const std::uint64_t draws0 = draws.value();
+    const std::uint64_t fallbacks0 = fallbacks.value();
+    std::uint64_t popcount = 0;
+    o.ForEachBlockHits([&](const sim::BlockPlan&,
+                           const activity::ActivityMatrix& m,
+                           std::span<const std::uint32_t>) {
+      for (int s = 0; s < m.days(); ++s) {
+        popcount += static_cast<std::uint64_t>(activity::PopCount(m.Row(s)));
+      }
+    });
+    const std::uint64_t pass_draws = draws.value() - draws0;
+    EXPECT_GT(popcount, 0u);
+    EXPECT_EQ(pass_draws, popcount);
+    EXPECT_LE((fallbacks.value() - fallbacks0) * 100000, pass_draws);
+  }
 }
 
 TEST(Observatory, DailySpec) {

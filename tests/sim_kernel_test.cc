@@ -61,6 +61,16 @@ StepSpec WeeklySpec() {
   return spec;
 }
 
+// Steps longer than 255 days: a subscriber's active-day multiplier and an
+// always-on address's lognormal scale both exceed a byte.
+StepSpec LongStepSpec() {
+  StepSpec spec = DailySpec();
+  spec.start_day = 0;
+  spec.step_days = 300;
+  spec.steps = 3;
+  return spec;
+}
+
 // The contract under test: GenerateBlock(plan, spec, rows) must equal the
 // per-step reference row for row, and GenerateBlock(plan, spec, rows, hits)
 // must return the same rows plus GenerateStep's hits256 for every step.
@@ -143,7 +153,7 @@ TEST(GenerateBlock, MatchesPerStepAcrossKindsGranularitiesAndSeeds) {
         PolicyKind::kDynamicLong, PolicyKind::kCgnGateway,
         PolicyKind::kCrawlerBots, PolicyKind::kServerFarm,
         PolicyKind::kRouterInfra, PolicyKind::kMiddlebox}) {
-    for (const StepSpec& spec : {DailySpec(), WeeklySpec()}) {
+    for (const StepSpec& spec : {DailySpec(), WeeklySpec(), LongStepSpec()}) {
       for (std::uint64_t seed :
            {std::uint64_t{0xDEADBEEF}, std::uint64_t{1},
             std::uint64_t{0x9e3779b97f4a7c15ULL}}) {
