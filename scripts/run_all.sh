@@ -27,6 +27,15 @@ if [ "${IPSCOPE_SKIP_SANITIZERS:-0}" != "1" ]; then
   ctest --test-dir build-tsan -j"$(nproc)" -R '^(Obs|Par|Serve)'
 fi
 
+# A host-tuned pass: IPSCOPE_NATIVE builds the kernel TUs with
+# -march=native, where activity::PopCount takes its std::popcount (popcnt
+# instruction) branch instead of the portable SWAR fold. The row kernels
+# (Activity*, DayBits*) and the serve aggregate sweep (Serve*) are checked
+# on that branch too.
+cmake -B build-native -G Ninja -DIPSCOPE_NATIVE=ON
+cmake --build build-native --target ipscope_tests ipscope_serve_tests
+ctest --test-dir build-native -j"$(nproc)" -R '^(Activity|DayBits|Serve)'
+
 mkdir -p results
 
 # Static-analysis gate: the project-contract linter must (a) prove every

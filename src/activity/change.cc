@@ -1,6 +1,5 @@
 #include "activity/change.h"
 
-#include <bit>
 #include <cmath>
 
 #include "par/pool.h"
@@ -90,8 +89,8 @@ HalfDeltas HalfMaxDeltas(const ActivityStore& store, const ActivityMatrix& m,
     std::int64_t upper = 0;
     for (int d = first; d < last; ++d) {
       const DayBits& row = m.Row(d);
-      lower += std::popcount(row[0]) + std::popcount(row[1]);
-      upper += std::popcount(row[2]) + std::popcount(row[3]);
+      lower += PopCount(DayBits{row[0], row[1], 0, 0});
+      upper += PopCount(DayBits{0, 0, row[2], row[3]});
     }
     stu.lower = static_cast<double>(lower) / (128.0 * covered);
     stu.upper = static_cast<double>(upper) / (128.0 * covered);

@@ -54,19 +54,17 @@ std::vector<bool> CoveredWindows(const ActivityStore& store, int window_days,
 // event counts, merged elementwise in shard order — bit-identical for any
 // thread count.
 struct PairCountsAcc {
-  std::vector<std::uint64_t> up, down, size_prev, size_next;
+  WindowPairCounts sums;
   std::uint64_t blocks = 0;
 
-  explicit PairCountsAcc(std::size_t pairs = 0)
-      : up(pairs, 0), down(pairs, 0), size_prev(pairs, 0),
-        size_next(pairs, 0) {}
+  explicit PairCountsAcc(std::size_t pairs = 0) : sums(pairs) {}
 
   void Merge(PairCountsAcc&& other) {
-    for (std::size_t p = 0; p < up.size(); ++p) {
-      up[p] += other.up[p];
-      down[p] += other.down[p];
-      size_prev[p] += other.size_prev[p];
-      size_next[p] += other.size_next[p];
+    for (std::size_t p = 0; p < sums.up.size(); ++p) {
+      sums.up[p] += other.sums.up[p];
+      sums.down[p] += other.sums.down[p];
+      sums.size_prev[p] += other.sums.size_prev[p];
+      sums.size_next[p] += other.sums.size_next[p];
     }
     blocks += other.blocks;
   }
@@ -77,10 +75,11 @@ struct PairCountsAcc {
     for (int w = 1; w < num_windows; ++w) {
       const DayBits w1 = WindowUnion(m, window_days, w);
       const auto p = static_cast<std::size_t>(w - 1);
-      up[p] += static_cast<std::uint64_t>(PopCount(AndNotBits(w1, w0)));
-      down[p] += static_cast<std::uint64_t>(PopCount(AndNotBits(w0, w1)));
-      size_prev[p] += static_cast<std::uint64_t>(PopCount(w0));
-      size_next[p] += static_cast<std::uint64_t>(PopCount(w1));
+      sums.up[p] += static_cast<std::uint64_t>(PopCount(AndNotBits(w1, w0)));
+      sums.down[p] +=
+          static_cast<std::uint64_t>(PopCount(AndNotBits(w0, w1)));
+      sums.size_prev[p] += static_cast<std::uint64_t>(PopCount(w0));
+      sums.size_next[p] += static_cast<std::uint64_t>(PopCount(w1));
       w0 = w1;
     }
   }
@@ -88,19 +87,46 @@ struct PairCountsAcc {
 
 }  // namespace
 
-WindowChurnSeries ChurnAnalyzer::Churn(int window_days) const {
-  obs::Span span{"activity.churn.compute_seconds"};
+WindowChurnSeries ChurnSeriesFromCounts(const ActivityStore& store,
+                                        int window_days,
+                                        const WindowPairCounts& counts) {
   WindowChurnSeries series;
   series.window_days = window_days;
-  int num_windows = store_.days() / window_days;
-  if (num_windows < 2) return series;
-  int pairs = num_windows - 1;
+  const std::size_t pairs = counts.up.size();
+  if (pairs == 0) return series;
   std::vector<bool> window_ok =
-      CoveredWindows(store_, window_days, num_windows);
+      CoveredWindows(store, window_days, static_cast<int>(pairs) + 1);
+  series.pairs.reserve(pairs);
+  series.up_pct.reserve(pairs);
+  series.down_pct.reserve(pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    if (!window_ok[p] || !window_ok[p + 1]) continue;  // data gap
+    series.pairs.push_back(static_cast<int>(p));
+    series.up_pct.push_back(
+        counts.size_next[p]
+            ? 100.0 * static_cast<double>(counts.up[p]) /
+                  static_cast<double>(counts.size_next[p])
+            : 0.0);
+    series.down_pct.push_back(
+        counts.size_prev[p]
+            ? 100.0 * static_cast<double>(counts.down[p]) /
+                  static_cast<double>(counts.size_prev[p])
+            : 0.0);
+  }
+  series.up = Summarize(series.up_pct);
+  series.down = Summarize(series.down_pct);
+  return series;
+}
 
-  PairCountsAcc sums = par::ParallelReduce(
+WindowChurnSeries ChurnAnalyzer::Churn(int window_days) const {
+  obs::Span span{"activity.churn.compute_seconds"};
+  int num_windows = store_.days() / window_days;
+  if (num_windows < 2) {
+    return ChurnSeriesFromCounts(store_, window_days, WindowPairCounts{});
+  }
+  PairCountsAcc acc = par::ParallelReduce(
       std::size_t{0}, store_.BlockCount(),
-      PairCountsAcc{static_cast<std::size_t>(pairs)},
+      PairCountsAcc{static_cast<std::size_t>(num_windows - 1)},
       [&](PairCountsAcc& acc, std::size_t first, std::size_t last) {
         store_.ForEachShard(first, last,
                             [&](net::BlockKey, const ActivityMatrix& m) {
@@ -111,31 +137,14 @@ WindowChurnSeries ChurnAnalyzer::Churn(int window_days) const {
         acc.Merge(std::move(part));
       },
       kBlockGrain);
-
-  series.pairs.reserve(static_cast<std::size_t>(pairs));
-  series.up_pct.reserve(static_cast<std::size_t>(pairs));
-  series.down_pct.reserve(static_cast<std::size_t>(pairs));
-  for (int p = 0; p < pairs; ++p) {
-    auto pi = static_cast<std::size_t>(p);
-    if (!window_ok[pi] || !window_ok[pi + 1]) continue;  // data gap
-    series.pairs.push_back(p);
-    series.up_pct.push_back(
-        sums.size_next[pi] ? 100.0 * static_cast<double>(sums.up[pi]) /
-                                 static_cast<double>(sums.size_next[pi])
-                           : 0.0);
-    series.down_pct.push_back(
-        sums.size_prev[pi] ? 100.0 * static_cast<double>(sums.down[pi]) /
-                                 static_cast<double>(sums.size_prev[pi])
-                           : 0.0);
-  }
-  series.up = Summarize(series.up_pct);
-  series.down = Summarize(series.down_pct);
+  WindowChurnSeries series =
+      ChurnSeriesFromCounts(store_, window_days, acc.sums);
 
   auto& registry = obs::GlobalRegistry();
   registry.GetCounter("activity.churn.runs").Add(1);
   registry.GetCounter("activity.churn.windows_processed")
       .Add(static_cast<std::uint64_t>(num_windows));
-  registry.GetCounter("activity.churn.blocks_processed").Add(sums.blocks);
+  registry.GetCounter("activity.churn.blocks_processed").Add(acc.blocks);
   return series;
 }
 

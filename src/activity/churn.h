@@ -45,6 +45,23 @@ struct WindowChurnSeries {
   MinMedianMax down;
 };
 
+// Address totals over all blocks for the window pairs of one window size;
+// entry p compares window p with window p + 1.
+struct WindowPairCounts {
+  std::vector<std::uint64_t> up, down, size_prev, size_next;
+
+  explicit WindowPairCounts(std::size_t pairs = 0)
+      : up(pairs, 0), down(pairs, 0), size_prev(pairs, 0),
+        size_next(pairs, 0) {}
+};
+
+// The churn series of `store` for one window size from its pair totals:
+// pairs touching a window with no covered day are dropped, the rest become
+// up/down percentages. ChurnAnalyzer::Churn is this over its own sums.
+WindowChurnSeries ChurnSeriesFromCounts(const ActivityStore& store,
+                                        int window_days,
+                                        const WindowPairCounts& counts);
+
 // Absolute daily event counts (Fig 4a): up[d] / down[d] are the number of
 // addresses with an up/down event between day d and day d+1. Entries
 // touching an uncovered day are -1 ("no data"), never 0.

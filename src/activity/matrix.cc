@@ -77,12 +77,35 @@ int ActivityMatrix::HostActiveDays(int host) const {
 }
 
 std::array<std::uint16_t, 256> ActivityMatrix::HostActiveDayCounts() const {
+  // Bit-sliced counters: plane k holds bit k of every host's running
+  // count, so adding a day is a carry ripple of whole-row AND/XOR (it dies
+  // out after about two planes) rather than one increment per set bit.
+  // Eight planes count to 255, so every 255 days they are spilled into
+  // `counts`, 2^k per set bit of plane k, and restart from zero.
+  constexpr int kPlanes = 8;
+  constexpr int kSpillDays = (1 << kPlanes) - 1;
   std::array<std::uint16_t, 256> counts{};
+  std::array<DayBits, kPlanes> planes{};
+  auto spill = [&counts, &planes] {
+    for (int k = 0; k < kPlanes; ++k) {
+      DayBits& plane = planes[static_cast<std::size_t>(k)];
+      ForEachSetBit(plane, [&counts, k](int host) {
+        counts[static_cast<std::size_t>(host)] += std::uint16_t{1} << k;
+      });
+      plane = DayBits{};
+    }
+  };
   for (int d = 0; d < days_; ++d) {
-    ForEachSetBit(rows_[d], [&counts](int host) {
-      ++counts[static_cast<std::size_t>(host)];
-    });
+    DayBits carry = rows_[d];
+    for (std::size_t k = 0; (carry[0] | carry[1] | carry[2] | carry[3]) != 0;
+         ++k) {
+      const DayBits both = AndBits(planes[k], carry);
+      planes[k] = XorBits(planes[k], carry);
+      carry = both;
+    }
+    if ((d + 1) % kSpillDays == 0) spill();
   }
+  spill();
   return counts;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -113,38 +114,6 @@ std::pair<int, int> WindowFields(const json::Value& req, int days) {
 // All of them render into `out` against one immutable store; determinism
 // is inherited from the store reductions (ParallelReduce merges in chunk
 // order, so thread count never changes a byte).
-
-// Appends an aggregate of the answering store to `out`: through the
-// snapshot's memo slot when HandleRequest answers, freshly computed when
-// the oracle does (it has no snapshot, so `slot` is null).
-template <typename Fill>
-void AppendAggregate(std::string& out, const Memo<std::string>* slot,
-                     Fill&& fill) {
-  if (slot != nullptr) {
-    out += slot->Get(fill);
-  } else {
-    out += fill();
-  }
-}
-
-std::string SummaryResult(const activity::ActivityStore& store) {
-  std::string out = R"("result": {"days": )";
-  AppendInt(out, store.days());
-  out += R"(, "blocks": )";
-  AppendInt(out, static_cast<std::int64_t>(store.BlockCount()));
-  out += R"(, "covered_days": )";
-  AppendInt(out, store.CoveredDaysIn(0, store.days()));
-  out += R"(, "unique_addresses": )";
-  AppendInt(out, static_cast<std::int64_t>(store.CountActive(0, store.days())));
-  out += R"(, "active_per_day": [)";
-  auto daily = store.DailyActiveCounts();
-  for (std::size_t i = 0; i < daily.size(); ++i) {
-    if (i) out += ", ";
-    AppendInt(out, daily[i]);
-  }
-  out += "]}";
-  return out;
-}
 
 void AnswerPoint(std::string& out, const activity::ActivityStore& store,
                  const json::Value& req) {
@@ -309,9 +278,36 @@ void AnswerCountry(std::string& out, const activity::ActivityStore& store,
       [want](const BlockAttribution& e) { return e.country == want; });
 }
 
-std::string ChurnResult(const activity::ActivityStore& store, int window) {
-  auto series = activity::ChurnAnalyzer{store}.Churn(window);
+// --- whole-snapshot aggregates -------------------------------------------
+// DirectAnswer computes each one from the analysis it reports
+// (ActivityStore::CountActive/DailyActiveCounts, ChurnAnalyzer::Churn,
+// ClassifyPattern). A
+// snapshot fills all of them at once with one sweep over its blocks
+// (ComputeAggregates); the serve tests hold the two byte-identical.
+
+std::string RenderSummary(const activity::ActivityStore& store,
+                          std::uint64_t unique_addresses,
+                          const std::vector<std::int64_t>& active_per_day) {
+  std::string out = R"("result": {"days": )";
+  AppendInt(out, store.days());
+  out += R"(, "blocks": )";
+  AppendInt(out, static_cast<std::int64_t>(store.BlockCount()));
+  out += R"(, "covered_days": )";
+  AppendInt(out, store.CoveredDaysIn(0, store.days()));
+  out += R"(, "unique_addresses": )";
+  AppendInt(out, static_cast<std::int64_t>(unique_addresses));
+  out += R"(, "active_per_day": [)";
+  for (std::size_t i = 0; i < active_per_day.size(); ++i) {
+    if (i) out += ", ";
+    AppendInt(out, active_per_day[i]);
+  }
+  out += "]}";
+  return out;
+}
+
+std::string RenderChurn(const activity::WindowChurnSeries& series) {
   std::string out;
+  out.reserve(256 + 64 * series.pairs.size());  // ~45 bytes per pair
   auto append_doubles = [&out](const std::vector<double>& values) {
     out += "[";
     for (std::size_t i = 0; i < values.size(); ++i) {
@@ -347,37 +343,210 @@ std::string ChurnResult(const activity::ActivityStore& store, int window) {
   return out;
 }
 
-// Running per-class block counts over store blocks [lo, hi) in key order:
-// entry i counts the classes of blocks [lo, lo + i), so entry hi - lo holds
-// the range's histogram and any sub-range is a difference of two entries.
-std::vector<PatternCounts> CumulativePatternCounts(
-    const activity::ActivityStore& store, std::size_t lo, std::size_t hi) {
-  std::vector<activity::BlockPattern> classes(hi - lo);
-  par::ParallelFor(
-      par::GlobalPool(), lo, hi,
-      [&store, &classes, lo](std::size_t first, std::size_t last) {
+// Pattern-class histogram of store blocks [lo, hi).
+PatternCounts ClassCounts(const activity::ActivityStore& store,
+                          std::size_t lo, std::size_t hi) {
+  return par::ParallelReduce(
+      lo, hi, PatternCounts{},
+      [&store](PatternCounts& counts, std::size_t first, std::size_t last) {
         for (std::size_t i = first; i < last; ++i) {
-          classes[i - lo] = activity::ClassifyPattern(store.MatrixAt(i));
+          ++counts[static_cast<std::size_t>(
+              activity::ClassifyPattern(store.MatrixAt(i)))];
         }
       },
+      [](PatternCounts& into, PatternCounts&& from) {
+        for (std::size_t p = 0; p < into.size(); ++p) into[p] += from[p];
+      },
       /*grain=*/64);
-  std::vector<PatternCounts> cumulative(classes.size() + 1);
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    cumulative[i + 1] = cumulative[i];
-    ++cumulative[i + 1][static_cast<std::size_t>(classes[i])];
+}
+
+// The churn side of the aggregate sweep: per-block window counts for every
+// window size with at least one window pair (1..days / 2). The days / w
+// windows of size w take slots [first_slot[w], first_slot[w + 1]) of the
+// sweep's count vectors.
+class ChurnWindows {
+ public:
+  explicit ChurnWindows(int days)
+      : days_(days),
+        max_window_(days / 2),
+        levels_(std::bit_width(static_cast<unsigned>(max_window_))),
+        first_slot_(static_cast<std::size_t>(max_window_) + 2, 0) {
+    for (int w = 1; w <= max_window_; ++w) {
+      const auto wi = static_cast<std::size_t>(w);
+      first_slot_[wi + 1] =
+          first_slot_[wi] + static_cast<std::size_t>(days / w);
+    }
   }
-  return cumulative;
+
+  std::size_t slots() const { return first_slot_.back(); }
+
+  // Adds |W_k| to window_active and |W_{k-1} & W_k| to shared_with_prev
+  // (0 for each size's first window) for every window of block `m`.
+  // `spans` is scratch: spans[j * days + d] is the union of days
+  // [d, d + 2^j), so the window [a, a + w) with 2^j <= w < 2^(j+1) is the
+  // union of the two overlapping spans at a and a + w - 2^j.
+  void AddBlock(const activity::ActivityMatrix& m,
+                std::vector<activity::DayBits>& spans,
+                std::vector<std::uint64_t>& window_active,
+                std::vector<std::uint64_t>& shared_with_prev) const {
+    if (levels_ == 0) return;
+    spans.resize(static_cast<std::size_t>(levels_ * days_));
+    for (int d = 0; d < days_; ++d) {
+      spans[static_cast<std::size_t>(d)] = m.Row(d);
+    }
+    for (int j = 1; j < levels_; ++j) {
+      const activity::DayBits* lower = Level(spans, j - 1);
+      activity::DayBits* level = Level(spans, j);
+      const int half = 1 << (j - 1);
+      for (int d = 0; d + 2 * half <= days_; ++d) {
+        level[d] = activity::OrBits(lower[d], lower[d + half]);
+      }
+    }
+    for (int w = 1; w <= max_window_; ++w) {
+      const int j = std::bit_width(static_cast<unsigned>(w)) - 1;
+      const activity::DayBits* level = Level(spans, j);
+      const int offset = w - (1 << j);
+      std::size_t slot = first_slot_[static_cast<std::size_t>(w)];
+      activity::DayBits prev{};
+      for (int day = 0; day + w <= days_; day += w, ++slot) {
+        const activity::DayBits u =
+            activity::OrBits(level[day], level[day + offset]);
+        window_active[slot] +=
+            static_cast<std::uint64_t>(activity::PopCount(u));
+        shared_with_prev[slot] += static_cast<std::uint64_t>(
+            activity::PopCount(activity::AndBits(prev, u)));
+        prev = u;
+      }
+    }
+  }
+
+  // Window size w's pair totals from the slot sums over all blocks:
+  // up = |W_{k+1}| - shared, down = |W_k| - shared.
+  activity::WindowPairCounts PairCounts(
+      int w, const std::vector<std::uint64_t>& window_active,
+      const std::vector<std::uint64_t>& shared_with_prev) const {
+    if (w > max_window_) return activity::WindowPairCounts{};
+    const std::size_t base = first_slot_[static_cast<std::size_t>(w)];
+    activity::WindowPairCounts counts{
+        static_cast<std::size_t>(days_ / w - 1)};
+    for (std::size_t p = 0; p < counts.up.size(); ++p) {
+      const std::uint64_t prev = window_active[base + p];
+      const std::uint64_t next = window_active[base + p + 1];
+      const std::uint64_t shared = shared_with_prev[base + p + 1];
+      counts.up[p] = next - shared;
+      counts.down[p] = prev - shared;
+      counts.size_prev[p] = prev;
+      counts.size_next[p] = next;
+    }
+    return counts;
+  }
+
+ private:
+  activity::DayBits* Level(std::vector<activity::DayBits>& spans,
+                           int j) const {
+    return spans.data() + static_cast<std::size_t>(j * days_);
+  }
+
+  int days_;
+  int max_window_;
+  int levels_;
+  std::vector<std::size_t> first_slot_;
+};
+
+// Per-chunk sums of the aggregate sweep: integers only, merged in chunk
+// order, so the result is the same for any thread count.
+struct SweepAcc {
+  std::vector<std::int64_t> active_per_day;
+  std::uint64_t unique_addresses = 0;
+  std::vector<std::uint64_t> window_active;     // per ChurnWindows slot
+  std::vector<std::uint64_t> shared_with_prev;  // per ChurnWindows slot
+
+  void Merge(SweepAcc&& other) {
+    for (std::size_t d = 0; d < active_per_day.size(); ++d) {
+      active_per_day[d] += other.active_per_day[d];
+    }
+    unique_addresses += other.unique_addresses;
+    for (std::size_t s = 0; s < window_active.size(); ++s) {
+      window_active[s] += other.window_active[s];
+      shared_with_prev[s] += other.shared_with_prev[s];
+    }
+  }
+};
+
+// Every whole-snapshot aggregate from one pass over the blocks: per-day
+// active counts and unique addresses for summary, each block's pattern
+// class, and the churn window counts of every window size.
+Aggregates ComputeAggregates(const activity::ActivityStore& store) {
+  obs::Span span{"serve.snapshot.aggregates_seconds", "serve"};
+  const int days = store.days();
+  const ChurnWindows windows{days};
+  std::vector<activity::BlockPattern> classes(store.BlockCount());
+  SweepAcc sums = par::ParallelReduce(
+      std::size_t{0}, store.BlockCount(),
+      SweepAcc{std::vector<std::int64_t>(static_cast<std::size_t>(days), 0),
+               0, std::vector<std::uint64_t>(windows.slots(), 0),
+               std::vector<std::uint64_t>(windows.slots(), 0)},
+      [&](SweepAcc& acc, std::size_t first, std::size_t last) {
+        std::vector<activity::DayBits> spans;
+        for (std::size_t i = first; i < last; ++i) {
+          const activity::ActivityMatrix& m = store.MatrixAt(i);
+          classes[i] = activity::ClassifyPattern(m);
+          for (int d = 0; d < days; ++d) {
+            acc.active_per_day[static_cast<std::size_t>(d)] +=
+                m.ActiveOnDay(d);
+          }
+          const int unique = m.FillingDegree();
+          acc.unique_addresses += static_cast<std::uint64_t>(unique);
+          if (unique == 0) continue;  // adds 0 to every window count
+          windows.AddBlock(m, spans, acc.window_active,
+                           acc.shared_with_prev);
+        }
+      },
+      [](SweepAcc& into, SweepAcc&& from) { into.Merge(std::move(from)); },
+      /*grain=*/64);
+
+  Aggregates out;
+  out.summary =
+      RenderSummary(store, sums.unique_addresses, sums.active_per_day);
+  out.churn.reserve(static_cast<std::size_t>(std::max(1, days)));
+  for (int w = 1; w <= std::max(1, days); ++w) {
+    out.churn.push_back(RenderChurn(activity::ChurnSeriesFromCounts(
+        store, w,
+        windows.PairCounts(w, sums.window_active, sums.shared_with_prev))));
+  }
+  out.patterns.resize(classes.size() + 1);
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    out.patterns[i + 1] = out.patterns[i];
+    ++out.patterns[i + 1][static_cast<std::size_t>(classes[i])];
+  }
+  return out;
+}
+
+// The snapshot's aggregates, filled by the first request that needs any.
+const Aggregates& AggregatesOf(const Snapshot& snapshot) {
+  return snapshot.aggregates.Get(
+      [&snapshot] { return ComputeAggregates(snapshot.store); });
+}
+
+void AnswerSummary(std::string& out, const activity::ActivityStore& store,
+                   const Snapshot* memo) {
+  if (memo != nullptr) {
+    out += AggregatesOf(*memo).summary;
+  } else {
+    out += RenderSummary(store, store.CountActive(0, store.days()),
+                         store.DailyActiveCounts());
+  }
 }
 
 void AnswerChurn(std::string& out, const activity::ActivityStore& store,
                  const json::Value& req, const Snapshot* memo) {
   int window = static_cast<int>(
       IntField(req, "window", 7, 1, std::max(1, store.days())));
-  AppendAggregate(
-      out,
-      memo != nullptr ? &memo->churn[static_cast<std::size_t>(window - 1)]
-                      : nullptr,
-      [&store, window] { return ChurnResult(store, window); });
+  if (memo != nullptr) {
+    out += AggregatesOf(*memo).churn[static_cast<std::size_t>(window - 1)];
+  } else {
+    out += RenderChurn(activity::ChurnAnalyzer{store}.Churn(window));
+  }
 }
 
 void AnswerPatterns(std::string& out, const activity::ActivityStore& store,
@@ -387,20 +556,17 @@ void AnswerPatterns(std::string& out, const activity::ActivityStore& store,
   if (Find(req, "prefix") != nullptr) {
     std::tie(lo, hi) = BlockRange(store, PrefixField(req, "prefix", 24));
   }
-  // A snapshot classifies every block once and answers any prefix as the
-  // difference of two running counts; the oracle classifies just the
-  // requested range.
+  // A snapshot answers any prefix as the difference of two running counts;
+  // the oracle classifies just the requested range.
   PatternCounts counts{};
   if (memo != nullptr) {
     const std::vector<PatternCounts>& cumulative =
-        memo->patterns.Get([&store] {
-          return CumulativePatternCounts(store, 0, store.BlockCount());
-        });
+        AggregatesOf(*memo).patterns;
     for (std::size_t p = 0; p < counts.size(); ++p) {
       counts[p] = cumulative[hi][p] - cumulative[lo][p];
     }
   } else {
-    counts = CumulativePatternCounts(store, lo, hi).back();
+    counts = ClassCounts(store, lo, hi);
   }
   out += R"("result": {"blocks": )";
   AppendInt(out, static_cast<std::int64_t>(hi - lo));
@@ -416,8 +582,9 @@ void AnswerPatterns(std::string& out, const activity::ActivityStore& store,
 }
 
 // Parse + route + render one request against `store`. `memo` is the
-// snapshot `store` belongs to when HandleRequest answers (its aggregate
-// slots are read and filled), and null for the DirectAnswer oracle.
+// snapshot `store` belongs to when HandleRequest answers (its aggregates
+// are read, and filled on first use), and null for the DirectAnswer
+// oracle.
 std::string Answer(const activity::ActivityStore& store,
                    std::uint64_t snapshot_id,
                    std::span<const BlockAttribution> attribution,
@@ -444,8 +611,7 @@ std::string Answer(const activity::ActivityStore& store,
     AppendInt(out, static_cast<std::int64_t>(snapshot_id));
     out += ", ";
     if (endpoint == "summary") {
-      AppendAggregate(out, memo != nullptr ? &memo->summary : nullptr,
-                      [&store] { return SummaryResult(store); });
+      AnswerSummary(out, store, memo);
     } else if (endpoint == "point") {
       AnswerPoint(out, store, req);
     } else if (endpoint == "prefix") {

@@ -10,15 +10,15 @@
 // *starts* after a reload completes sees the new snapshot.
 //
 // A Snapshot also carries its whole-snapshot aggregates (the rendered
-// summary, the rendered churn series per window, and running pattern-class
-// counts over its blocks). They are functions of the store alone, so each is
-// computed at most once, on first use, and freed with the snapshot: the
-// memo is keyed exactly (one slot per aggregate), never evicts, and
-// cannot outlive or cross the snapshot it was computed from. Install does
-// no aggregate work, so a reload stays as cheap as the pointer swap.
+// summary, the rendered churn series for every window, and running
+// pattern-class counts over its blocks). They are functions of the store
+// alone, so they are computed together by one sweep over the blocks, at
+// most once, on the first aggregate request, and freed with the snapshot:
+// the memo is one slot per snapshot, never evicts, and cannot outlive or
+// cross the snapshot it was computed from. Install does no aggregate work,
+// so a reload stays as cheap as the pointer swap.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -58,20 +58,23 @@ class Memo {
 inline constexpr int kPatternClasses = 6;
 using PatternCounts = std::array<std::int64_t, kPatternClasses>;
 
+// Every whole-snapshot aggregate of one store.
+struct Aggregates {
+  std::string summary;             // rendered "result" member
+  std::vector<std::string> churn;  // rendered; [window - 1] for window
+                                   // 1..max(1, days)
+  // Running pattern-class counts over the blocks in key order: entry i
+  // counts blocks [0, i).
+  std::vector<PatternCounts> patterns;
+};
+
 struct Snapshot {
   std::uint64_t id = 0;
   activity::ActivityStore store;
-  // Memoized aggregates of `store`; see the file comment.
-  Memo<std::string> summary;             // rendered "result" member
-  std::vector<Memo<std::string>> churn;  // [window - 1], window 1..max(1, days)
-  // Running pattern-class counts over the blocks in key order: entry i
-  // counts blocks [0, i).
-  Memo<std::vector<PatternCounts>> patterns;
+  Memo<Aggregates> aggregates;  // of `store`; see the file comment
 
   Snapshot(std::uint64_t id_, activity::ActivityStore store_)
-      : id(id_),
-        store(std::move(store_)),
-        churn(static_cast<std::size_t>(std::max(1, store.days()))) {}
+      : id(id_), store(std::move(store_)) {}
 };
 
 class SnapshotManager {

@@ -2,8 +2,86 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "rng/rng.h"
+
 namespace ipscope::activity {
 namespace {
+
+constexpr std::uint64_t kOnes = ~std::uint64_t{0};
+
+// PopCount stays usable in constant expressions on both of its paths.
+static_assert(PopCount(DayBits{}) == 0);
+static_assert(PopCount(DayBits{kOnes, kOnes, kOnes, kOnes}) == 256);
+static_assert(PopCount(DayBits{1, 0, 0, std::uint64_t{1} << 63}) == 2);
+static_assert(PopCount(DayBits{0x5555555555555555, 0, kOnes, 0}) == 96);
+
+// The per-bit definition PopCount must agree with.
+int PopCountPerBit(const DayBits& bits) {
+  int n = 0;
+  for (int host = 0; host < 256; ++host) n += TestBit(bits, host) ? 1 : 0;
+  return n;
+}
+
+TEST(ActivityPopCount, ZeroAndAllOnes) {
+  EXPECT_EQ(PopCount(DayBits{}), 0);
+  EXPECT_EQ(PopCount(DayBits{kOnes, kOnes, kOnes, kOnes}), 256);
+  for (std::size_t w = 0; w < 4; ++w) {
+    DayBits one_word{};
+    one_word[w] = kOnes;
+    EXPECT_EQ(PopCount(one_word), 64) << "word " << w;
+  }
+}
+
+TEST(ActivityPopCount, OneSetBitPerWord) {
+  for (int bit = 0; bit < 64; ++bit) {
+    DayBits each{};
+    for (std::size_t w = 0; w < 4; ++w) {
+      DayBits single{};
+      single[w] = std::uint64_t{1} << bit;
+      EXPECT_EQ(PopCount(single), 1) << "word " << w << " bit " << bit;
+      each[w] = std::uint64_t{1} << bit;
+    }
+    EXPECT_EQ(PopCount(each), 4) << "bit " << bit;
+  }
+  // The top host: bit 63 of word 3.
+  DayBits top{};
+  SetBit(top, 255);
+  EXPECT_EQ(top[3], std::uint64_t{1} << 63);
+  EXPECT_EQ(PopCount(top), 1);
+}
+
+TEST(ActivityPopCount, AlternatingPatterns) {
+  for (std::uint64_t pattern :
+       {0x5555555555555555ull, 0xAAAAAAAAAAAAAAAAull, 0x3333333333333333ull,
+        0x0F0F0F0F0F0F0F0Full, 0x00FF00FF00FF00FFull,
+        0xFFFFFFFF00000000ull}) {
+    EXPECT_EQ(PopCount(DayBits{pattern, pattern, pattern, pattern}), 128)
+        << std::hex << pattern;
+    EXPECT_EQ(PopCount(DayBits{pattern, ~pattern, pattern, ~pattern}), 128)
+        << std::hex << pattern;
+    EXPECT_EQ(PopCount(DayBits{pattern, kOnes, 0, pattern}), 128)
+        << std::hex << pattern;
+  }
+}
+
+TEST(ActivityPopCount, RandomRowsMatchPerBitLoop) {
+  rng::Xoshiro256 gen{20161114};
+  for (int i = 0; i < 10000; ++i) {
+    DayBits row{};
+    for (std::uint64_t& word : row) {
+      // Vary the density: ~1/2, ~1/4, ~1/8 and ~3/4 of the bits set.
+      switch (i % 4) {
+        case 0: word = gen(); break;
+        case 1: word = gen() & gen(); break;
+        case 2: word = gen() & gen() & gen(); break;
+        case 3: word = gen() | gen(); break;
+      }
+    }
+    ASSERT_EQ(PopCount(row), PopCountPerBit(row)) << "row " << i;
+  }
+}
 
 TEST(DayBits, SetTestPopCount) {
   DayBits bits{};
@@ -94,6 +172,33 @@ TEST(ActivityMatrix, HostActiveDays) {
   m.Set(9, 5);
   EXPECT_EQ(m.HostActiveDays(5), 3);
   EXPECT_EQ(m.HostActiveDays(6), 0);
+}
+
+TEST(ActivityMatrix, HostActiveDayCountsMatchPerHostWalk) {
+  // Lengths on both sides of the 255-day spill of the bit-sliced counters,
+  // densities from sparse to full.
+  rng::Xoshiro256 gen{7};
+  for (int days : {1, 112, 254, 255, 256, 600}) {
+    for (int density = 0; density < 4; ++density) {
+      ActivityMatrix m{days};
+      for (int d = 0; d < days; ++d) {
+        for (std::uint64_t& word : m.Row(d)) {
+          if (density == 3) {
+            word = kOnes;
+            continue;
+          }
+          word = gen();
+          for (int k = 0; k < density; ++k) word &= gen();
+        }
+      }
+      const std::array<std::uint16_t, 256> counts = m.HostActiveDayCounts();
+      for (int host = 0; host < 256; ++host) {
+        ASSERT_EQ(counts[static_cast<std::size_t>(host)],
+                  m.HostActiveDays(host))
+            << days << " days, density " << density << ", host " << host;
+      }
+    }
+  }
 }
 
 TEST(ActivityMatrix, UnionOver) {

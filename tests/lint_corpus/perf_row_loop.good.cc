@@ -1,7 +1,6 @@
 // lint-corpus-as: src/activity/corpus.cc
 // Clean twin: whole-row word kernels instead of per-host bit probes, and
 // a straight-line Get (fine — the rule only flags loops).
-#include <bit>
 #include <cstdint>
 
 namespace corpus {
@@ -11,12 +10,11 @@ struct Matrix {
   const std::uint64_t* Row(int day) const;
 };
 
+int PopCount(const std::uint64_t* row);  // all 256 hosts of one day
+
 int CountActive(const Matrix& m, int days) {
   int total = 0;
-  for (int d = 0; d < days; ++d) {
-    const std::uint64_t* row = m.Row(d);
-    for (int w = 0; w < 4; ++w) total += std::popcount(row[w]);
-  }
+  for (int d = 0; d < days; ++d) total += PopCount(m.Row(d));
   return total;
 }
 

@@ -226,6 +226,22 @@ TEST(LintRules, TimeRuleStillCoversInstrumentedHotPaths) {
   EXPECT_TRUE(HasRule(Analyze("src/benchlike/x.cc", src), "determinism.time"));
 }
 
+TEST(LintRules, PopcountFiresOutsideMatrixHeaderOnly) {
+  std::string direct = "int n = std::popcount(word);\n";
+  std::string builtin = "int n = __builtin_popcountll(word);\n";
+  for (const char* path : {"src/activity/change.cc", "src/serve/server.cc",
+                           "tests/x_test.cc", "tools/lint/x.cc"}) {
+    EXPECT_TRUE(HasRule(Analyze(path, direct), "perf.popcount")) << path;
+    EXPECT_TRUE(HasRule(Analyze(path, builtin), "perf.popcount")) << path;
+  }
+  EXPECT_FALSE(HasRule(Analyze("src/activity/matrix.h", "#pragma once\n" +
+                                                            direct),
+                       "perf.popcount"));
+  // Only the std-qualified call: an unrelated identifier is not one.
+  EXPECT_FALSE(HasRule(Analyze("src/activity/x.cc", "int popcount = 0;\n"),
+                       "perf.popcount"));
+}
+
 TEST(LintRules, RawParseAndGetenvFireEverywhere) {
   std::string src =
       "#include <cstdlib>\n"

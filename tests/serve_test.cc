@@ -349,11 +349,11 @@ activity::ActivityStore ReloadedStore() {
 TEST(ServeMemo, FilledSlotsMatchOracleBeforeAndAfterReload) {
   const int days = MakeStore().days();
   const auto bodies = AggregateBodies(days);
-  // A slot carried over from snapshot 1 must be visible after the reload,
-  // except for the bodies that answer alike on any two of these stores:
-  // the unchanged /24, the empty prefix, and churn windows too wide for a
-  // single window pair (2 * window > days; their slots still differ from
-  // each other by "window").
+  // An aggregate carried over from snapshot 1 must be visible after the
+  // reload, except for the bodies that answer alike on any two of these
+  // stores: the unchanged /24, the empty prefix, and churn windows too wide
+  // for a single window pair (2 * window > days; their answers still
+  // differ from each other by "window").
   for (const std::string& body : bodies) {
     bool alike = body.find("10.0.1.0/24") != std::string::npos ||
                  body.find("172.16.0.0/12") != std::string::npos;
@@ -367,7 +367,7 @@ TEST(ServeMemo, FilledSlotsMatchOracleBeforeAndAfterReload) {
         << body;
   }
   Server server{MakeStore(0)};
-  // Fill every slot of snapshot 1, then read each one back.
+  // Fill snapshot 1's aggregates, then read each one back.
   for (const std::string& body : bodies) server.HandleRequest(body);
   for (const std::string& body : bodies) {
     EXPECT_EQ(server.HandleRequest(body),
@@ -419,27 +419,93 @@ TEST(ServeMemo, SmokeAggregatesDiscriminateSnapshots) {
   }
 }
 
+// A world store with day 0 and one mid-period 7-day window uncovered: the
+// one aggregate sweep must answer every churn window (including every
+// window too wide for a window pair, and window = days), summary, and
+// patterns over the whole store and under eight /8s exactly as the oracle
+// does.
+TEST(ServeMemo, EveryAggregateMatchesOracleOnGappedStore) {
+  sim::WorldConfig config;
+  config.target_client_blocks = 400;
+  sim::World world{config};
+  const activity::ActivityStore full =
+      cdn::Observatory::Daily(world).BuildStore();
+  activity::ActivityStore store = full;
+  const int days = store.days();
+  ASSERT_GE(days, 28);
+  const int gap = days / 2 / 7 * 7;  // window 7's boundary mid-period
+  store.SetDayCovered(0, false);
+  for (int d = gap; d < gap + 7; ++d) store.SetDayCovered(d, false);
+  const std::string week = R"({"endpoint": "churn", "window": 7})";
+  ASSERT_NE(Server::DirectAnswer(store, 1, {}, week),
+            Server::DirectAnswer(full, 1, {}, week));
+
+  std::vector<std::string> bodies = {R"({"endpoint": "summary"})",
+                                     R"({"endpoint": "patterns"})"};
+  for (int w = 1; w <= days; ++w) {
+    bodies.push_back(R"({"endpoint": "churn", "window": )" +
+                     std::to_string(w) + "}");
+  }
+  std::vector<std::uint32_t> octets;
+  for (net::BlockKey key : store.keys()) {
+    std::uint32_t octet = key >> 16;
+    if (octets.empty() || octets.back() != octet) octets.push_back(octet);
+  }
+  ASSERT_GE(octets.size(), 8u);
+  for (std::size_t k = 0; k < 8; ++k) {
+    bodies.push_back(R"({"endpoint": "patterns", "prefix": ")" +
+                     std::to_string(octets[k * octets.size() / 8]) +
+                     ".0.0.0/8\"}");
+  }
+
+  Server server{store};
+  for (const std::string& body : bodies) {
+    EXPECT_EQ(server.HandleRequest(body),
+              Server::DirectAnswer(store, 1, {}, body))
+        << body;
+  }
+}
+
 TEST(ServeMemo, ConcurrentFirstTouchComputesOnce) {
+  // Eight threads race to be a fresh snapshot's first aggregate request,
+  // each with a different summary/churn/patterns body: one sweep fills
+  // all of them, once per snapshot.
+  const std::vector<std::string> bodies = {
+      R"({"endpoint": "summary"})",
+      R"({"endpoint": "churn", "window": 1})",
+      R"({"endpoint": "churn", "window": 5})",
+      R"({"endpoint": "churn", "window": 14})",
+      R"({"endpoint": "patterns"})",
+      R"({"endpoint": "patterns", "prefix": "10.0.0.0/8"})",
+      R"({"endpoint": "churn", "window": 7})",
+      R"({"endpoint": "patterns", "prefix": "10.0.1.0/24"})",
+  };
   Server server{MakeStore(0)};
-  server.Reload(MakeStore(1));  // a fresh snapshot: no slot filled yet
   auto& computed =
       obs::GlobalRegistry().GetCounter("serve.snapshot.aggregates_computed");
-  const std::string body = R"({"endpoint": "churn", "window": 5})";
-  const std::uint64_t before = computed.value();
-  std::vector<std::string> got(8);
-  std::atomic<int> waiting{static_cast<int>(got.size())};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < got.size(); ++t) {
-    threads.emplace_back([&, t] {
-      waiting.fetch_sub(1);
-      while (waiting.load() > 0) std::this_thread::yield();
-      got[t] = server.HandleRequest(body);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(computed.value() - before, 1u);
-  for (const std::string& response : got) {
-    EXPECT_EQ(response, Server::DirectAnswer(MakeStore(1), 2, {}, body));
+  for (int variant = 0; variant < 2; ++variant) {
+    if (variant == 1) server.Reload(MakeStore(1));
+    const std::uint64_t id = server.snapshot_id();
+    const std::uint64_t before = computed.value();
+    std::vector<std::string> got(bodies.size());
+    std::atomic<int> waiting{static_cast<int>(got.size())};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      threads.emplace_back([&, t] {
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) std::this_thread::yield();
+        got[t] = server.HandleRequest(bodies[t]);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(computed.value() - before, 1u) << "snapshot " << id;
+    for (const std::string& body : bodies) server.HandleRequest(body);
+    EXPECT_EQ(computed.value() - before, 1u) << "snapshot " << id;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      EXPECT_EQ(got[t],
+                Server::DirectAnswer(MakeStore(variant), id, {}, bodies[t]))
+          << bodies[t];
+    }
   }
 }
 

@@ -408,6 +408,25 @@ struct Engine {
     }
   }
 
+  // Direct popcounts outside activity::PopCount. The baseline x86-64
+  // target has no popcnt instruction, so std::popcount and the
+  // __builtin_popcount family compile to a call into libgcc's
+  // __popcountdi2 per word; PopCount is the one call-free kernel.
+  void RulePopcount() {
+    if (info.popcount_home) return;
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+      const Token& t = toks[i];
+      if (t.kind != TokKind::kIdent) continue;
+      bool direct = (t.text == "popcount" && StdQualified(toks, i)) ||
+                    StartsWith(t.text, "__builtin_popcount");
+      if (!direct) continue;
+      Report("perf.popcount", t,
+             "'" + t.text + "' compiles to a libgcc __popcountdi2 call in "
+             "the baseline (no popcnt) build; use activity::PopCount, "
+             "which is call-free on every target");
+    }
+  }
+
   // --- [hygiene] -----------------------------------------------------------
 
   void RulePragmaOnce() {
@@ -531,6 +550,7 @@ FileInfo ClassifyPath(std::string rel_path) {
   info.default_scope =
       StartsWith(rel_path, "src/") || StartsWith(rel_path, "tools/");
   info.activity_impl = StartsWith(rel_path, "src/activity/") && !info.header;
+  info.popcount_home = rel_path == "src/activity/matrix.h";
   return info;
 }
 
@@ -563,6 +583,10 @@ const std::vector<RuleMeta>& RuleCatalogue() {
       {"perf.row-loop", "rowloop",
        "No per-host Get(day, host) loops in src/activity implementation "
        "files; use the Row(day) word kernels."},
+      {"perf.popcount", "popcount",
+       "No std::popcount or __builtin_popcount* outside "
+       "src/activity/matrix.h; the baseline build compiles them to libgcc "
+       "calls. Use activity::PopCount."},
       {"hygiene.unchecked-close", "close",
        "No discarded fclose/close/fflush/fsync results; a failed close is "
        "a lost write."},
@@ -606,6 +630,7 @@ FileAnalysis AnalyzeFile(const FileInfo& info, std::string_view source) {
   engine.RuleIo();
   engine.RuleUncheckedClose();
   engine.RuleRowLoop();
+  engine.RulePopcount();
 
   // Resolve where each suppression applies: a comment sharing a line with
   // code suppresses that line; a standalone comment suppresses the first

@@ -52,6 +52,11 @@
 //    perf.row-loop                advisory: member call to Get(...) inside
 //                                 a for-loop body in src/activity/*.cc.
 //                                 Suppress: lint: rowloop(...)
+//    perf.popcount                std::popcount / __builtin_popcount*
+//                                 anywhere but src/activity/matrix.h: the
+//                                 baseline build compiles each to a libgcc
+//                                 call; activity::PopCount is call-free.
+//                                 Suppress: lint: popcount(...)
 //
 //  lint.suppression — a `// lint: tag(...)` with empty justification. The
 //  justification is the reviewable artifact; it is mandatory.
@@ -93,6 +98,7 @@ struct FileInfo {
   bool time_exempt = false;  // src/obs/** or bench/** (determinism.time)
   bool default_scope = false;// src/** or tools/** (silent-fallback.empty-default)
   bool activity_impl = false;// src/activity/** non-header (perf.row-loop)
+  bool popcount_home = false;// src/activity/matrix.h (perf.popcount)
 };
 
 // Classifies `rel_path` (path relative to the repo root, '/'-separated).
