@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "par/pool.h"
 #include "report/table.h"
 #include "report/textplot.h"
 #include "stats/quantile.h"
@@ -138,18 +139,24 @@ Fig9Result RunFig9(const cdn::Observatory& daily,
     total_ips += b.ips;
     total_hits += b.total_hits;
   }
-  const double qs[] = {0.05, 0.25, 0.5, 0.75, 0.95};
+  // 9a's per-bin quantiles are independent sorts: one bin per chunk.
+  par::ParallelFor(
+      par::GlobalPool(), 0, out.bins.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        const double qs[] = {0.05, 0.25, 0.5, 0.75, 0.95};
+        for (std::size_t di = lo; di < hi; ++di) {
+          if (medians[di].empty()) continue;
+          auto quantiles = stats::Quantiles(std::move(medians[di]), qs);
+          out.bins[di].p5 = quantiles[0];
+          out.bins[di].p25 = quantiles[1];
+          out.bins[di].median = quantiles[2];
+          out.bins[di].p75 = quantiles[3];
+          out.bins[di].p95 = quantiles[4];
+        }
+      });
   double cum_ips = 0, cum_hits = 0;
   for (int d = 0; d < days; ++d) {
     auto di = static_cast<std::size_t>(d);
-    if (!medians[di].empty()) {
-      auto quantiles = stats::Quantiles(std::move(medians[di]), qs);
-      out.bins[di].p5 = quantiles[0];
-      out.bins[di].p25 = quantiles[1];
-      out.bins[di].median = quantiles[2];
-      out.bins[di].p75 = quantiles[3];
-      out.bins[di].p95 = quantiles[4];
-    }
     cum_ips += static_cast<double>(out.bins[di].ips);
     cum_hits += static_cast<double>(out.bins[di].total_hits);
     out.cum_ip_frac.push_back(total_ips ? cum_ips / total_ips : 0.0);
@@ -162,7 +169,9 @@ Fig9Result RunFig9(const cdn::Observatory& daily,
         static_cast<double>(out.bins.back().total_hits) / total_hits;
   }
 
-  out.traffic_gini = stats::Gini(std::move(per_ip_totals));
+  par::ParallelSort(par::GlobalPool(), std::span<double>{per_ip_totals},
+                    /*grain=*/1 << 16);
+  out.traffic_gini = stats::GiniSorted(per_ip_totals);
 
   // ---- 9c: weekly top-10% share ----
   const int weeks = weekly.steps();

@@ -11,7 +11,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -58,18 +61,24 @@ class Observatory {
   //
   // Blocks are generated kHitsBatchBlocks at a time on par::GlobalPool()
   // by sim::GenerateBlock. Inside a batch, `map` also runs on the pool,
-  // once per visible block; then `consume` runs serially on the calling
-  // thread, in key order, with that block's map result:
+  // once per visible block; `consume` then receives that block's map
+  // result:
   //
   //   map(const sim::BlockPlan& plan, const activity::ActivityMatrix& m,
   //       std::span<const std::uint32_t> hits) -> R
   //   consume(const sim::BlockPlan& plan, const activity::ActivityMatrix& m,
   //           std::span<const std::uint32_t> hits, R& mapped)
   //
-  // map runs concurrently, so it may only read shared state; consume sees
-  // exactly the call sequence of a serial per-block loop, for any pool
-  // size. An exception from generation or map reaches the caller before
-  // any block of its batch is consumed.
+  // The batch buffers are double-buffered: consuming batch k is chunk 0 of
+  // the pool region that generates and maps batch k + 1, so the pool keeps
+  // generating while consume runs. consume may therefore run on any pool
+  // thread, but it is called once per visible block, strictly in key order,
+  // one call at a time, so it sees exactly the call sequence of a serial
+  // per-block loop for any pool size. map runs concurrently with other maps
+  // and with consume, so it may only read shared state. An exception from
+  // generation or map reaches the caller after every earlier batch was
+  // consumed and before any block of its own batch is; an exception from
+  // consume reaches the caller before any later block is consumed.
   template <typename Map, typename Consume>
   void ForEachBlockHits(Map&& map, Consume&& consume) const {
     using Mapped = std::invoke_result_t<Map&, const sim::BlockPlan&,
@@ -78,39 +87,77 @@ class Observatory {
     const auto steps = static_cast<std::size_t>(spec_.steps);
     const std::size_t cells = steps * 256;
     const std::size_t batch = std::min(kHitsBatchBlocks, order_.size());
-    std::vector<activity::DayBits> rows(batch * steps);
-    std::vector<std::uint32_t> hits(batch * cells);
-    std::vector<std::optional<Mapped>> mapped(batch);
-    auto matrix = [&](std::size_t i) {
-      return activity::ActivityMatrix{spec_.steps, rows.data() + i * steps};
+    if (batch == 0) return;
+    const std::size_t batches = (order_.size() + batch - 1) / batch;
+    struct Buffer {
+      std::size_t first = 0;  // position in order_ of the batch's block 0
+      std::size_t n = 0;      // blocks in the batch
+      std::vector<activity::DayBits> rows;
+      std::vector<std::uint32_t> hits;
+      std::vector<std::optional<Mapped>> mapped;
     };
-    auto block_hits = [&](std::size_t i) {
-      return std::span<const std::uint32_t>{hits.data() + i * cells, cells};
+    std::array<Buffer, 2> buffers;
+    auto matrix = [&](Buffer& b, std::size_t i) {
+      return activity::ActivityMatrix{spec_.steps, b.rows.data() + i * steps};
     };
-    for (std::size_t first = 0; first < order_.size(); first += batch) {
-      const std::size_t n = std::min(batch, order_.size() - first);
-      par::ParallelFor(
-          par::GlobalPool(), 0, n, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              const sim::BlockPlan& plan = world_.blocks()[order_[first + i]];
-              activity::DayBits* block_rows = rows.data() + i * steps;
-              sim::GenerateBlock(plan, spec_, block_rows,
-                                 hits.data() + i * cells);
-              mapped[i].reset();
-              if (std::all_of(block_rows, block_rows + steps,
-                              [](const activity::DayBits& r) {
-                                return r == activity::DayBits{};
-                              })) {
-                continue;
+    auto block_hits = [&](const Buffer& b, std::size_t i) {
+      return std::span<const std::uint32_t>{b.hits.data() + i * cells, cells};
+    };
+    // Region k generates batch k (k < batches) and consumes batch k - 1
+    // (k > 0). Chunk bodies catch their own exceptions, so a failing
+    // generation chunk cannot cancel the consume chunk; both are rethrown
+    // after the region, consume's first since its blocks come earlier.
+    for (std::size_t k = 0; k <= batches; ++k) {
+      Buffer* gen = k < batches ? &buffers[k % 2] : nullptr;
+      Buffer* eat = k > 0 ? &buffers[(k - 1) % 2] : nullptr;
+      if (gen != nullptr) {
+        gen->first = k * batch;
+        gen->n = std::min(batch, order_.size() - gen->first);
+        gen->rows.resize(batch * steps);
+        gen->hits.resize(batch * cells);
+        gen->mapped.resize(batch);
+      }
+      std::exception_ptr consume_error;
+      std::mutex gen_mu;             // held by chunks setting gen_error
+      std::exception_ptr gen_error;  // first generation or map failure
+      par::GlobalPool().RunChunks(
+          1 + (gen != nullptr ? gen->n : 0), [&](std::size_t c) {
+            if (c == 0) {
+              if (eat == nullptr) return;
+              try {
+                for (std::size_t i = 0; i < eat->n; ++i) {
+                  if (!eat->mapped[i]) continue;
+                  consume(world_.blocks()[order_[eat->first + i]],
+                          matrix(*eat, i), block_hits(*eat, i),
+                          *eat->mapped[i]);
+                }
+              } catch (...) {
+                consume_error = std::current_exception();
               }
-              mapped[i].emplace(map(plan, matrix(i), block_hits(i)));
+              return;
+            }
+            const std::size_t i = c - 1;
+            try {
+              const sim::BlockPlan& plan =
+                  world_.blocks()[order_[gen->first + i]];
+              activity::DayBits* block_rows = gen->rows.data() + i * steps;
+              sim::GenerateBlock(plan, spec_, block_rows,
+                                 gen->hits.data() + i * cells);
+              gen->mapped[i].reset();
+              if (std::any_of(block_rows, block_rows + steps,
+                              [](const activity::DayBits& r) {
+                                return r != activity::DayBits{};
+                              })) {
+                gen->mapped[i].emplace(
+                    map(plan, matrix(*gen, i), block_hits(*gen, i)));
+              }
+            } catch (...) {
+              std::lock_guard lock(gen_mu);
+              if (!gen_error) gen_error = std::current_exception();
             }
           });
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!mapped[i]) continue;
-        consume(world_.blocks()[order_[first + i]], matrix(i), block_hits(i),
-                *mapped[i]);
-      }
+      if (consume_error) std::rethrow_exception(consume_error);
+      if (gen_error) std::rethrow_exception(gen_error);
     }
   }
 

@@ -7,26 +7,21 @@ namespace ipscope::net {
 
 namespace {
 
-// Merges a sorted, possibly-overlapping interval list into canonical form.
-std::vector<Ipv4Set::Interval> Canonicalize(
-    std::vector<Ipv4Set::Interval> ivs) {
-  if (ivs.empty()) return ivs;
-  std::sort(ivs.begin(), ivs.end());
-  std::vector<Ipv4Set::Interval> out;
-  out.reserve(ivs.size());
-  out.push_back(ivs.front());
-  for (std::size_t i = 1; i < ivs.size(); ++i) {
+// Appends `iv` to a canonical list whose intervals all start at or before
+// iv.first, coalescing it into the last interval when they overlap or
+// touch; the +1 adjacency check must not overflow when back.last ==
+// 0xFFFFFFFF.
+void AppendCoalesced(std::vector<Ipv4Set::Interval>& out,
+                     const Ipv4Set::Interval& iv) {
+  if (!out.empty()) {
     Ipv4Set::Interval& back = out.back();
-    // Coalesce overlapping or adjacent intervals; the +1 adjacency check must
-    // not overflow when back.last == 0xFFFFFFFF.
-    if (ivs[i].first <= back.last ||
-        (back.last != 0xFFFFFFFFu && ivs[i].first == back.last + 1)) {
-      back.last = std::max(back.last, ivs[i].last);
-    } else {
-      out.push_back(ivs[i]);
+    if (iv.first <= back.last ||
+        (back.last != 0xFFFFFFFFu && iv.first == back.last + 1)) {
+      back.last = std::max(back.last, iv.last);
+      return;
     }
   }
-  return out;
+  out.push_back(iv);
 }
 
 }  // namespace
@@ -39,17 +34,11 @@ Ipv4Set Ipv4Set::FromAddresses(std::span<const IPv4Addr> addrs) {
 }
 
 Ipv4Set Ipv4Set::FromValues(std::vector<std::uint32_t> values) {
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  Ipv4Set set;
-  for (std::uint32_t v : values) {
-    if (!set.intervals_.empty() && set.intervals_.back().last != 0xFFFFFFFFu &&
-        set.intervals_.back().last + 1 == v) {
-      set.intervals_.back().last = v;
-    } else {
-      set.intervals_.push_back({v, v});
-    }
+  if (!std::is_sorted(values.begin(), values.end())) {
+    std::sort(values.begin(), values.end());
   }
+  Ipv4Set set;
+  for (std::uint32_t v : values) AppendCoalesced(set.intervals_, {v, v});
   return set;
 }
 
@@ -134,13 +123,20 @@ std::uint64_t Ipv4Set::CountBlocks() const {
   return n;
 }
 
+// A two-pointer merge of the two canonical lists by interval start.
 Ipv4Set Ipv4Set::Union(const Ipv4Set& other) const {
-  std::vector<Interval> all;
-  all.reserve(intervals_.size() + other.intervals_.size());
-  all.insert(all.end(), intervals_.begin(), intervals_.end());
-  all.insert(all.end(), other.intervals_.begin(), other.intervals_.end());
+  const std::vector<Interval>& a = intervals_;
+  const std::vector<Interval>& b = other.intervals_;
   Ipv4Set out;
-  out.intervals_ = Canonicalize(std::move(all));
+  out.intervals_.reserve(a.size() + b.size());
+  std::size_t i = 0, j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() || (i < a.size() && a[i].first <= b[j].first)) {
+      AppendCoalesced(out.intervals_, a[i++]);
+    } else {
+      AppendCoalesced(out.intervals_, b[j++]);
+    }
+  }
   return out;
 }
 

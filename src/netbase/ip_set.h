@@ -30,7 +30,7 @@ class Ipv4Set {
   Ipv4Set() = default;
 
   // Builds a set from an arbitrary (unsorted, possibly duplicated) list of
-  // addresses in O(n log n).
+  // addresses in O(n log n), or O(n) when the list is already ascending.
   static Ipv4Set FromAddresses(std::span<const IPv4Addr> addrs);
   static Ipv4Set FromValues(std::vector<std::uint32_t> values);
 

@@ -49,6 +49,7 @@
 // schedule instead of one merged lane.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -56,6 +57,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -204,6 +206,36 @@ Acc ParallelReduce(std::size_t first, std::size_t last, Acc init,
   return ParallelReduce(GlobalPool(), first, last, std::move(init),
                         std::forward<ChunkFn>(chunk_fn),
                         std::forward<MergeFn>(merge), grain, max_threads);
+}
+
+// Sorts `values` ascending on the pool: the ChunkLayout chunks (grain =
+// minimum elements per chunk) sort independently, then adjacent sorted runs
+// merge pairwise, one round per doubling of the run width, the merges of a
+// round in parallel. The layout depends only on the size and grain, so the
+// result is identical for any thread count; for a strict total order it is
+// the one sorted sequence std::sort gives.
+template <typename T>
+void ParallelSort(Pool& pool, std::span<T> values, std::size_t grain) {
+  const ChunkLayout layout = ChunkLayout::Of(0, values.size(), grain);
+  auto at = [&](std::size_t chunk) {
+    return values.begin() +
+           static_cast<std::ptrdiff_t>(layout.ChunkFirst(chunk));
+  };
+  if (layout.chunks <= 1) {
+    std::sort(values.begin(), values.end());
+    return;
+  }
+  pool.RunChunks(layout.chunks,
+                 [&](std::size_t c) { std::sort(at(c), at(c + 1)); });
+  for (std::size_t width = 1; width < layout.chunks; width *= 2) {
+    const std::size_t merges = (layout.chunks + 2 * width - 1) / (2 * width);
+    pool.RunChunks(merges, [&](std::size_t m) {
+      const std::size_t lo = 2 * m * width;
+      const std::size_t mid = std::min(lo + width, layout.chunks);
+      const std::size_t hi = std::min(lo + 2 * width, layout.chunks);
+      if (mid < hi) std::inplace_merge(at(lo), at(mid), at(hi));
+    });
+  }
 }
 
 }  // namespace ipscope::par

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <vector>
 
+#include "activity/matrix.h"
 #include "geo/country.h"
 #include "par/pool.h"
 #include "rng/rng.h"
@@ -18,6 +20,13 @@ constexpr std::uint64_t kTagOnline = 0x1c03;
 
 double HashUnit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+// Deactivated client blocks stop answering; infrastructure blocks are not
+// subject to the client activity window.
+bool SilentOn(const sim::BlockPlan& plan, std::int32_t day) {
+  return (day < plan.active_from || day >= plan.active_until) &&
+         !sim::IsInfraPolicy(plan.base.kind);
 }
 
 }  // namespace
@@ -48,11 +57,7 @@ const sim::BlockPlan* IcmpScanner::FindPlan(net::BlockKey key) const {
 bool IcmpScanner::Probe(net::IPv4Addr addr, std::int32_t day) const {
   const sim::BlockPlan* plan = FindPlan(net::BlockKeyOf(addr));
   if (plan == nullptr) return false;
-  // Mirror Scan()'s activity-window gating exactly.
-  if ((day < plan->active_from || day >= plan->active_until) &&
-      !sim::IsInfraPolicy(plan->base.kind)) {
-    return false;
-  }
+  if (SilentOn(*plan, day)) return false;
   std::vector<std::uint32_t> responders;
   ScanBlockInto(*plan, day, responders);
   return std::find(responders.begin(), responders.end(), addr.value()) !=
@@ -143,12 +148,7 @@ net::Ipv4Set IcmpScanner::Scan(std::int32_t day) const {
           std::size_t last) {
         for (std::size_t i = first; i < last; ++i) {
           const sim::BlockPlan& plan = world_.blocks()[i];
-          if (day < plan.active_from || day >= plan.active_until) {
-            // Deactivated client blocks stop answering; infrastructure
-            // blocks are not subject to the client activity window.
-            if (!sim::IsInfraPolicy(plan.base.kind)) continue;
-          }
-          ScanBlockInto(plan, day, out);
+          if (!SilentOn(plan, day)) ScanBlockInto(plan, day, out);
         }
       },
       [](std::vector<std::uint32_t>& acc, std::vector<std::uint32_t>&& part) {
@@ -158,16 +158,42 @@ net::Ipv4Set IcmpScanner::Scan(std::int32_t day) const {
   return net::Ipv4Set::FromValues(std::move(values));
 }
 
-// The union of the per-day scans: only one day's responder list is ever
-// held as raw values.
+// Chunks cover ascending key ranges and each block emits its hosts
+// ascending, so the concatenated chunk lists are already the sorted member
+// list and FromValues does not sort.
 net::Ipv4Set IcmpScanner::ScanMonth(std::int32_t month_start_day,
                                     int month_days, int num_scans) const {
-  net::Ipv4Set all;
+  std::vector<std::int32_t> days;
   for (int i = 0; i < num_scans; ++i) {
-    all = all.Union(Scan(month_start_day +
-                         (i * month_days) / std::max(1, num_scans)));
+    days.push_back(month_start_day +
+                   (i * month_days) / std::max(1, num_scans));
   }
-  return all;
+  std::vector<std::uint32_t> values = par::ParallelReduce(
+      std::size_t{0}, index_.size(), std::vector<std::uint32_t>{},
+      [&](std::vector<std::uint32_t>& out, std::size_t first,
+          std::size_t last) {
+        std::vector<std::uint32_t> responders;
+        for (std::size_t i = first; i < last; ++i) {
+          const sim::BlockPlan& plan = world_.blocks()[index_[i]];
+          responders.clear();
+          for (std::int32_t day : days) {
+            if (!SilentOn(plan, day)) ScanBlockInto(plan, day, responders);
+          }
+          activity::DayBits hosts{};
+          for (std::uint32_t v : responders) {
+            activity::SetBit(hosts, static_cast<int>(v & 255u));
+          }
+          const std::uint32_t base = plan.block.network().value();
+          activity::ForEachSetBit(hosts, [&](int host) {
+            out.push_back(base + static_cast<std::uint32_t>(host));
+          });
+        }
+      },
+      [](std::vector<std::uint32_t>& acc, std::vector<std::uint32_t>&& part) {
+        acc.insert(acc.end(), part.begin(), part.end());
+      },
+      /*grain=*/16);
+  return net::Ipv4Set::FromValues(std::move(values));
 }
 
 }  // namespace ipscope::scan

@@ -31,6 +31,11 @@ class IcmpScanner {
   // Union of `num_scans` scans spread evenly over
   // [month_start_day, month_start_day + month_days) — the paper compares
   // one month of CDN logs against 8 ZMap snapshots (October 2015).
+  // Equal to folding Union over Scan(day) for those days, but computed in
+  // one pass over the blocks in key order on the shared pool: per block,
+  // the responders of every scan day (each day gated by the block's
+  // activity window as in Scan) are ORed into one host mask, so no per-day
+  // set is built and no union or sort runs.
   net::Ipv4Set ScanMonth(std::int32_t month_start_day, int month_days = 28,
                          int num_scans = 8) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "obs/registry.h"
@@ -668,11 +669,15 @@ struct EpochOccupant {
 
 // Queues the draws of the hosts policy `pp` emitted at step s within one
 // ownership segment (`emitted` = the step's row restricted to the
-// segment), in GenerateStep's per-policy emission order.
+// segment), in GenerateStep's per-policy emission order. `short_tails`
+// holds the per-slot SubstreamTail(block_seed, kTagShortOccupant, slot)
+// for every slot when a dense kDynamicShort policy owns a segment.
 void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
                  const PolicyParams& pp, int s, bool weekend,
                  const activity::DayBits& emitted, rng::Xoshiro256& hit_gen,
-                 std::array<EpochOccupant, 256>& occupants, HitQueue& queue) {
+                 std::array<EpochOccupant, 256>& occupants,
+                 std::span<const rng::SubstreamTail> short_tails,
+                 HitQueue& queue) {
   const int pool = std::min<int>(pp.pool_size, 256);
   if (pool == 0 || emitted == activity::DayBits{}) return;
   const double weekend_adj = weekend ? double{pp.weekend_factor} : 1.0;
@@ -731,19 +736,20 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
             (plan.block_seed + static_cast<std::uint64_t>(s) *
                                    static_cast<std::uint64_t>(stride)) %
             static_cast<std::uint64_t>(pool));
+        const rng::SubstreamTail band_tail{plan.block_seed,
+                                           kTagShortOccupant, s};
         for (int j = 0; j < pool; ++j) {
           const int slot = (start + j) % pool;
           if (!activity::TestBit(emitted, slot)) continue;
-          std::uint64_t occ =
-              rng::Substream(plan.block_seed, kTagShortOccupant, s, j);
+          std::uint64_t occ = band_tail.At(static_cast<std::uint64_t>(j));
           queue.Push(hit_gen, slot,
                      SubscriberDraw(pp, SubscriberPropensity(occ), p_day,
                                     spec.step_days));
         }
       } else {
         activity::ForEachSetBit(emitted, [&](int slot) {
-          std::uint64_t occ =
-              rng::Substream(plan.block_seed, kTagShortOccupant, slot, s);
+          std::uint64_t occ = short_tails[static_cast<std::size_t>(slot)].At(
+              static_cast<std::uint64_t>(s));
           queue.Push(hit_gen, slot,
                      SubscriberDraw(pp, SubscriberPropensity(occ), p_day,
                                     spec.step_days));
@@ -800,6 +806,15 @@ void HitsPass(const BlockPlan& plan, const StepSpec& spec,
     segments.push_back(seg);
     lo = hi;
   }
+  std::vector<rng::SubstreamTail> short_tails;
+  if (std::any_of(segments.begin(), segments.end(), [](const Segment& seg) {
+        return seg.pp->kind == PolicyKind::kDynamicShort && !seg.pp->rotating;
+      })) {
+    short_tails.reserve(256);
+    for (int slot = 0; slot < 256; ++slot) {
+      short_tails.emplace_back(plan.block_seed, kTagShortOccupant, slot);
+    }
+  }
   std::array<EpochOccupant, 256> occupants{};
   for (int s = s0; s < s1; ++s) {
     const activity::DayBits& row = rows[s];
@@ -808,7 +823,7 @@ void HitsPass(const BlockPlan& plan, const StepSpec& spec,
     for (const Segment& seg : segments) {
       SegmentHits(plan, spec, *seg.pp, s, weekend[s] != 0,
                   activity::AndBits(row, seg.hosts), hit_gen, occupants,
-                  queue);
+                  short_tails, queue);
     }
     queue.Flush(hits + static_cast<std::size_t>(s) * 256);
   }

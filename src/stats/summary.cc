@@ -22,14 +22,18 @@ std::vector<double> MovingAverage(std::span<const double> series, int w) {
 }
 
 double Gini(std::vector<double> values) {
-  if (values.size() < 2) return 0.0;
   std::sort(values.begin(), values.end());
+  return GiniSorted(values);
+}
+
+double GiniSorted(std::span<const double> sorted) {
+  if (sorted.size() < 2) return 0.0;
   double cum_weighted = 0.0;
   double total = 0.0;
-  const double n = static_cast<double>(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    cum_weighted += (static_cast<double>(i) + 1.0) * values[i];
-    total += values[i];
+  const double n = static_cast<double>(sorted.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    cum_weighted += (static_cast<double>(i) + 1.0) * sorted[i];
+    total += sorted[i];
   }
   if (total <= 0) return 0.0;
   return (2.0 * cum_weighted) / (n * total) - (n + 1.0) / n;

@@ -49,5 +49,8 @@ double PearsonCorrelation(std::span<const double> x, std::span<const double> y);
 // concentrated in one element). Used to summarize traffic concentration
 // across addresses (complementing Fig 9's top-decile share).
 double Gini(std::vector<double> values);
+// The same coefficient of an already ascending sample; Gini(v) equals
+// GiniSorted of v sorted, bit for bit.
+double GiniSorted(std::span<const double> sorted);
 
 }  // namespace ipscope::stats

@@ -205,35 +205,101 @@ TEST(Observatory, ForEachBlockHitsSameSequenceAtPoolSizes1And4) {
   }
 }
 
+// The per-step reference stream: every block with any activity, in key
+// order, with its GenerateStep rows and hits.
+std::vector<Visit> Reference(const Observatory& obs) {
+  std::vector<const sim::BlockPlan*> plans;
+  for (const sim::BlockPlan& plan : obs.world().blocks()) {
+    plans.push_back(&plan);
+  }
+  std::sort(plans.begin(), plans.end(), [](const auto* a, const auto* b) {
+    return net::BlockKeyOf(a->block) < net::BlockKeyOf(b->block);
+  });
+  std::vector<Visit> reference;
+  for (const sim::BlockPlan* plan : plans) {
+    activity::ActivityMatrix m{obs.steps()};
+    std::vector<std::uint32_t> hits(static_cast<std::size_t>(obs.steps()) *
+                                    256);
+    bool any = false;
+    for (int s = 0; s < obs.steps(); ++s) {
+      sim::GenerateStep(*plan, obs.spec(), s, m.Row(s),
+                        hits.data() + static_cast<std::size_t>(s) * 256);
+      any = any || m.Row(s) != activity::DayBits{};
+    }
+    if (any) {
+      reference.push_back({net::BlockKeyOf(plan->block), Digest(m, hits)});
+    }
+  }
+  return reference;
+}
+
 TEST(Observatory, ForEachBlockHitsMatchesGenerateStepReference) {
   // The batched slot-major stream against the per-step reference: the same
   // blocks, in key order, with the same rows and hits.
   for (const Observatory& obs : {Observatory::Daily(SmallWorld()),
                                  Observatory::Weekly(SmallWorld())}) {
-    std::vector<const sim::BlockPlan*> plans;
-    for (const sim::BlockPlan& plan : SmallWorld().blocks()) {
-      plans.push_back(&plan);
-    }
-    std::sort(plans.begin(), plans.end(), [](const auto* a, const auto* b) {
-      return net::BlockKeyOf(a->block) < net::BlockKeyOf(b->block);
-    });
-    std::vector<Visit> reference;
-    for (const sim::BlockPlan* plan : plans) {
-      activity::ActivityMatrix m{obs.steps()};
-      std::vector<std::uint32_t> hits(
-          static_cast<std::size_t>(obs.steps()) * 256);
-      bool any = false;
-      for (int s = 0; s < obs.steps(); ++s) {
-        sim::GenerateStep(*plan, obs.spec(), s, m.Row(s),
-                          hits.data() + static_cast<std::size_t>(s) * 256);
-        any = any || m.Row(s) != activity::DayBits{};
-      }
-      if (any) {
-        reference.push_back({net::BlockKeyOf(plan->block), Digest(m, hits)});
-      }
-    }
+    std::vector<Visit> reference = Reference(obs);
     PoolSize pool{4};
     EXPECT_TRUE(Record(obs) == reference) << "steps " << obs.steps();
+  }
+}
+
+TEST(Observatory, ForEachBlockHitsFlushesEveryBatchAtTheEdges) {
+  // Small worlds whose daily visible (or total) block counts sit on the
+  // batch edges. The seeds were found by search; the count assertions
+  // catch a world-generation change that moves them off the edges.
+  constexpr std::size_t kBatch = Observatory::kHitsBatchBlocks;
+  struct Edge {
+    std::uint64_t seed;
+    int target_client_blocks;
+    std::size_t total;
+    std::size_t visible;
+  };
+  const Edge edges[] = {
+      {1, 0, 0, 0},                // no blocks at all
+      {62, 1, 1, 1},               // one block, visible
+      {35, 40, 74, kBatch},        // exactly one batch of visible blocks
+      {105, 40, 69, kBatch + 1},   // one visible block past a batch
+      {99, 40, kBatch, 47},        // exactly one batch of blocks
+      {9, 40, kBatch + 1, 48},     // a last batch of one block
+  };
+  for (const Edge& edge : edges) {
+    sim::WorldConfig config;
+    config.seed = edge.seed;
+    config.target_client_blocks = edge.target_client_blocks;
+    const sim::World world{config};
+    ASSERT_EQ(world.blocks().size(), edge.total) << "seed " << edge.seed;
+    const Observatory daily = Observatory::Daily(world);
+    const std::vector<Visit> reference = Reference(daily);
+    ASSERT_EQ(reference.size(), edge.visible) << "seed " << edge.seed;
+    for (int threads : {1, 4}) {
+      PoolSize pool{threads};
+      EXPECT_TRUE(Record(daily) == reference)
+          << "seed " << edge.seed << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(Observatory, ConsumeExceptionStopsTheStream) {
+  // consume throws on visible block j: the exception reaches the caller
+  // and no block after j is consumed, wherever j sits in its batch.
+  Observatory daily = Observatory::Daily(SmallWorld());
+  const std::size_t visible = Record(daily).size();
+  constexpr std::size_t kBatch = Observatory::kHitsBatchBlocks;
+  ASSERT_GT(visible, kBatch + 5);
+  for (std::size_t j : {std::size_t{0}, kBatch - 1, kBatch + 5, visible - 1}) {
+    for (int threads : {1, 4}) {
+      PoolSize pool{threads};
+      std::size_t consumed = 0;
+      EXPECT_THROW(daily.ForEachBlockHits([&](const sim::BlockPlan&,
+                                              const activity::ActivityMatrix&,
+                                              std::span<const std::uint32_t>) {
+        if (consumed == j) throw std::runtime_error("consume failed");
+        ++consumed;
+      }),
+                   std::runtime_error);
+      EXPECT_EQ(consumed, j) << threads << " threads";
+    }
   }
 }
 
@@ -277,6 +343,19 @@ TEST(Observatory, MapExceptionReachesCallerBeforeItsBatchIsConsumed) {
   }
 }
 
+// The oracle for the one-pass month scan: the fold of Union over the
+// per-day scans of the same days.
+net::Ipv4Set FoldedScans(const scan::IcmpScanner& scanner,
+                         std::int32_t month_start_day, int month_days,
+                         int num_scans) {
+  net::Ipv4Set all;
+  for (int i = 0; i < num_scans; ++i) {
+    all = all.Union(
+        scanner.Scan(month_start_day + (i * month_days) / num_scans));
+  }
+  return all;
+}
+
 TEST(IcmpScanner, ScanMonthSameSetAtPoolSizes1And4) {
   scan::IcmpScanner scanner{SmallWorld()};
   net::Ipv4Set serial;
@@ -291,6 +370,41 @@ TEST(IcmpScanner, ScanMonthSameSetAtPoolSizes1And4) {
   }
   EXPECT_GT(serial.Count(), 0u);
   EXPECT_TRUE(serial == parallel);
+  EXPECT_TRUE(serial == FoldedScans(scanner, 273, 31, 8));
+}
+
+TEST(IcmpScanner, ScanMonthGatesEachScanDayByTheBlockWindow) {
+  // Months whose 8 scan days (start + {0, 3, 7, 10, 14, 17, 21, 24})
+  // straddle a responding client block's activation or deactivation day,
+  // with one scan day just outside the window: active_from - 1 or
+  // active_until. Its +-3-day neighbourhood holds activity, so only the
+  // window gate keeps the block silent on that day.
+  scan::IcmpScanner scanner{SmallWorld()};
+  std::vector<std::int32_t> month_starts;
+  for (const sim::BlockPlan& plan : SmallWorld().blocks()) {
+    if (month_starts.size() >= 4) break;
+    if (sim::IsInfraPolicy(plan.base.kind)) continue;
+    const std::uint32_t first = plan.block.network().value();
+    if (plan.active_from > 30 && plan.active_from < 330 &&
+        scanner.Scan(plan.active_from + 7)
+            .IntersectsRange(first, first + 255)) {
+      month_starts.push_back(plan.active_from - 15);
+    }
+    if (plan.active_until > 30 && plan.active_until < 330 &&
+        scanner.Scan(plan.active_until - 7)
+            .IntersectsRange(first, first + 255)) {
+      month_starts.push_back(plan.active_until - 14);
+    }
+  }
+  ASSERT_FALSE(month_starts.empty()) << "no responding block with an edge";
+  for (int threads : {1, 4}) {
+    PoolSize pool{threads};
+    for (std::int32_t start : month_starts) {
+      EXPECT_TRUE(scanner.ScanMonth(start, 28, 8) ==
+                  FoldedScans(scanner, start, 28, 8))
+          << "month start " << start << ", " << threads << " threads";
+    }
+  }
 }
 
 TEST(Dataset, SummarizeTotalsConsistent) {

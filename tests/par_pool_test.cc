@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -224,6 +227,31 @@ TEST(ParReduce, FloatingPointBitIdenticalAcrossThreadCounts) {
     for (int repeat = 0; repeat < 3; ++repeat) {
       double got = run(pool);
       EXPECT_EQ(got, reference) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(ParSort, MatchesStdSortForAnySizeGrainAndPoolSize) {
+  // Sizes around the chunk edges, including an odd chunk count whose last
+  // run merges in a later round; many duplicates.
+  std::uint64_t state = 12345;
+  for (std::size_t n : {0, 1, 2, 7, 100, 1000, 4097}) {
+    std::vector<double> values(n);
+    for (double& v : values) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      v = static_cast<double>(state >> 54);
+    }
+    std::vector<double> expected = values;
+    std::sort(expected.begin(), expected.end());
+    for (std::size_t grain : {1, 3, 64, 5000}) {
+      for (int threads : {1, 4}) {
+        Pool pool{threads};
+        std::vector<double> sorted = values;
+        ParallelSort(pool, std::span<double>{sorted}, grain);
+        EXPECT_EQ(sorted, expected)
+            << n << " values, grain " << grain << ", " << threads
+            << " threads";
+      }
     }
   }
 }

@@ -51,6 +51,31 @@ TEST_P(IpSetDensity, AlgebraLaws) {
   EXPECT_TRUE(a.Subtract(a).Empty());
 }
 
+TEST_P(IpSetDensity, UnionMatchesFromValuesOfTheConcatenatedMembers) {
+  // Union merges two canonical interval lists; FromValues sorts and
+  // coalesces the raw members. Odd trials mirror the values to the top of
+  // the address line, where the adjacency check must not overflow.
+  std::uint32_t range = static_cast<std::uint32_t>(GetParam());
+  rng::Xoshiro256 g{static_cast<std::uint64_t>(range) * 17 + 3};
+  for (int trial = 0; trial < 24; ++trial) {
+    auto members = [&] {
+      std::vector<std::uint32_t> v(g.NextBounded(400));
+      for (std::uint32_t& x : v) {
+        x = g.NextBounded(range);
+        if (trial % 2 == 1) x = 0xFFFFFFFFu - x;
+      }
+      return v;
+    };
+    std::vector<std::uint32_t> va = members();
+    std::vector<std::uint32_t> vb = members();
+    net::Ipv4Set a = net::Ipv4Set::FromValues(va);
+    net::Ipv4Set b = net::Ipv4Set::FromValues(vb);
+    std::vector<std::uint32_t> both = va;
+    both.insert(both.end(), vb.begin(), vb.end());
+    EXPECT_EQ(a.Union(b), net::Ipv4Set::FromValues(both)) << "trial " << trial;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Densities, IpSetDensity,
                          ::testing::Values(500, 2000, 20000, 1000000,
                                            0x7FFFFFFF));

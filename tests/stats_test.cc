@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -69,6 +70,14 @@ TEST(Summary, GiniScaleInvariant) {
   EXPECT_NEAR(Gini(base), Gini(scaled), 1e-12);
   EXPECT_GT(Gini(base), 0.0);
   EXPECT_LT(Gini(base), 1.0);
+}
+
+TEST(Summary, GiniSortedIsGiniOfTheSortedSample) {
+  std::vector<double> values{20, 1, 3, 10, 2, 3, 0.5};
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(GiniSorted(sorted), Gini(values));  // bit for bit
+  EXPECT_EQ(GiniSorted({}), 0.0);
 }
 
 TEST(Quantile, LinearInterpolation) {
