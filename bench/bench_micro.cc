@@ -137,8 +137,8 @@ BENCHMARK(BM_GenerateBlockHits);
 
 // One step's worth of hit draws (256 subscriber-like lanes: mu 2..10.2,
 // sigma 0.5..1.3, daily cap), evaluated by the scalar libm formula
-// (arg 0) or by the certified batch kernel with its exact fallback
-// (arg 1). Items are draws, so the reported time per item is ns per draw.
+// (arg 0) or by one target of the certified kernel (args 1..3, labelled).
+// Items are draws, so the reported time per item is ns per lane.
 void BM_HitDraws(benchmark::State& state) {
   constexpr std::size_t kLanes = 256;
   rng::Xoshiro256 g{9};
@@ -154,11 +154,25 @@ void BM_HitDraws(benchmark::State& state) {
                                          mu.data(),    sigma.data(),
                                          scale.data(), cap.data()};
   std::vector<std::uint32_t> out(kLanes);
-  const bool batch = state.range(0) == 1;
+  // Arg 0: the scalar libm formula; 1..3: the certified kernel's portable,
+  // AVX2 and AVX-512 targets (a target the CPU lacks is skipped).
+  using Kernel = std::size_t (*)(std::size_t, const rng::FlooredLogNormalLanes&,
+                                 std::uint32_t*);
+  constexpr Kernel kKernels[] = {nullptr,
+                                 rng::FlooredLogNormalCertifiedPortable,
+                                 rng::FlooredLogNormalCertifiedAvx2,
+                                 rng::FlooredLogNormalCertifiedAvx512};
+  constexpr const char* kLabels[] = {"scalar", "portable", "avx2", "avx512"};
+  const auto target = static_cast<std::size_t>(state.range(0));
+  if ((target == 2 && !rng::FlooredLogNormalAvx2Available()) ||
+      (target == 3 && !rng::FlooredLogNormalAvx512Available())) {
+    state.SkipWithError("target not supported by this CPU");
+    return;
+  }
+  const Kernel kernel = kKernels[target];
   for (auto _ : state) {
-    if (batch) {
-      benchmark::DoNotOptimize(
-          rng::FlooredLogNormalBatch(kLanes, lanes, out.data()));
+    if (kernel != nullptr) {
+      benchmark::DoNotOptimize(kernel(kLanes, lanes, out.data()));
     } else {
       for (std::size_t i = 0; i < kLanes; ++i) {
         out[i] = rng::FlooredLogNormal(u1[i], u2[i], mu[i], sigma[i],
@@ -168,11 +182,11 @@ void BM_HitDraws(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(batch ? "batch" : "scalar");
+  state.SetLabel(kLabels[target]);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kLanes));
 }
-BENCHMARK(BM_HitDraws)->Arg(0)->Arg(1);
+BENCHMARK(BM_HitDraws)->DenseRange(0, 3);
 
 void BM_IsolatingMask(benchmark::State& state) {
   rng::Xoshiro256 g{11};

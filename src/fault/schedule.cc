@@ -150,7 +150,7 @@ bool ParseSchedule(const std::string& text, Schedule* schedule,
                std::to_string(value) + "'";
       return false;
     }
-    out.faults.push_back(FaultSpec{info->kind, value});
+    out.faults.push_back(FaultSpec{info->kind, value, {}});
   }
   *schedule = std::move(out);
   return true;

@@ -178,19 +178,29 @@ __attribute__((target("avx2"))) std::size_t KernelAvx2(
   return Kernel(n, lanes, out);
 }
 
-bool DetectAvx2() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
+// The features DetectKernelTarget requires for KernelTarget::kAvx512.
+__attribute__((target("avx512f,avx512dq"))) std::size_t KernelAvx512(
+    std::size_t n, const FlooredLogNormalLanes& lanes, std::uint32_t* out) {
+  return Kernel(n, lanes, out);
 }
-#else
-bool DetectAvx2() { return false; }
 #endif
 
 // Read once during static initialization and never written again, so
 // dispatch needs no lock. Zero-initialized (portable) until then.
-const bool kAvx2 = DetectAvx2();
+const KernelTarget kTarget = DetectKernelTarget();
 
 }  // namespace
+
+KernelTarget DetectKernelTarget() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
+    return KernelTarget::kAvx512;
+  }
+  if (__builtin_cpu_supports("avx2")) return KernelTarget::kAvx2;
+#endif
+  return KernelTarget::kPortable;
+}
 
 std::size_t FlooredLogNormalCertifiedPortable(
     std::size_t n, const FlooredLogNormalLanes& lanes, std::uint32_t* out) {
@@ -207,13 +217,35 @@ std::size_t FlooredLogNormalCertifiedAvx2(std::size_t n,
 #endif
 }
 
-bool FlooredLogNormalAvx2Available() { return kAvx2; }
+std::size_t FlooredLogNormalCertifiedAvx512(
+    std::size_t n, const FlooredLogNormalLanes& lanes, std::uint32_t* out) {
+#if defined(__x86_64__)
+  return KernelAvx512(n, lanes, out);
+#else
+  return Kernel(n, lanes, out);
+#endif
+}
+
+bool FlooredLogNormalAvx2Available() {
+  return kTarget >= KernelTarget::kAvx2;
+}
+
+bool FlooredLogNormalAvx512Available() {
+  return kTarget == KernelTarget::kAvx512;
+}
 
 std::size_t FlooredLogNormalCertified(std::size_t n,
                                       const FlooredLogNormalLanes& lanes,
                                       std::uint32_t* out) {
-  return kAvx2 ? FlooredLogNormalCertifiedAvx2(n, lanes, out)
-               : FlooredLogNormalCertifiedPortable(n, lanes, out);
+  switch (kTarget) {
+    case KernelTarget::kAvx512:
+      return FlooredLogNormalCertifiedAvx512(n, lanes, out);
+    case KernelTarget::kAvx2:
+      return FlooredLogNormalCertifiedAvx2(n, lanes, out);
+    case KernelTarget::kPortable:
+      break;
+  }
+  return FlooredLogNormalCertifiedPortable(n, lanes, out);
 }
 
 }  // namespace ipscope::rng

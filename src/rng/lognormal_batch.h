@@ -50,13 +50,17 @@
 //
 // Evaluation. The kernel is one loop over structure-of-arrays lanes with
 // no data-dependent branch; its translation unit is built with -O3
-// -fno-math-errno -fno-trapping-math -ffp-contract=off (no -ffast-math),
-// and on x86-64 an AVX2 clone of the same loop is picked once at static
-// initialization from the CPU features — no lock, no knob. Both targets
-// are public so tests call each directly. Out-of-domain lanes (including
-// NaN or infinite inputs) never reach a double-to-integer conversion
-// with an out-of-range value: they are forced to a harmless 1.0 and
-// reported as uncertified.
+// -fno-math-errno -fno-trapping-math -ffp-contract=off (no -ffast-math).
+// On x86-64 the same loop is also compiled for AVX-512 (F + DQ: eight
+// lanes per instruction) and for AVX2 (four), and FlooredLogNormalCertified
+// picks the widest one the CPU runs, in the order AVX-512, AVX2, portable,
+// once at static initialization — no lock, no knob. Every target is
+// public so tests call each directly. Contraction is off on every target,
+// so each one rounds every product and sum separately and all of them
+// return the same integers and the same zeros. Out-of-domain lanes
+// (including NaN or infinite inputs) never reach a double-to-integer
+// conversion with an out-of-range value: they are forced to a harmless
+// 1.0 and reported as uncertified.
 #pragma once
 
 #include <algorithm>
@@ -93,20 +97,32 @@ struct FlooredLogNormalLanes {
 
 // The kernel alone: out[i] = the lane's value if certified, else 0 (a
 // value FlooredLogNormal never returns). Returns the number of zeros.
-// Dispatches to the AVX2 clone when the CPU has AVX2.
+// Dispatches to the widest target the CPU runs.
 std::size_t FlooredLogNormalCertified(std::size_t n,
                                       const FlooredLogNormalLanes& lanes,
                                       std::uint32_t* out);
 
-// The two targets behind FlooredLogNormalCertified, identical in result.
+// The instruction sets a lane kernel is compiled for, narrowest first.
+// DetectKernelTarget reads the CPU features on every call: kAvx512 needs
+// AVX-512 F and DQ, kAvx2 needs AVX2. Each dispatching translation unit
+// (this kernel; sim's subscriber lane loop, which has only the AVX-512 and
+// portable targets) stores its result once during static initialization.
+enum class KernelTarget : std::uint8_t { kPortable, kAvx2, kAvx512 };
+KernelTarget DetectKernelTarget();
+
+// The three targets behind FlooredLogNormalCertified, identical in result.
 // FlooredLogNormalCertifiedAvx2 may only be called when
-// FlooredLogNormalAvx2Available() is true.
+// FlooredLogNormalAvx2Available() is true, FlooredLogNormalCertifiedAvx512
+// only when FlooredLogNormalAvx512Available() is.
 std::size_t FlooredLogNormalCertifiedPortable(
     std::size_t n, const FlooredLogNormalLanes& lanes, std::uint32_t* out);
 std::size_t FlooredLogNormalCertifiedAvx2(std::size_t n,
                                           const FlooredLogNormalLanes& lanes,
                                           std::uint32_t* out);
+std::size_t FlooredLogNormalCertifiedAvx512(
+    std::size_t n, const FlooredLogNormalLanes& lanes, std::uint32_t* out);
 bool FlooredLogNormalAvx2Available();
+bool FlooredLogNormalAvx512Available();
 
 // Every lane, exactly: the kernel, then FlooredLogNormal for the lanes it
 // could not certify. Inline, so the fallback is compiled in the caller's

@@ -109,7 +109,12 @@ void IcmpScanner::ScanBlockInto(const sim::BlockPlan& plan, std::int32_t day,
   }
 
   // Client activity around the scan: the +-3-day neighbourhood, as one
-  // slot-major GenerateBlock call over a 7-step daily window.
+  // slot-major GenerateBlock call over a 7-step daily window. Each scan
+  // day needs its own window starting at day - 3: GenerateBlock keys its
+  // activity draws by the step index relative to spec.start_day, not by
+  // the absolute day, so a day's row depends on where the window starts,
+  // and one wider window shared by several scan days (ScanMonth) would
+  // change the responders.
   sim::StepSpec spec;
   spec.start_day = day - 3;
   spec.step_days = 1;

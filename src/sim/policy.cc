@@ -75,27 +75,24 @@ int ActiveDaysInStep(double p_day, int step_days) {
   return std::clamp(d, 1, step_days);
 }
 
-// The parameters of one emission's hit count for one step:
-// rng::FlooredLogNormal(u1, u2, mu, sigma, scale, cap) × days, capped at
-// 2^30. A subscriber draws a daily count scaled by its expected active
-// days in the step; an always-on gateway or crawler address scales the
-// lognormal itself by the step length and is clamped to [1, 1e9].
-struct HitDraw {
-  double mu = 0.0;
+// One emission's hit count for one step is rng::FlooredLogNormal(u1, u2,
+// mu, sigma, scale, cap) × days, capped at 2^30. HitShape is the (sigma,
+// scale, cap) of that draw. A subscriber draws a daily count scaled by its
+// expected active days in the step (ActiveDaysInStep); an always-on
+// gateway or crawler address scales the lognormal itself by the step
+// length, is clamped to [1, 1e9] and has days = 1.
+struct HitShape {
   double sigma = 0.0;
   double scale = 1.0;
   double cap = 1.0;
-  int days = 1;
 };
 
-HitDraw SubscriberDraw(const PolicyParams& pp, double propensity,
-                       double p_day, int step_days) {
-  return {DailyHitsMu(pp.hits_mu, propensity), pp.hits_sigma, 1.0,
-          kDailyHitsCap, ActiveDaysInStep(p_day, step_days)};
+HitShape SubscriberShape(const PolicyParams& pp) {
+  return {pp.hits_sigma, 1.0, kDailyHitsCap};
 }
 
-HitDraw AlwaysOnDraw(double mu, double sigma, int step_days) {
-  return {mu, sigma, static_cast<double>(step_days), 1.0e9, 1};
+HitShape AlwaysOnShape(double sigma, int step_days) {
+  return {sigma, static_cast<double>(step_days), 1.0e9};
 }
 
 std::uint32_t ScaledHits(std::uint32_t value, int days) {
@@ -106,11 +103,12 @@ std::uint32_t ScaledHits(std::uint32_t value, int days) {
 // GenerateStep's hit count: draws u1, then u2, from hit_gen and evaluates
 // the scalar formula at once. The GenerateBlock hits pass draws the same
 // uniforms in the same order but evaluates them in batches (HitQueue).
-std::uint32_t DrawHits(rng::Xoshiro256& hit_gen, const HitDraw& d) {
+std::uint32_t DrawHits(rng::Xoshiro256& hit_gen, double mu,
+                       const HitShape& d, int days) {
   const double u1 = hit_gen.NextDouble();
   const double u2 = hit_gen.NextDouble();
-  return ScaledHits(
-      rng::FlooredLogNormal(u1, u2, d.mu, d.sigma, d.scale, d.cap), d.days);
+  return ScaledHits(rng::FlooredLogNormal(u1, u2, mu, d.sigma, d.scale, d.cap),
+                    days);
 }
 
 }  // namespace
@@ -193,8 +191,9 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
     activity::SetBit(bits, host);
     if (occupants256 != nullptr) occupants256[host] = occupant;
     if (hits256 == nullptr) return;
-    hits256[host] = DrawHits(
-        hit_gen, SubscriberDraw(pp, propensity, p_day, spec.step_days));
+    hits256[host] = DrawHits(hit_gen, DailyHitsMu(pp.hits_mu, propensity),
+                             SubscriberShape(pp),
+                             ActiveDaysInStep(p_day, spec.step_days));
   };
 
   switch (pp.kind) {
@@ -310,9 +309,9 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
         if (slot < seg_lo || slot > seg_hi) continue;
         activity::SetBit(bits, slot);
         if (hits256 != nullptr) {
-          hits256[slot] = DrawHits(
-              hit_gen, AlwaysOnDraw(double{pp.hits_mu} + growth,
-                                    double{pp.hits_sigma}, spec.step_days));
+          hits256[slot] =
+              DrawHits(hit_gen, double{pp.hits_mu} + growth,
+                       AlwaysOnShape(pp.hits_sigma, spec.step_days), 1);
         }
       }
       return;
@@ -327,8 +326,9 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
         if (slot < seg_lo || slot > seg_hi) continue;
         activity::SetBit(bits, slot);
         if (hits256 != nullptr) {
-          hits256[slot] = DrawHits(
-              hit_gen, AlwaysOnDraw(pp.hits_mu, pp.hits_sigma, spec.step_days));
+          hits256[slot] =
+              DrawHits(hit_gen, pp.hits_mu,
+                       AlwaysOnShape(pp.hits_sigma, spec.step_days), 1);
         }
       }
       return;
@@ -613,27 +613,70 @@ void RenderPolicy(const BlockPlan& plan, const StepSpec& spec,
 // vectorized polynomial kernel that certifies each lane's integer against
 // an error bound and recomputes the few it cannot certify with the same
 // scalar formula GenerateStep uses. The result is GenerateStep's, bit for
-// bit, at a fraction of the scalar log/cos/exp cost.
+// bit, at a fraction of the scalar log/cos/exp cost. The dynamic-short
+// policies (two thirds of all daily draws) queue only their occupant's
+// identity hash: SubscriberHitsMu turns a whole run of them into mu in
+// lanes just before the kernel runs.
 
-// One step's queued hit draws, in hit_gen's draw order. A step emits each
-// host at most once (ownership segments partition the hosts), so 256
-// lanes always suffice.
+// One step's queued hit draws, in hit_gen's draw order, as runs of lanes:
+// a run is one ownership segment's emissions, whose HitShape is one
+// per-step constant, so per lane only the uniforms, the host and either
+// mu or the occupant (and, for the epoch policies, the days) are written.
+// How a run's lanes are pushed is fixed when it begins.
+// A step emits each host at most once (ownership segments partition the
+// hosts), so 256 lanes always suffice.
 class HitQueue {
  public:
-  void Push(rng::Xoshiro256& hit_gen, int host, const HitDraw& d) {
-    u1_[n_] = hit_gen.NextDouble();
-    u2_[n_] = hit_gen.NextDouble();
-    mu_[n_] = d.mu;
-    sigma_[n_] = d.sigma;
-    scale_[n_] = d.scale;
-    cap_[n_] = d.cap;
-    host_[n_] = static_cast<std::uint8_t>(host);
-    days_[n_] = d.days;
-    ++n_;
+  // Starts a run of lanes that each carry their own mu and share `days`
+  // (Push without days).
+  void BeginRun(const HitShape& shape, int days) {
+    runs_.push_back({n_, shape, days, 0.0, /*lane_days=*/false});
+  }
+
+  // Starts a run of lanes that each carry their own mu and days (Push
+  // with days).
+  void BeginLaneDaysRun(const HitShape& shape) {
+    runs_.push_back({n_, shape, 0, 0.0, /*lane_days=*/true});
+  }
+
+  // Starts a run of lanes that carry a subscriber identity (PushOccupant)
+  // and share `days`: Flush sets their mu to DailyHitsMu(hits_mu,
+  // SubscriberPropensity(occ)).
+  void BeginSubscriberRun(double hits_mu, const HitShape& shape, int days) {
+    runs_.push_back(
+        {n_, shape, days, hits_mu, /*lane_days=*/false, /*derive_mu=*/true});
+  }
+
+  // A lane of the current run, in the form its Begin call named.
+  void Push(rng::Xoshiro256& hit_gen, int host, double mu) {
+    mu_[Draw(hit_gen, host)] = mu;
+  }
+  void Push(rng::Xoshiro256& hit_gen, int host, double mu, int days) {
+    days_[n_] = days;
+    Push(hit_gen, host, mu);
+  }
+  void PushOccupant(rng::Xoshiro256& hit_gen, int host,
+                    std::uint64_t occupant) {
+    occupant_[Draw(hit_gen, host)] = occupant;
   }
 
   // Evaluates every queued draw into out[host] and empties the queue.
   void Flush(std::uint32_t* out) {
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      const Run& run = runs_[r];
+      const std::size_t b = run.begin;
+      const std::size_t e = r + 1 < runs_.size() ? runs_[r + 1].begin : n_;
+      std::fill(sigma_.begin() + b, sigma_.begin() + e, run.shape.sigma);
+      std::fill(scale_.begin() + b, scale_.begin() + e, run.shape.scale);
+      std::fill(cap_.begin() + b, cap_.begin() + e, run.shape.cap);
+      if (!run.lane_days) {
+        std::fill(days_.begin() + b, days_.begin() + e, run.days);
+      }
+      if (run.derive_mu) {
+        SubscriberHitsMu(run.hits_mu, e - b, occupant_.data() + b,
+                         mu_.data() + b);
+      }
+    }
     const rng::FlooredLogNormalLanes lanes{u1_.data(),    u2_.data(),
                                            mu_.data(),    sigma_.data(),
                                            scale_.data(), cap_.data()};
@@ -643,14 +686,34 @@ class HitQueue {
     }
     draws_ += n_;
     n_ = 0;
+    runs_.clear();
   }
 
   std::uint64_t draws() const { return draws_; }
   std::uint64_t fallbacks() const { return fallbacks_; }
 
  private:
+  struct Run {
+    std::size_t begin;  // first lane; the run ends where the next begins
+    HitShape shape;
+    int days;  // unused when lane_days
+    double hits_mu;
+    bool lane_days;
+    bool derive_mu = false;
+  };
+
+  // Draws the next lane's uniforms in hit_gen's order; returns its index.
+  std::size_t Draw(rng::Xoshiro256& hit_gen, int host) {
+    u1_[n_] = hit_gen.NextDouble();
+    u2_[n_] = hit_gen.NextDouble();
+    host_[n_] = static_cast<std::uint8_t>(host);
+    return n_++;
+  }
+
   std::size_t n_ = 0;
+  std::vector<Run> runs_;
   std::array<double, 256> u1_{}, u2_{}, mu_{}, sigma_{}, scale_{}, cap_{};
+  std::array<std::uint64_t, 256> occupant_{};
   std::array<std::uint32_t, 256> value_{};
   std::array<std::uint8_t, 256> host_{};
   std::array<int, 256> days_{};
@@ -706,10 +769,9 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
       o.propensity = SubscriberPropensity(
           rng::Substream(plan.block_seed, kTagOccupant, slot, epoch));
     }
-    queue.Push(hit_gen, host,
-               SubscriberDraw(pp, o.propensity,
-                              std::min(0.98, o.propensity * weekend_adj),
-                              spec.step_days));
+    queue.Push(hit_gen, host, DailyHitsMu(pp.hits_mu, o.propensity),
+               ActiveDaysInStep(std::min(0.98, o.propensity * weekend_adj),
+                                spec.step_days));
   };
   switch (pp.kind) {
     case PolicyKind::kUnused:
@@ -717,17 +779,21 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
     case PolicyKind::kMiddlebox:
       return;
     case PolicyKind::kStatic:
+      queue.BeginLaneDaysRun(SubscriberShape(pp));
       for (int slot = 0; slot < pool; ++slot) {
         const int host = plan.host_perm[static_cast<std::size_t>(slot)];
         if (activity::TestBit(emitted, host)) epoch_hits(slot, host);
       }
       return;
     case PolicyKind::kDynamicLong:
+      queue.BeginLaneDaysRun(SubscriberShape(pp));
       activity::ForEachSetBit(emitted,
                               [&](int slot) { epoch_hits(slot, slot); });
       return;
     case PolicyKind::kDynamicShort: {
       const double p_day = std::min(0.98, double{pp.daily_p} * weekend_adj);
+      queue.BeginSubscriberRun(pp.hits_mu, SubscriberShape(pp),
+                               ActiveDaysInStep(p_day, spec.step_days));
       if (pp.rotating) {
         // Band order: j counts from the band's start, wrapping mod pool.
         const int stride = std::max<int>(
@@ -741,18 +807,14 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
         for (int j = 0; j < pool; ++j) {
           const int slot = (start + j) % pool;
           if (!activity::TestBit(emitted, slot)) continue;
-          std::uint64_t occ = band_tail.At(static_cast<std::uint64_t>(j));
-          queue.Push(hit_gen, slot,
-                     SubscriberDraw(pp, SubscriberPropensity(occ), p_day,
-                                    spec.step_days));
+          queue.PushOccupant(hit_gen, slot,
+                             band_tail.At(static_cast<std::uint64_t>(j)));
         }
       } else {
         activity::ForEachSetBit(emitted, [&](int slot) {
-          std::uint64_t occ = short_tails[static_cast<std::size_t>(slot)].At(
-              static_cast<std::uint64_t>(s));
-          queue.Push(hit_gen, slot,
-                     SubscriberDraw(pp, SubscriberPropensity(occ), p_day,
-                                    spec.step_days));
+          queue.PushOccupant(hit_gen, slot,
+                             short_tails[static_cast<std::size_t>(slot)].At(
+                                 static_cast<std::uint64_t>(s)));
         });
       }
       return;
@@ -760,25 +822,25 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
     case PolicyKind::kCgnGateway: {
       const double growth =
           spec.gateway_growth * (static_cast<double>(mid) / 364.0);
-      activity::ForEachSetBit(emitted, [&](int slot) {
-        queue.Push(hit_gen, slot,
-                   AlwaysOnDraw(double{pp.hits_mu} + growth,
-                                double{pp.hits_sigma}, spec.step_days));
-      });
+      const double mu = double{pp.hits_mu} + growth;
+      queue.BeginRun(AlwaysOnShape(pp.hits_sigma, spec.step_days), 1);
+      activity::ForEachSetBit(
+          emitted, [&](int slot) { queue.Push(hit_gen, slot, mu); });
       return;
     }
     case PolicyKind::kCrawlerBots:
-      activity::ForEachSetBit(emitted, [&](int slot) {
-        queue.Push(hit_gen, slot,
-                   AlwaysOnDraw(pp.hits_mu, pp.hits_sigma, spec.step_days));
-      });
+      queue.BeginRun(AlwaysOnShape(pp.hits_sigma, spec.step_days), 1);
+      activity::ForEachSetBit(
+          emitted, [&](int slot) { queue.Push(hit_gen, slot, pp.hits_mu); });
       return;
-    case PolicyKind::kServerFarm:
-      activity::ForEachSetBit(emitted, [&](int slot) {
-        queue.Push(hit_gen, slot,
-                   SubscriberDraw(pp, 0.1, pp.daily_p, spec.step_days));
-      });
+    case PolicyKind::kServerFarm: {
+      const double mu = DailyHitsMu(pp.hits_mu, 0.1);
+      queue.BeginRun(SubscriberShape(pp),
+                     ActiveDaysInStep(pp.daily_p, spec.step_days));
+      activity::ForEachSetBit(
+          emitted, [&](int slot) { queue.Push(hit_gen, slot, mu); });
       return;
+    }
   }
 }
 

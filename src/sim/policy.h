@@ -145,7 +145,11 @@ inline void GenerateStep(const BlockPlan& plan, const StepSpec& spec,
 // with rng::FlooredLogNormalBatch, whose certified polynomial kernel falls
 // back to GenerateStep's own scalar formula wherever it cannot prove the
 // integer; it counts `sim.hits.draws` and `sim.hits.exact_fallbacks`
-// (one Add each per call). Callers that need occupants stay on
+// (one Add each per call). A kDynamicShort emission queues only its
+// occupant's identity hash: just before the kernel, one vectorized lane
+// loop (SubscriberHitsMu, sim/behavior.h) turns each run of them into
+// DailyHitsMu(hits_mu, SubscriberPropensity(occupant)), the same value
+// GenerateStep computes. Callers that need occupants stay on
 // GenerateStep.
 void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
                    activity::DayBits* rows, std::uint32_t* hits = nullptr);

@@ -264,7 +264,7 @@ TEST(ObsTrace, EventsAreMonotonicallyConsistent) {
   for (int i = 0; i < 5; ++i) {
     std::int64_t start = rec.NowMicros();
     volatile double sink = 0;
-    for (int j = 0; j < 1000; ++j) sink += j;
+    for (int j = 0; j < 1000; ++j) sink = sink + j;
     rec.AddComplete("stage." + std::to_string(i), "test", start,
                     rec.NowMicros() - start);
   }

@@ -171,7 +171,9 @@ TEST_P(PolicyKindSweep, KernelInvariants) {
       // Hits iff active.
       EXPECT_EQ(active, hits[h] > 0) << h;
       // Activity confined to the managed pool (identity permutation).
-      if (h >= 200) EXPECT_FALSE(active) << h;
+      if (h >= 200) {
+        EXPECT_FALSE(active) << h;
+      }
       // Occupants only on active client addresses; never for gateways.
       if (occupants[h] != 0) {
         EXPECT_TRUE(active);

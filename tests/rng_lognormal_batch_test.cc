@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "rng/rng.h"
@@ -37,25 +38,61 @@ struct Lanes {
   void Clear() { *this = Lanes{}; }
 };
 
-// The kernel's targets on this host: portable always, AVX2 when present.
-std::vector<std::uint32_t> RunTarget(bool avx2, const Lanes& lanes,
+bool Available(KernelTarget target) {
+  switch (target) {
+    case KernelTarget::kAvx512:
+      return FlooredLogNormalAvx512Available();
+    case KernelTarget::kAvx2:
+      return FlooredLogNormalAvx2Available();
+    case KernelTarget::kPortable:
+      break;
+  }
+  return true;
+}
+
+const char* TargetName(KernelTarget target) {
+  switch (target) {
+    case KernelTarget::kAvx512:
+      return "avx512";
+    case KernelTarget::kAvx2:
+      return "avx2";
+    case KernelTarget::kPortable:
+      break;
+  }
+  return "portable";
+}
+
+// One target of the kernel, called directly.
+std::vector<std::uint32_t> RunTarget(KernelTarget target, const Lanes& lanes,
                                      std::size_t* fallbacks) {
   std::vector<std::uint32_t> out(lanes.size(), 0xdeadbeefu);
-  *fallbacks = avx2 ? FlooredLogNormalCertifiedAvx2(lanes.size(),
-                                                    lanes.View(), out.data())
-                    : FlooredLogNormalCertifiedPortable(
-                          lanes.size(), lanes.View(), out.data());
+  switch (target) {
+    case KernelTarget::kAvx512:
+      *fallbacks = FlooredLogNormalCertifiedAvx512(lanes.size(), lanes.View(),
+                                                   out.data());
+      break;
+    case KernelTarget::kAvx2:
+      *fallbacks = FlooredLogNormalCertifiedAvx2(lanes.size(), lanes.View(),
+                                                 out.data());
+      break;
+    case KernelTarget::kPortable:
+      *fallbacks = FlooredLogNormalCertifiedPortable(
+          lanes.size(), lanes.View(), out.data());
+      break;
+  }
   return out;
 }
 
-// Checks every lane on every target: a certified lane equals the scalar
-// formula, both targets agree lane by lane (zeros included), the returned
-// count is the number of zeros, and the dispatching batch equals the
-// scalar formula everywhere. Returns the number of fallbacks.
+// Checks the portable target and the dispatching batch on every lane: a
+// certified lane equals the scalar formula, the returned count is the
+// number of zeros, and the batch equals the scalar formula everywhere.
+// (Each vector target is checked lane for lane against the portable one
+// by the LogNormalBatchTarget tests below.) Returns the number of
+// fallbacks.
 std::size_t CheckLanes(const Lanes& lanes) {
   std::size_t portable_fallbacks = 0;
   const std::vector<std::uint32_t> portable =
-      RunTarget(false, lanes, &portable_fallbacks);
+      RunTarget(KernelTarget::kPortable, lanes, &portable_fallbacks);
   std::size_t zeros = 0;
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     if (portable[i] == 0) {
@@ -67,13 +104,6 @@ std::size_t CheckLanes(const Lanes& lanes) {
         << " mu=" << lanes.mu[i] << " sigma=" << lanes.sigma[i];
   }
   EXPECT_EQ(zeros, portable_fallbacks);
-  if (FlooredLogNormalAvx2Available()) {
-    std::size_t avx2_fallbacks = 0;
-    const std::vector<std::uint32_t> avx2 =
-        RunTarget(true, lanes, &avx2_fallbacks);
-    EXPECT_EQ(avx2, portable);
-    EXPECT_EQ(avx2_fallbacks, portable_fallbacks);
-  }
   std::vector<std::uint32_t> batch(lanes.size());
   EXPECT_EQ(FlooredLogNormalBatch(lanes.size(), lanes.View(), batch.data()),
             portable_fallbacks);
@@ -101,23 +131,36 @@ void AddSimLane(Xoshiro256& g, Lanes& lanes) {
   lanes.Add(u1, u2, hits_mu + shift, sigma, scale, cap);
 }
 
-TEST(LogNormalBatch, RandomSimLanesMatchTheScalarFormula) {
+// The random set: kRandomChunks chunks of kRandomChunk simulation-like
+// lanes from one seeded generator, handed to `check` one chunk at a time
+// until it reports a failure.
+constexpr std::size_t kRandomChunk = 1 << 16;
+constexpr std::size_t kRandomChunks = 160;  // 10,485,760 lanes
+
+template <typename Check>
+void ForEachRandomChunk(Check check) {
   Xoshiro256 g{20151217};
-  constexpr std::size_t kChunk = 1 << 16;
-  constexpr std::size_t kChunks = 160;  // 10,485,760 lanes
-  std::size_t fallbacks = 0;
   Lanes lanes;
-  for (std::size_t c = 0; c < kChunks; ++c) {
+  for (std::size_t c = 0; c < kRandomChunks; ++c) {
     lanes.Clear();
-    for (std::size_t i = 0; i < kChunk; ++i) AddSimLane(g, lanes);
-    fallbacks += CheckLanes(lanes);
-    if (HasFailure()) return;
+    for (std::size_t i = 0; i < kRandomChunk; ++i) AddSimLane(g, lanes);
+    if (!check(lanes)) return;
   }
-  // Random lanes are almost never within 2^-40 of an integer.
-  EXPECT_LE(fallbacks, kChunk * kChunks / 100000);
 }
 
-TEST(LogNormalBatch, EdgeLanesMatchTheScalarFormula) {
+TEST(LogNormalBatch, RandomSimLanesMatchTheScalarFormula) {
+  std::size_t fallbacks = 0;
+  ForEachRandomChunk([&](const Lanes& lanes) {
+    fallbacks += CheckLanes(lanes);
+    return !::testing::Test::HasFailure();
+  });
+  // Random lanes are almost never within 2^-40 of an integer.
+  EXPECT_LE(fallbacks, kRandomChunk * kRandomChunks / 100000);
+}
+
+// The edge set: every combination of boundary uniforms, clamped and
+// capped locations and the sigma range, at both daily and weekly shapes.
+Lanes EdgeLanes() {
   const double tiny = 0x1.0p-53;
   const double below_one = 1.0 - tiny;
   const double sqrt_half = std::sqrt(0.5);
@@ -142,22 +185,17 @@ TEST(LogNormalBatch, EdgeLanesMatchTheScalarFormula) {
       }
     }
   }
-  CheckLanes(lanes);
+  return lanes;
 }
 
-TEST(LogNormalBatch, LanesOutsideTheDomainFallBack) {
-  // Defined for the scalar formula but outside the certified domain.
-  Lanes lanes;
-  lanes.Add(0.3, 0.6, 40.0, 0.5, 1.0, 5.0e7);   // |x| >= 32
-  lanes.Add(0.3, 0.6, 3.0, 2.0, 1.0, 5.0e7);    // sigma > 1.5
-  lanes.Add(0.3, 0.6, 3.0, -2.0, 1.0, 5.0e7);   // |sigma| > 1.5
-  lanes.Add(0.3, 0.6, 3.0, 1.0, 0.0, 5.0e7);    // scale below 2^-32
-  lanes.Add(0.3, 0.6, 3.0, 1.0, 1.0, 0.5);      // cap below 1
-  EXPECT_EQ(CheckLanes(lanes), lanes.size());
+TEST(LogNormalBatch, EdgeLanesMatchTheScalarFormula) {
+  CheckLanes(EdgeLanes());
+}
 
-  // Not even the scalar formula's domain: the kernel alone must still
-  // return 0 for every lane, without an out-of-range conversion (the
-  // UBSan build checks float-cast-overflow).
+// Lanes outside even the scalar formula's domain. The kernel must return
+// 0 for each without an out-of-range conversion (the UBSan build checks
+// float-cast-overflow).
+Lanes UndefinedLanes() {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   Lanes bad;
@@ -174,26 +212,48 @@ TEST(LogNormalBatch, LanesOutsideTheDomainFallBack) {
   bad.Add(-0.5, 0.5, 3.0, 1.0, 1.0, 5.0e7);
   bad.Add(0.5, -0.1, 3.0, 1.0, 1.0, 5.0e7);
   bad.Add(0.5, 1.5, 3.0, 1.0, 1.0, 5.0e7);
-  for (bool avx2 : {false, true}) {
-    if (avx2 && !FlooredLogNormalAvx2Available()) continue;
-    std::size_t fallbacks = 0;
-    const std::vector<std::uint32_t> out = RunTarget(avx2, bad, &fallbacks);
-    EXPECT_EQ(fallbacks, bad.size());
-    EXPECT_EQ(out, std::vector<std::uint32_t>(bad.size(), 0u));
-  }
+  return bad;
 }
 
-// Lanes whose scalar value lies within E/2 (relative) of an integer must
-// fall back: that is where a kernel without its certification (E = 0)
-// returns a neighbouring integer. Built by solving mu for a target
-// integer k, then walking mu ulp by ulp around it.
-TEST(LogNormalBatch, NearIntegerLanesAllFallBackAndMatch) {
+// Lanes defined for the scalar formula but outside the certified domain:
+// every target must fall back on each.
+Lanes OutOfDomainLanes() {
+  Lanes lanes;
+  lanes.Add(0.3, 0.6, 40.0, 0.5, 1.0, 5.0e7);   // |x| >= 32
+  lanes.Add(0.3, 0.6, 3.0, 2.0, 1.0, 5.0e7);    // sigma > 1.5
+  lanes.Add(0.3, 0.6, 3.0, -2.0, 1.0, 5.0e7);   // |sigma| > 1.5
+  lanes.Add(0.3, 0.6, 3.0, 1.0, 0.0, 5.0e7);    // scale below 2^-32
+  lanes.Add(0.3, 0.6, 3.0, 1.0, 1.0, 0.5);      // cap below 1
+  return lanes;
+}
+
+TEST(LogNormalBatch, LanesOutsideTheDomainFallBack) {
+  // Each vector target is checked by
+  // LogNormalBatchTarget.OutOfDomainLanesAllFallBack.
+  const Lanes lanes = OutOfDomainLanes();
+  EXPECT_EQ(CheckLanes(lanes), lanes.size());
+
+  // Not even the scalar formula's domain: the portable kernel alone must
+  // still return 0 for every lane (each vector target is checked by
+  // LogNormalBatchTarget.UndefinedLanesAllReturnZero).
+  std::size_t fallbacks = 0;
+  const Lanes bad = UndefinedLanes();
+  EXPECT_EQ(RunTarget(KernelTarget::kPortable, bad, &fallbacks),
+            std::vector<std::uint32_t>(bad.size(), 0u));
+  EXPECT_EQ(fallbacks, bad.size());
+}
+
+// The near-integer set: for each of kNearBases random (u1, u2, sigma,
+// shape) bases, a target integer k and 2 * kNearWalk lanes that walk mu ulp
+// by ulp around the mu whose scalar value is k. Hands each base's lanes
+// and k to `check` until it reports a failure.
+constexpr int kNearBases = 1000;
+constexpr int kNearWalk = 512;  // 1024 lanes per base
+
+template <typename Check>
+void ForEachNearIntegerWalk(Check check) {
   Xoshiro256 g{1024};
-  constexpr int kBases = 1000;
-  constexpr int kWalk = 512;  // 1024 lanes per base
-  std::size_t near = 0;
-  std::size_t lanes_total = 0;
-  for (int base = 0; base < kBases; ++base) {
+  for (int base = 0; base < kNearBases; ++base) {
     const double u1 = g.NextDouble();
     const double u2 = g.NextDouble();
     const double sigma = 0.5 + 0.8 * g.NextDouble();
@@ -209,17 +269,29 @@ TEST(LogNormalBatch, NearIntegerLanesAllFallBackAndMatch) {
     const double mu0 = std::log(k / scale) - sigma * z;
     Lanes lanes;
     double mu = mu0;
-    for (int j = 0; j < kWalk; ++j) mu = std::nextafter(mu, -1e300);
-    for (int j = 0; j < 2 * kWalk; ++j) {
+    for (int j = 0; j < kNearWalk; ++j) mu = std::nextafter(mu, -1e300);
+    for (int j = 0; j < 2 * kNearWalk; ++j) {
       lanes.Add(u1, u2, mu, sigma, scale, cap);
       mu = std::nextafter(mu, 1e300);
     }
+    if (!check(lanes, k)) return;
+  }
+}
+
+// Lanes whose scalar value lies within E/2 (relative) of an integer must
+// fall back: that is where a kernel without its certification (E = 0)
+// returns a neighbouring integer.
+TEST(LogNormalBatch, NearIntegerLanesAllFallBackAndMatch) {
+  std::size_t near = 0;
+  std::size_t lanes_total = 0;
+  ForEachNearIntegerWalk([&](const Lanes& lanes, double k) {
     std::size_t portable_fallbacks = 0;
     const std::vector<std::uint32_t> portable =
-        RunTarget(false, lanes, &portable_fallbacks);
+        RunTarget(KernelTarget::kPortable, lanes, &portable_fallbacks);
     for (std::size_t i = 0; i < lanes.size(); ++i) {
-      const double w =
-          LogNormalFromUniforms(u1, u2, lanes.mu[i], sigma) * scale;
+      const double w = LogNormalFromUniforms(lanes.u1[i], lanes.u2[i],
+                                             lanes.mu[i], lanes.sigma[i]) *
+                       lanes.scale[i];
       if (std::fabs(w - k) <= 0.5 * kE * k) {
         ++near;
         EXPECT_EQ(portable[i], 0u) << "certified a lane at " << w;
@@ -227,14 +299,20 @@ TEST(LogNormalBatch, NearIntegerLanesAllFallBackAndMatch) {
     }
     CheckLanes(lanes);
     lanes_total += lanes.size();
-    if (HasFailure()) return;
-  }
+    return !::testing::Test::HasFailure();
+  });
   EXPECT_EQ(lanes_total, 1024000u);
   // Most walks stay within E/2 of k for a good share of their steps.
   EXPECT_GE(near, lanes_total / 4);
 }
 
 TEST(LogNormalBatch, DispatchPicksAnAvailableTarget) {
+  const KernelTarget widest = FlooredLogNormalAvx512Available()
+                                  ? KernelTarget::kAvx512
+                              : FlooredLogNormalAvx2Available()
+                                  ? KernelTarget::kAvx2
+                                  : KernelTarget::kPortable;
+  EXPECT_EQ(DetectKernelTarget(), widest);
   Lanes lanes;
   Xoshiro256 g{5};
   for (int i = 0; i < 4096; ++i) AddSimLane(g, lanes);
@@ -242,8 +320,7 @@ TEST(LogNormalBatch, DispatchPicksAnAvailableTarget) {
   const std::size_t fallbacks = FlooredLogNormalCertified(
       lanes.size(), lanes.View(), dispatched.data());
   std::size_t target_fallbacks = 0;
-  EXPECT_EQ(dispatched, RunTarget(FlooredLogNormalAvx2Available(), lanes,
-                                  &target_fallbacks));
+  EXPECT_EQ(dispatched, RunTarget(widest, lanes, &target_fallbacks));
   EXPECT_EQ(fallbacks, target_fallbacks);
 }
 
@@ -262,6 +339,77 @@ TEST(LogNormalBatch, SplitDrawsMatchTheOneCallForms) {
               NextLogNormal(b, 3.0, 1.1));
   }
 }
+
+// Each vector target against the portable one, lane for lane, zeros and
+// fallback counts included, on the random, edge, near-integer,
+// out-of-domain and undefined sets. Since the portable target is checked
+// against the scalar formula above, AVX-512 == AVX2 == portable == scalar
+// on every certified lane. A target this CPU cannot run is skipped.
+class LogNormalBatchTarget : public ::testing::TestWithParam<KernelTarget> {
+ protected:
+  void SetUp() override {
+    if (!Available(GetParam())) {
+      GTEST_SKIP() << "this CPU cannot run the " << TargetName(GetParam())
+                   << " kernel target; it is not checked here";
+    }
+  }
+
+  // True while the target matches portable on every lane so far.
+  bool MatchesPortable(const Lanes& lanes) {
+    std::size_t portable_fallbacks = 0;
+    const std::vector<std::uint32_t> portable =
+        RunTarget(KernelTarget::kPortable, lanes, &portable_fallbacks);
+    std::size_t fallbacks = 0;
+    const std::vector<std::uint32_t> out =
+        RunTarget(GetParam(), lanes, &fallbacks);
+    EXPECT_EQ(fallbacks, portable_fallbacks);
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      EXPECT_EQ(out[i], portable[i])
+          << "lane " << i << " u1=" << lanes.u1[i] << " u2=" << lanes.u2[i]
+          << " mu=" << lanes.mu[i] << " sigma=" << lanes.sigma[i];
+      if (out[i] != portable[i]) return false;
+    }
+    return !HasFailure();
+  }
+};
+
+TEST_P(LogNormalBatchTarget, RandomSimLanesMatchPortable) {
+  ForEachRandomChunk(
+      [&](const Lanes& lanes) { return MatchesPortable(lanes); });
+}
+
+TEST_P(LogNormalBatchTarget, EdgeLanesMatchPortable) {
+  MatchesPortable(EdgeLanes());
+}
+
+TEST_P(LogNormalBatchTarget, NearIntegerLanesMatchPortable) {
+  ForEachNearIntegerWalk(
+      [&](const Lanes& lanes, double) { return MatchesPortable(lanes); });
+}
+
+TEST_P(LogNormalBatchTarget, OutOfDomainLanesAllFallBack) {
+  const Lanes lanes = OutOfDomainLanes();
+  std::size_t fallbacks = 0;
+  EXPECT_EQ(RunTarget(GetParam(), lanes, &fallbacks),
+            std::vector<std::uint32_t>(lanes.size(), 0u));
+  EXPECT_EQ(fallbacks, lanes.size());
+  MatchesPortable(lanes);
+}
+
+TEST_P(LogNormalBatchTarget, UndefinedLanesAllReturnZero) {
+  const Lanes bad = UndefinedLanes();
+  std::size_t fallbacks = 0;
+  EXPECT_EQ(RunTarget(GetParam(), bad, &fallbacks),
+            std::vector<std::uint32_t>(bad.size(), 0u));
+  EXPECT_EQ(fallbacks, bad.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LogNormalBatch, LogNormalBatchTarget,
+    ::testing::Values(KernelTarget::kAvx2, KernelTarget::kAvx512),
+    [](const ::testing::TestParamInfo<KernelTarget>& info) {
+      return std::string(TargetName(info.param));
+    });
 
 }  // namespace
 }  // namespace ipscope::rng

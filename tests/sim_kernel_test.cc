@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,7 +17,9 @@
 #include "activity/matrix.h"
 #include "activity/store.h"
 #include "cdn/observatory.h"
+#include "rng/lognormal_batch.h"
 #include "rng/rng.h"
+#include "sim/behavior.h"
 #include "sim/world.h"
 
 namespace ipscope::sim {
@@ -379,6 +383,132 @@ TEST(ArenaStore, CopiedViewMatrixOwnsItsRows) {
     first_row = m->Row(0);
   }
   ASSERT_EQ(copy.Row(0), first_row);
+}
+
+// SplitMix64's output mix is a bijection of 64-bit words; this is its
+// inverse, so a test can choose the first output of SplitMix64Next and
+// solve for the state that produces it.
+std::uint64_t UnmixSplitMix64(std::uint64_t z) {
+  auto unshift = [](std::uint64_t y, int s) {
+    std::uint64_t x = y;
+    for (int k = s; k < 64; k += s) x ^= y >> k;
+    return x;
+  };
+  auto inverse = [](std::uint64_t c) {  // c odd: Newton on 2^64
+    std::uint64_t inv = c;
+    for (int i = 0; i < 6; ++i) inv *= 2 - c * inv;
+    return inv;
+  };
+  z = unshift(z, 31) * inverse(0x94d049bb133111ebULL);
+  z = unshift(z, 27) * inverse(0xbf58476d1ce4e5b9ULL);
+  return unshift(z, 30);
+}
+
+// An identity whose SubscriberPropensity draws u = n * 2^-53.
+std::uint64_t IdentityWithU(std::uint64_t n, std::uint64_t low_bits) {
+  return UnmixSplitMix64((n << 11) | (low_bits & 2047u)) -
+         0x9e3779b97f4a7c15ULL;
+}
+
+// The hits pass's lane loop, target by target, against the scalar
+// formula GenerateStep evaluates: bit for bit on 10,485,760 seeded
+// identities, plus identities whose mixture draw u sits within a few
+// ulps below and above the 0.20 and 0.70 component boundaries. On a CPU
+// without AVX-512 that target is skipped.
+class SubscriberHitsMuTarget
+    : public ::testing::TestWithParam<rng::KernelTarget> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == rng::KernelTarget::kAvx512 &&
+        !rng::FlooredLogNormalAvx512Available()) {
+      GTEST_SKIP() << "this CPU lacks AVX-512 F+DQ; the AVX-512 lane loop "
+                      "is not checked here";
+    }
+  }
+
+  void Run(double hits_mu, const std::vector<std::uint64_t>& occ,
+           double* mu) const {
+    if (GetParam() == rng::KernelTarget::kAvx512) {
+      return SubscriberHitsMuAvx512(hits_mu, occ.size(), occ.data(), mu);
+    }
+    SubscriberHitsMuPortable(hits_mu, occ.size(), occ.data(), mu);
+  }
+
+  // True while every lane equals the scalar formula.
+  bool Matches(double hits_mu, const std::vector<std::uint64_t>& occ) {
+    std::vector<double> mu(occ.size(), -1.0);
+    Run(hits_mu, occ, mu.data());
+    for (std::size_t i = 0; i < occ.size(); ++i) {
+      const double want = DailyHitsMu(hits_mu, SubscriberPropensity(occ[i]));
+      if (std::bit_cast<std::uint64_t>(mu[i]) !=
+          std::bit_cast<std::uint64_t>(want)) {
+        ADD_FAILURE() << "lane " << i << " occupant " << occ[i]
+                      << " hits_mu " << hits_mu << ": " << mu[i]
+                      << " != " << want;
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+TEST_P(SubscriberHitsMuTarget, LanesMatchTheScalarFormula) {
+  rng::Xoshiro256 g{20161114};
+  std::vector<std::uint64_t> occ(1 << 16);
+  for (int chunk = 0; chunk < 160; ++chunk) {  // 10,485,760 identities
+    for (std::uint64_t& o : occ) o = g();
+    // Chunk sizes that are not a multiple of any vector width, too.
+    if (chunk % 2 == 1) occ.resize(occ.size() - 1 - g.NextBounded(15));
+    ASSERT_TRUE(Matches(2.0 + 7.0 * g.NextDouble(), occ)) << chunk;
+    occ.resize(1 << 16);
+  }
+}
+
+TEST_P(SubscriberHitsMuTarget, LanesMatchAtTheMixtureBoundaries) {
+  rng::Xoshiro256 g{7};
+  std::vector<std::uint64_t> occ;
+  int below = 0;
+  int above = 0;
+  for (double boundary : {0.20, 0.70}) {
+    const auto n0 = static_cast<std::uint64_t>(boundary * 0x1.0p53);
+    for (std::uint64_t n = n0 - 4; n <= n0 + 4; ++n) {
+      for (int k = 0; k < 64; ++k) {
+        const std::uint64_t id = IdentityWithU(n, g());
+        std::uint64_t h = id;
+        const double u =
+            static_cast<double>(rng::SplitMix64Next(h) >> 11) * 0x1.0p-53;
+        ASSERT_EQ(u, static_cast<double>(n) * 0x1.0p-53);
+        (u < boundary ? below : above) += 1;
+        occ.push_back(id);
+      }
+    }
+  }
+  EXPECT_GE(below, 2 * 64 * 3);
+  EXPECT_GE(above, 2 * 64 * 3);
+  for (double hits_mu : {2.0, 3.0, 8.7}) {
+    EXPECT_TRUE(Matches(hits_mu, occ));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SubscriberHitsMu, SubscriberHitsMuTarget,
+    ::testing::Values(rng::KernelTarget::kPortable,
+                      rng::KernelTarget::kAvx512),
+    [](const ::testing::TestParamInfo<rng::KernelTarget>& info) {
+      return std::string(info.param == rng::KernelTarget::kAvx512
+                             ? "avx512"
+                             : "portable");
+    });
+
+TEST(SubscriberHitsMu, DispatchMatchesTheScalarFormula) {
+  rng::Xoshiro256 g{3};
+  std::vector<std::uint64_t> occ(1000);
+  for (std::uint64_t& o : occ) o = g();
+  std::vector<double> mu(occ.size());
+  SubscriberHitsMu(4.5, occ.size(), occ.data(), mu.data());
+  for (std::size_t i = 0; i < occ.size(); ++i) {
+    ASSERT_EQ(mu[i], DailyHitsMu(4.5, SubscriberPropensity(occ[i]))) << i;
+  }
 }
 
 }  // namespace
