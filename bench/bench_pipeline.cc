@@ -29,6 +29,7 @@
 #include "common.h"
 #include "io/atomic_file.h"
 #include "io/store_io.h"
+#include "obs/registry.h"
 #include "par/pool.h"
 
 namespace {

@@ -1,15 +1,10 @@
-// Shared setup for the experiment harness binaries.
+// Shared setup for the bench-JSON harnesses (bench_pipeline, bench_serve,
+// bench_ingest).
 //
 // Every harness accepts the world scale as argv[1] (number of client /24
-// blocks; default 4000) and an optional seed as argv[2]. The harness prints
-// the world scale first so readers can interpret absolute counts, then the
-// experiment's measured-vs-paper rows.
-//
-// When the IPSCOPE_METRICS_OUT environment variable is set, every harness
-// writes the process-global metrics registry (world-build timings, store
-// sizes, analysis counters — see src/obs/) to that path as JSON at exit, so
-// perf trajectories can be collected across runs without changing any
-// harness.
+// blocks; default 4000) and an optional seed as argv[2], and embeds a host
+// and toolchain fingerprint in its report. The paper experiments are not
+// harnesses: `ipscope_cli reproduce` runs them (src/analysis/experiments.h).
 #pragma once
 
 #include <charconv>
@@ -18,14 +13,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <string>
 #include <thread>
 
 #include "obs/json.h"
-#include "obs/registry.h"
 #include "sim/config.h"
-#include "sim/world.h"
 
 // Injected by bench/CMakeLists.txt so every report records the toolchain
 // that produced it; "unknown" keeps standalone compiles working.
@@ -122,28 +114,8 @@ inline bool ParseNumber(const char* text, T& out) {
 
 }  // namespace detail
 
-// Registers an atexit hook (once per process) that dumps the global metrics
-// registry to $IPSCOPE_METRICS_OUT, if set.
-inline void InstallMetricsDump() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    auto path = obs::EnvString("IPSCOPE_METRICS_OUT");
-    if (!path) return;
-    static std::string out_path;
-    out_path = *path;
-    std::atexit(+[] {
-      try {
-        obs::GlobalRegistry().WriteJsonFile(out_path);
-      } catch (const std::exception& e) {
-        std::cerr << "metrics dump failed: " << e.what() << "\n";
-      }
-    });
-  });
-}
-
 inline sim::WorldConfig ConfigFromArgs(int argc, char** argv,
                                        int default_blocks = 4000) {
-  InstallMetricsDump();
   sim::WorldConfig config;
   config.target_client_blocks = default_blocks;
   if (argc > 1) {
@@ -161,15 +133,6 @@ inline sim::WorldConfig ConfigFromArgs(int argc, char** argv,
     config.seed = seed;
   }
   return config;
-}
-
-inline void PrintWorldBanner(const sim::World& world) {
-  std::cout << "world: seed " << world.config().seed << ", "
-            << world.blocks().size() << " /24 blocks ("
-            << world.client_block_count() << " client), "
-            << world.ases().size() << " ASes\n"
-            << "note: absolute counts are at simulation scale; compare "
-               "shapes/ratios with the paper values shown in brackets.\n\n";
 }
 
 }  // namespace ipscope::bench

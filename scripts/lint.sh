@@ -22,12 +22,8 @@ fi
 echo "== ipscope_lint self-test"
 "$BUILD_DIR/tools/lint/ipscope_lint" --self-test --corpus tests/lint_corpus
 
-# Incremental: per-file facts are cached in $BUILD_DIR/lint-cache keyed on
-# content CRC, so a rescan after a small edit re-extracts only the edited
-# files (the binary prints scan time and the cache hit rate).
 echo "== ipscope_lint tree scan"
-"$BUILD_DIR/tools/lint/ipscope_lint" --root . \
-  --cache-dir "$BUILD_DIR/lint-cache"
+"$BUILD_DIR/tools/lint/ipscope_lint" --root .
 
 if command -v clang-tidy >/dev/null 2>&1; then
   # CMAKE_EXPORT_COMPILE_COMMANDS=ON (top-level CMakeLists) provides the

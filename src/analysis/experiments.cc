@@ -1,0 +1,954 @@
+#include "analysis/experiments.h"
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstdlib>
+#include <map>
+#include <ostream>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+#include "activity/change.h"
+#include "activity/churn.h"
+#include "activity/eventsize.h"
+#include "activity/metrics.h"
+#include "analysis/demographics.h"
+#include "analysis/fig10_useragents.h"
+#include "analysis/fig1_growth.h"
+#include "analysis/fig3_geography.h"
+#include "analysis/fig4_churn.h"
+#include "analysis/fig5_dissect.h"
+#include "analysis/fig6_patterns.h"
+#include "analysis/fig8_blocks.h"
+#include "analysis/fig9_traffic.h"
+#include "analysis/table1_datasets.h"
+#include "analysis/table2_longterm.h"
+#include "analysis/visibility.h"
+#include "baseline/udmap.h"
+#include "cdn/logins.h"
+#include "cdn/rawlog.h"
+#include "cdn/useragent.h"
+#include "geo/country.h"
+#include "measurement/hitlist.h"
+#include "rdns/tagger.h"
+#include "report/table.h"
+#include "report/textplot.h"
+#include "scan/icmp.h"
+#include "scan/trinocular.h"
+#include "security/reputation.h"
+#include "sim/growth.h"
+#include "sim/ipv6note.h"
+#include "stats/capture_recapture.h"
+#include "stats/quantile.h"
+#include "stats/summary.h"
+
+namespace ipscope::analysis {
+
+Inputs::Inputs(const sim::WorldConfig& world_config)
+    : config(world_config),
+      world(config),
+      daily(cdn::Observatory::Daily(world)),
+      weekly(cdn::Observatory::Weekly(world)),
+      daily_store(daily.BuildStore()),
+      weekly_store(weekly.BuildStore()),
+      feed(world) {}
+
+void PrintWorldBanner(const sim::World& world, std::ostream& os) {
+  os << "world: seed " << world.config().seed << ", "
+     << world.blocks().size() << " /24 blocks ("
+     << world.client_block_count() << " client), " << world.ases().size()
+     << " ASes\n"
+     << "note: absolute counts are at simulation scale; compare "
+        "shapes/ratios with the paper values shown in brackets.\n\n";
+}
+
+namespace {
+
+// --- Figures and tables: the analysis layer's Run/Print pairs -------------
+
+// Fig 1: monthly active IPv4 addresses 2008-2016, the pre-2014 linear fit,
+// and the post-2014 stagnation gap.
+void Fig1Growth(const Inputs& in, std::ostream& os) {
+  PrintFig1(RunFig1(in.config.seed), os);
+}
+
+// Table 1: totals and per-snapshot averages of the daily and weekly
+// datasets (IPs, /24s, ASes).
+void Table1Datasets(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  PrintTable1(RunTable1(in.world, in.feed), os);
+}
+
+// Fig 2: CDN vs ICMP visibility at IP//24/prefix/AS granularity (2a) and
+// the classification of ICMP-only addresses (2b).
+void Fig2Visibility(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  PrintVisibility(RunVisibility(in.world, in.daily_store, in.feed), os);
+}
+
+// Fig 3: visibility per RIR (3a) and per country with subscriber-rank
+// annotations (3b).
+void Fig3Geography(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  PrintFig3(RunFig3(in.world, in.daily_store), os);
+}
+
+// Fig 4: daily activity/up/down events (4a), churn vs window size (4b), and
+// year-long appear/disappear vs the first week (4c).
+void Fig4Churn(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  PrintFig4(RunFig4(in.daily_store, in.weekly_store), os);
+}
+
+// Fig 5: per-AS churn CDF (5a), up-event size distribution (5b), and
+// churn-vs-BGP correlation (5c).
+void Fig5Dissect(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  PrintFig5(RunFig5(in.daily_store, in.feed, in.daily.spec()), os);
+}
+
+// Table 2: Jan/Feb vs Nov/Dec appear/disappear analysis with whole-/24
+// fractions and BGP transition breakdown.
+void Table2Longterm(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  PrintTable2(RunTable2(in.weekly_store, in.feed), os);
+}
+
+// Figs 6 & 7: the block activity-pattern gallery, plus the
+// pattern-classifier-vs-ground-truth confusion matrix.
+void Fig6Patterns(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  PrintFig6(RunFig6(in.world, in.daily_store), os);
+}
+
+// Fig 8: STU change detection (8a), rDNS-tagged filling-degree CDFs (8b),
+// and the STU histogram of densely-filled blocks (8c).
+void Fig8Blocks(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  PrintFig8(RunFig8(in.world, in.daily_store), os);
+}
+
+// Fig 9: hits vs days-active (9a), cumulative traffic concentration (9b),
+// and the weekly top-10% traffic share trend (9c).
+void Fig9Traffic(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  PrintFig9(RunFig9(in.daily, in.weekly), os);
+}
+
+// Fig 10: UA samples vs unique UA strings per /24, with the three-region
+// classification and its ground-truth validation.
+void Fig10Useragents(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  PrintFig10(RunFig10(in.world, in.daily), os);
+}
+
+// Fig 11: the 10x10x10 demographics cube over (STU, traffic, relative host
+// count) per active /24, with its largest cells.
+void Fig11Demographics(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  DemographicsResult result = RunDemographics(in.world, in.daily);
+
+  os << "=== Fig 11: demographics cube ===\n";
+  os << "blocks: " << result.blocks << "\n";
+  os << "STU < 0.2 cluster: " << 100.0 * result.low_stu_cluster
+     << "%, STU > 0.8 cluster: " << 100.0 * result.high_stu_cluster
+     << "%  [paper: strong bimodal split]\n";
+  // Largest cube cells (the paper's biggest spheres).
+  struct Cell {
+    int b0, b1, b2;
+    std::uint64_t n;
+  };
+  std::vector<Cell> cells;
+  for (int a = 0; a < result.cube.bins(); ++a) {
+    for (int b = 0; b < result.cube.bins(); ++b) {
+      for (int c = 0; c < result.cube.bins(); ++c) {
+        std::uint64_t n = result.cube.count(a, b, c);
+        if (n > 0) cells.push_back({a, b, c, n});
+      }
+    }
+  }
+  std::sort(cells.begin(), cells.end(),
+            [](const Cell& x, const Cell& y) { return x.n > y.n; });
+  os << "\nlargest cells (stu, traffic, hosts bins; 0=low 9=high):\n";
+  for (std::size_t i = 0; i < std::min<std::size_t>(cells.size(), 12); ++i) {
+    const Cell& c = cells[i];
+    os << "  (" << c.b0 << "," << c.b1 << "," << c.b2 << ") -> " << c.n
+       << " blocks\n";
+  }
+  PrintDemographics(result, os);
+}
+
+// Fig 12: per-RIR STU x traffic grids colored by relative host count, plus
+// each region's share of low-, high-utilization and gateway-corner blocks.
+void Fig12Rirs(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  DemographicsResult result = RunDemographics(in.world, in.daily);
+  PrintDemographics(result, os);
+
+  os << "\n=== Regional utilization summary ===\n";
+  report::Table t({"RIR", "blocks", "STU<0.2", "STU>0.8", "gateway corner"});
+  for (int r = 0; r < geo::kRirCount; ++r) {
+    const auto& cube = result.per_rir[static_cast<std::size_t>(r)];
+    std::uint64_t low = 0, high = 0, total = cube.total();
+    for (int b1 = 0; b1 < cube.bins(); ++b1) {
+      for (int b2 = 0; b2 < cube.bins(); ++b2) {
+        low += cube.count(0, b1, b2) + cube.count(1, b1, b2);
+        high += cube.count(8, b1, b2) + cube.count(9, b1, b2);
+      }
+    }
+    auto pct = [&](std::uint64_t n) {
+      return report::FormatPercent(
+          total ? static_cast<double>(n) / static_cast<double>(total) : 0.0);
+    };
+    t.AddRow({std::string{geo::RirName(static_cast<geo::Rir>(r))},
+              report::FormatCount(total), pct(low), pct(high),
+              report::FormatPercent(
+                  result.gateway_corner[static_cast<std::size_t>(r)])});
+  }
+  t.Print(os);
+  os << "[paper: ARIN skews low-utilization; LACNIC/AFRINIC dense; "
+        "APNIC/AFRINIC strongest gateway corner]\n";
+}
+
+// --- Baselines ------------------------------------------------------------
+
+// The Zander et al. (IMC 2014) baseline: capture-recapture estimation of
+// the total active population from partial observations, validated against
+// the simulator's ground truth — two-sample Chapman from pairs of weekly
+// snapshots, and multi-occasion Schnabel over the year. The paper (§8)
+// notes its 1.2B direct count agrees with Zander's estimate.
+void CaptureRecapture(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  const activity::ActivityStore& weekly = in.weekly_store;
+  net::Ipv4Set full_year = weekly.ActiveSet(0, weekly.days());
+  std::uint64_t truth = full_year.Count();
+
+  os << "=== Capture-recapture vs ground truth ===\n";
+  os << "true yearly active population: " << report::FormatCount(truth)
+     << "\n\n";
+
+  report::Table t({"estimator", "occasions", "estimate", "error"});
+  auto add = [&](const char* name, const std::string& occ, double est) {
+    double err = truth ? (est - static_cast<double>(truth)) /
+                             static_cast<double>(truth)
+                       : 0.0;
+    t.AddRow({name, occ, report::FormatSi(est), report::FormatPercent(err)});
+  };
+
+  // Chapman from week pairs at increasing separation.
+  for (int gap : {1, 4, 13, 26}) {
+    net::Ipv4Set w1 = weekly.ActiveSet(10, 11);
+    net::Ipv4Set w2 = weekly.ActiveSet(10 + gap, 11 + gap);
+    auto est = stats::Chapman(w1.Count(), w2.Count(), w1.CountIntersect(w2));
+    add("Chapman", "weeks 10," + std::to_string(10 + gap), est.population);
+  }
+
+  // Schnabel over every 4th week.
+  std::vector<std::uint64_t> catches, recaptures, marked_before;
+  net::Ipv4Set marked;
+  for (int w = 0; w < weekly.days(); w += 4) {
+    net::Ipv4Set caught = weekly.ActiveSet(w, w + 1);
+    catches.push_back(caught.Count());
+    recaptures.push_back(caught.CountIntersect(marked));
+    marked_before.push_back(marked.Count());
+    marked = marked.Union(caught);
+  }
+  auto schnabel = stats::Schnabel(catches, recaptures, marked_before);
+  add("Schnabel", "13 x every 4th week", schnabel.population);
+  t.Print(os);
+
+  os << "\n[paper §8: the 1.2B direct count agrees with Zander's "
+        "capture-recapture estimate, 'boding well' for sampling-based "
+        "estimation — here quantified against ground truth.]\n"
+     << "Note: weekly snapshots violate the closed-population "
+        "assumption (churn!), so single-pair Chapman estimates "
+        "undershoot the yearly population; multi-occasion Schnabel "
+        "closes most of the gap.\n";
+}
+
+// UDmap-style login-trace inference (Xie et al., §3.1) vs the paper's rDNS
+// tagging vs ground truth: which method best recovers static/dynamic
+// assignment, and what lease lengths the login trace reveals per true
+// policy.
+void BaselineUdmap(const Inputs& in, std::ostream& os) {
+  const sim::World& world = in.world;
+  PrintWorldBanner(world, os);
+
+  // Ground truth over stable client blocks.
+  std::unordered_map<net::BlockKey, sim::PolicyKind> truth;
+  std::vector<net::BlockKey> client_keys;
+  for (const sim::BlockPlan& plan : world.blocks()) {
+    if (plan.HasReconfiguration()) continue;
+    truth[net::BlockKeyOf(plan.block)] = plan.base.kind;
+    if (sim::IsClientPolicy(plan.base.kind)) {
+      client_keys.push_back(net::BlockKeyOf(plan.block));
+    }
+  }
+  auto is_dynamic = [](sim::PolicyKind k) {
+    return k == sim::PolicyKind::kDynamicShort ||
+           k == sim::PolicyKind::kDynamicLong;
+  };
+  auto is_static = [](sim::PolicyKind k) {
+    return k == sim::PolicyKind::kStatic;
+  };
+  std::uint64_t true_dynamic = 0, true_static = 0;
+  for (net::BlockKey key : client_keys) {
+    if (is_dynamic(truth[key])) ++true_dynamic;
+    if (is_static(truth[key])) ++true_static;
+  }
+
+  struct Score {
+    std::uint64_t tagged = 0, correct = 0, truth_total = 0;
+    double Precision() const {
+      return tagged ? static_cast<double>(correct) / tagged : 0.0;
+    }
+    double Recall() const {
+      return truth_total ? static_cast<double>(correct) / truth_total : 0.0;
+    }
+  };
+  auto score = [&](const std::vector<net::BlockKey>& keys, auto correct_fn,
+                   std::uint64_t truth_total) {
+    Score s;
+    s.truth_total = truth_total;
+    for (net::BlockKey key : keys) {
+      auto it = truth.find(key);
+      if (it == truth.end()) continue;
+      ++s.tagged;
+      if (correct_fn(it->second)) ++s.correct;
+    }
+    return s;
+  };
+
+  // Method 1: the paper's rDNS keyword tagging.
+  rdns::PtrGenerator ptr{world};
+  rdns::TaggedBlocks rdns_tags = rdns::TagBlocks(ptr, client_keys);
+  Score rdns_dyn = score(rdns_tags.dynamic_blocks, is_dynamic, true_dynamic);
+  Score rdns_sta = score(rdns_tags.static_blocks, is_static, true_static);
+
+  // Method 2: UDmap over login traces.
+  cdn::LoginTraceGenerator logins{world, in.daily.spec()};
+  auto events = logins.Trace();
+  auto udmap = baseline::AnalyzeLogins(events);
+  Score udmap_dyn = score(udmap.dynamic_blocks, is_dynamic, true_dynamic);
+  Score udmap_sta = score(udmap.static_blocks, is_static, true_static);
+
+  os << "=== Static/dynamic inference: rDNS (paper) vs UDmap "
+        "(baseline) ===\n";
+  os << "login events analysed: " << events.size() << "\n\n";
+  report::Table t({"method", "class", "tagged", "precision", "recall"});
+  auto add = [&](const char* method, const char* cls, const Score& s) {
+    t.AddRow({method, cls, report::FormatCount(s.tagged),
+              report::FormatPercent(s.Precision()),
+              report::FormatPercent(s.Recall())});
+  };
+  add("rDNS keywords", "dynamic", rdns_dyn);
+  add("rDNS keywords", "static", rdns_sta);
+  add("UDmap logins", "dynamic", udmap_dyn);
+  add("UDmap logins", "static", udmap_sta);
+  t.Print(os);
+  os << "[rDNS recall is bounded by PTR coverage/noise; UDmap recall "
+        "by login visibility — the paper's choice of rDNS tagging is "
+        "validated if precision is high for both]\n";
+
+  // Lease-length estimates from login holding times.
+  os << "\n=== Median (user, ip) holding time by true policy ===\n";
+  std::map<sim::PolicyKind, std::vector<double>> holdings;
+  for (const auto& stats : udmap.blocks) {
+    auto it = truth.find(stats.key);
+    if (it == truth.end() || stats.events < 50) continue;
+    holdings[it->second].push_back(stats.median_holding_steps);
+  }
+  report::Table h({"true policy", "blocks", "median holding (days)"});
+  for (auto& [kind, values] : holdings) {
+    h.AddRow({sim::PolicyKindName(kind), report::FormatCount(values.size()),
+              report::FormatDouble(stats::Median(values), 1)});
+  }
+  h.Print(os);
+  os << "[expected ordering: dynamic-short ~1 day << dynamic-long "
+        "(lease-scale) << static (tenure-scale) — cf. Moura et al.'s "
+        "DHCP churn estimation]\n";
+}
+
+// --- Ablations ------------------------------------------------------------
+
+// The paper's major-change threshold (|delta STU| > 0.25, §5.2) was picked
+// "based on anecdotal examination of activity patterns". With ground truth
+// the threshold can be swept for precision/recall/F1 of reconfiguration
+// detection, showing where the paper's choice sits.
+void AblationChangeThreshold(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  auto changes = activity::MaxMonthlyStuChange(in.daily_store);
+
+  std::unordered_set<net::BlockKey> reconfigured;
+  for (const sim::BlockPlan& plan : in.world.blocks()) {
+    if (plan.HasReconfiguration()) {
+      reconfigured.insert(net::BlockKeyOf(plan.block));
+    }
+  }
+
+  os << "=== Change-detector threshold sweep (paper uses 0.25) ===\n";
+  os << "active blocks: " << changes.size()
+     << ", ground-truth reconfigurations among them: ";
+  std::uint64_t truth_total = 0;
+  for (const auto& c : changes) {
+    truth_total += reconfigured.contains(c.key) ? 1 : 0;
+  }
+  os << truth_total << "\n\n";
+
+  report::Table t(
+      {"threshold", "flagged", "frac flagged", "precision", "recall", "F1"});
+  for (double threshold :
+       {0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50, 0.60}) {
+    std::uint64_t flagged = 0, hit = 0;
+    for (const auto& c : changes) {
+      if (!c.IsMajor(threshold)) continue;
+      ++flagged;
+      if (reconfigured.contains(c.key)) ++hit;
+    }
+    double precision = flagged ? static_cast<double>(hit) / flagged : 0.0;
+    double recall =
+        truth_total ? static_cast<double>(hit) / truth_total : 0.0;
+    double f1 = precision + recall > 0
+                    ? 2 * precision * recall / (precision + recall)
+                    : 0.0;
+    t.AddRow({report::FormatDouble(threshold), report::FormatCount(flagged),
+              report::FormatPercent(static_cast<double>(flagged) /
+                                    changes.size()),
+              report::FormatPercent(precision), report::FormatPercent(recall),
+              report::FormatDouble(f1)});
+  }
+  t.Print(os);
+  os << "\n[low thresholds drown in in-situ variation (rotating "
+        "pools, weekday effects); high thresholds miss gentler "
+        "reconfigurations. The paper's 0.25 sits near the F1 knee.]\n";
+}
+
+// How many scan snapshots does an active census need? The paper compares
+// one month of CDN logs against the union of 8 ICMP snapshots and notes
+// the snapshot count biases the comparison (§3.2). Each additional
+// snapshot catches more intermittently-online hosts, with diminishing
+// returns, while the CDN-only share stays dominated by never-responding
+// (NAT/firewalled) hosts.
+void AblationScanCount(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  net::Ipv4Set cdn = in.daily_store.ActiveSet(45, 76);  // October
+  scan::IcmpScanner scanner{in.world};
+
+  os << "=== ICMP census coverage vs number of scans (October) ===\n";
+  os << "CDN-active addresses in the month: " << cdn.Count() << "\n\n";
+  report::Table t(
+      {"scans", "ICMP total", "CDN & ICMP", "CDN missed", "ICMP only"});
+  for (int scans : {1, 2, 4, 8, 16}) {
+    net::Ipv4Set icmp = scanner.ScanMonth(273, 31, scans);
+    std::uint64_t both = cdn.CountIntersect(icmp);
+    double missed = cdn.Count()
+                        ? 1.0 - static_cast<double>(both) /
+                                    static_cast<double>(cdn.Count())
+                        : 0.0;
+    t.AddRow({std::to_string(scans), report::FormatCount(icmp.Count()),
+              report::FormatCount(both), report::FormatPercent(missed),
+              report::FormatCount(icmp.Count() - both)});
+  }
+  t.Print(os);
+  os << "\n[doubling the scan count keeps shrinking the miss rate "
+        "only slightly: the bulk of invisible hosts never answer "
+        "ICMP at all — the paper's '>40% missed' is structural, not "
+        "a sampling artifact]\n";
+}
+
+// Spearman rank correlation (ties broken by order; fine at these sizes).
+double SpearmanRank(std::vector<double> x, std::vector<double> y) {
+  auto ranks = [](std::vector<double>& v) {
+    std::vector<std::size_t> order(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
+    std::vector<double> r(v.size());
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+      r[order[pos]] = static_cast<double>(pos);
+    }
+    return r;
+  };
+  auto rx = ranks(x);
+  auto ry = ranks(y);
+  return stats::PearsonCorrelation(rx, ry);
+}
+
+// Sensitivity of the relative-host-count measure to the UA sampling rate.
+// The paper stores 1 of every 4096 User-Agent headers (§6.3) and uses
+// unique strings per /24 as a relative host count; sweeping the rate
+// reports (a) the rank correlation between sampled unique-UA counts and
+// the true UA pool sizes and (b) gateway-region detection quality.
+void AblationUaSampling(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  const int days = in.daily.steps();
+  const int month_first = days - 28;
+
+  // Collect per-block month hits + truth once.
+  struct BlockInfo {
+    const sim::BlockPlan* plan;
+    std::uint64_t month_hits;
+  };
+  std::vector<BlockInfo> blocks;
+  in.daily.ForEachBlockHits([&](const sim::BlockPlan& plan,
+                                const activity::ActivityMatrix&,
+                                std::span<const std::uint32_t> hits) {
+    std::uint64_t month = 0;
+    for (int d = month_first; d < days; ++d) {
+      for (int h = 0; h < 256; ++h) {
+        month += hits[static_cast<std::size_t>(d) * 256 +
+                      static_cast<std::size_t>(h)];
+      }
+    }
+    blocks.push_back({&plan, month});
+  });
+
+  os << "=== UA sampling-rate sensitivity (paper: 1/4096) ===\n\n";
+  report::Table t({"rate", "blocks sampled", "rank corr. vs true hosts",
+                   "gateway precision", "gateway recall"});
+  for (std::uint32_t interval : {512u, 2048u, 4096u, 16384u, 65536u}) {
+    cdn::UserAgentSampler sampler{1.0 / interval};
+    std::vector<double> sampled, truth;
+    std::uint64_t gw_tagged = 0, gw_correct = 0, gw_truth = 0;
+    for (const BlockInfo& info : blocks) {
+      auto sample = sampler.Sample(*info.plan, info.month_hits);
+      bool truly_gateway =
+          info.plan->base.kind == sim::PolicyKind::kCgnGateway;
+      if (truly_gateway) ++gw_truth;
+      if (sample.samples == 0) continue;
+      sampled.push_back(static_cast<double>(sample.unique_uas));
+      truth.push_back(static_cast<double>(
+          cdn::UserAgentSampler::UaPoolSize(*info.plan)));
+      bool flagged = sample.samples >= 500.0 * 4096.0 / interval &&
+                     sample.unique_uas >=
+                         0.3 * static_cast<double>(sample.samples);
+      if (flagged) {
+        ++gw_tagged;
+        if (truly_gateway) ++gw_correct;
+      }
+    }
+    double corr = SpearmanRank(sampled, truth);
+    t.AddRow({"1/" + std::to_string(interval),
+              report::FormatCount(sampled.size()), report::FormatDouble(corr),
+              report::FormatPercent(
+                  gw_tagged ? static_cast<double>(gw_correct) / gw_tagged
+                            : 0.0),
+              report::FormatPercent(
+                  gw_truth ? static_cast<double>(gw_correct) / gw_truth
+                           : 0.0)});
+  }
+  t.Print(os);
+  os << "\n[the relative host-count ranking is robust down to sparse "
+        "sampling; very coarse rates lose small residential blocks "
+        "first while gateway detection degrades gracefully — "
+        "supporting the paper's 1/4096 choice]\n";
+}
+
+// The event-size tagging rule (Fig 5b). The paper tags each up event with
+// the smallest prefix mask in which all addresses "either had an up event
+// or showed no activity in both snapshots". A stricter rule — every
+// address in the prefix must itself have an up event — collapses:
+// renumbered blocks rarely reactivate every address, so it tags nearly
+// everything as individual churn and the bulky-event signal disappears.
+void AblationEventsize(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  const activity::ActivityStore& store = in.daily_store;
+
+  os << "=== Up-event size tagging: paper rule vs strict rule ===\n\n";
+  report::Table t({"window", "rule", "<=/24", "/25-/28", "/29-/32"});
+  for (int w : {1, 7, 28}) {
+    int num_windows = store.days() / w;
+    activity::EventSizeHistogram paper, strict;
+    for (int p = 0; p + 1 < num_windows; ++p) {
+      auto hp = activity::EventSizes(store, p * w, (p + 1) * w, (p + 1) * w,
+                                     (p + 2) * w, true);
+      auto hs = activity::EventSizesStrict(store, p * w, (p + 1) * w,
+                                           (p + 1) * w, (p + 2) * w, true);
+      for (std::size_t m = 0; m < hp.by_mask.size(); ++m) {
+        paper.by_mask[m] += hp.by_mask[m];
+        strict.by_mask[m] += hs.by_mask[m];
+      }
+      paper.total += hp.total;
+      strict.total += hs.total;
+    }
+    auto add = [&](const char* rule, const activity::EventSizeHistogram& h) {
+      t.AddRow({std::to_string(w) + "d", rule,
+                report::FormatPercent(h.FractionInMaskRange(0, 24)),
+                report::FormatPercent(h.FractionInMaskRange(25, 28)),
+                report::FormatPercent(h.FractionInMaskRange(29, 32))});
+    };
+    add("paper", paper);
+    add("strict", strict);
+  }
+  t.Print(os);
+  os << "\n[the strict rule erases the window-size trend the paper "
+        "reports: without the inactive-in-both qualification, "
+        "month-scale renumberings no longer register as bulky "
+        "events]\n";
+}
+
+// --- §8 implications and related measurement systems ----------------------
+
+// Trinocular-style adaptive availability monitoring (paper ref [29]) vs
+// ground truth: detection of block deactivations, false-outage rate on
+// stable blocks, and the probing cost advantage over brute-force scanning.
+// Runs on its own world with more deactivations, so there are outage
+// events to score.
+void Trinocular(const Inputs& in, std::ostream& os) {
+  sim::WorldConfig config = in.config;
+  config.deactivate_rate_per_year = 0.15;
+  sim::World world{config};
+  PrintWorldBanner(world, os);
+
+  scan::TrinocularMonitor monitor{world};
+  constexpr std::int32_t kFirst = 230, kLast = 330;
+  auto result = monitor.Monitor(kFirst, kLast);
+
+  std::unordered_map<net::BlockKey, const sim::BlockPlan*> plans;
+  for (const sim::BlockPlan& plan : world.blocks()) {
+    plans[net::BlockKeyOf(plan.block)] = &plan;
+  }
+
+  std::uint64_t stable_days = 0, stable_false_down = 0, stable_unknown = 0;
+  int outages = 0, detected = 0;
+  std::vector<double> lags;
+  for (const scan::BlockTimeline& timeline : result.timelines) {
+    const sim::BlockPlan* plan = plans.at(timeline.key);
+    bool up_throughout =
+        plan->active_from <= kFirst && plan->active_until >= kLast;
+    if (up_throughout) {
+      for (scan::BlockState s : timeline.state) {
+        ++stable_days;
+        if (s == scan::BlockState::kDown) ++stable_false_down;
+        if (s == scan::BlockState::kUnknown) ++stable_unknown;
+      }
+      continue;
+    }
+    std::int32_t down_day = plan->active_until;
+    if (!sim::IsClientPolicy(plan->base.kind) || down_day < kFirst + 5 ||
+        down_day > kLast - 15) {
+      continue;
+    }
+    ++outages;
+    for (int d = static_cast<int>(down_day - kFirst); d < result.days; ++d) {
+      if (timeline.state[static_cast<std::size_t>(d)] ==
+          scan::BlockState::kDown) {
+        ++detected;
+        lags.push_back(static_cast<double>(d) -
+                       static_cast<double>(down_day - kFirst));
+        break;
+      }
+    }
+  }
+
+  os << "=== Trinocular-style /24 availability monitoring ===\n";
+  report::Table t({"metric", "value", "note"});
+  t.AddRow({"covered blocks", report::FormatCount(result.timelines.size()),
+            "blocks with ICMP-responsive addresses"});
+  t.AddRow({"mean probes / block / day",
+            report::FormatDouble(result.MeanProbesPerBlockDay()),
+            "vs 256 for brute-force block scans"});
+  t.AddRow({"false-outage rate (stable blocks)",
+            report::FormatPercent(
+                stable_days ? static_cast<double>(stable_false_down) /
+                                  static_cast<double>(stable_days)
+                            : 0.0),
+            "up blocks misreported down"});
+  t.AddRow({"unknown rate (stable blocks)",
+            report::FormatPercent(
+                stable_days ? static_cast<double>(stable_unknown) /
+                                  static_cast<double>(stable_days)
+                            : 0.0),
+            "belief between thresholds"});
+  t.AddRow({"ground-truth outages in window",
+            report::FormatCount(static_cast<std::uint64_t>(outages)),
+            "client block deactivations"});
+  t.AddRow({"outages detected",
+            outages ? report::FormatPercent(static_cast<double>(detected) /
+                                            outages)
+                    : "n/a",
+            "inferred down after the event"});
+  t.AddRow({"median detection lag (days)",
+            report::FormatDouble(stats::Median(lags), 1),
+            "event day -> first inferred-down day"});
+  t.Print(os);
+  os << "\n[Quan et al. report ~1% probe volume of a full census with "
+        "high outage coverage — the adaptive-belief mechanism "
+        "reproduces that trade-off here]\n";
+}
+
+// Reputation-TTL policy evaluation (paper §8, security implications): a
+// fixed abuser population misbehaves through churning addresses; each
+// expiry policy trades collateral damage (innocent holders blocked)
+// against abuser coverage. The paper's proposal — TTLs derived from the
+// block's assignment pattern plus change-triggered resets — is scored
+// against fixed TTLs and the never-expire strawman.
+void SecurityReputation(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  os << "=== Reputation expiry policies under address churn ===\n";
+  os << "(1% of subscribers abuse; blocklist trained on the full "
+        "period, scored on the last 8 weeks)\n\n";
+
+  report::Table t({"policy", "blocked abusers", "miss rate",
+                   "innocent blocked", "false-positive rate"});
+  auto add = [&](security::TtlPolicy policy, double ttl, const char* label) {
+    auto eval = security::EvaluateReputationPolicy(in.daily, policy, ttl);
+    t.AddRow({label, report::FormatCount(eval.blocked_abuser),
+              report::FormatPercent(eval.MissRate()),
+              report::FormatCount(eval.blocked_innocent),
+              report::FormatPercent(eval.FalsePositiveRate())});
+  };
+  add(security::TtlPolicy::kNever, 0, "never expire");
+  add(security::TtlPolicy::kFixed, 30, "fixed 30d");
+  add(security::TtlPolicy::kFixed, 7, "fixed 7d");
+  add(security::TtlPolicy::kFixed, 1, "fixed 1d");
+  add(security::TtlPolicy::kPattern, 0, "pattern TTL (paper)");
+  add(security::TtlPolicy::kPatternReset, 0, "pattern TTL + change reset");
+  t.Print(os);
+
+  os << "\n[paper §8: reputations must expire on the block's "
+        "reassignment timescale — static blocks can hold them for "
+        "weeks, 24h pools for a day, gateways barely at all; the "
+        "change detector triggers resets on renumbering]\n";
+}
+
+// Representative-address selection (paper ref [15], §8 measurement
+// implications): per-/24 hitlists built from an 8-week observation window
+// under several strategies, scored on responsiveness in the following
+// 4 weeks.
+void Hitlist(const Inputs& in, std::ostream& os) {
+  PrintWorldBanner(in.world, os);
+  constexpr int kTrainFirst = 0, kTrainLast = 56;
+  constexpr int kEvalFirst = 84, kEvalLast = 112;
+
+  os << "=== Hitlist strategies: train weeks 1-8, evaluate weeks "
+        "13-16 ===\n\n";
+  report::Table t({"strategy", "entries", "responsive later", "hit rate"});
+  for (measurement::HitlistStrategy strategy :
+       {measurement::HitlistStrategy::kMostActive,
+        measurement::HitlistStrategy::kMostRecent,
+        measurement::HitlistStrategy::kLowestActive,
+        measurement::HitlistStrategy::kFixedOffset}) {
+    auto hitlist = measurement::BuildHitlist(in.daily_store, kTrainFirst,
+                                             kTrainLast, strategy);
+    auto score = measurement::EvaluateHitlist(in.daily_store, hitlist,
+                                              kEvalFirst, kEvalLast);
+    t.AddRow({measurement::HitlistStrategyName(strategy),
+              report::FormatCount(score.entries),
+              report::FormatCount(score.responsive),
+              report::FormatPercent(score.HitRate())});
+  }
+  t.Print(os);
+  os << "\n[activity-informed selection (most-active) dominates "
+        "naive choices; most-recent suffers in cycling pools, "
+        "fixed-.1 misses sparse static blocks entirely — the §8 "
+        "argument for activity-aware measurement infrastructure]\n";
+}
+
+// Diurnal phase inference per country ("When the Internet Sleeps", Quan et
+// al., the paper's ref [30]): raw-log timestamps alone reveal each
+// country's local-time phase. UTC request hours are histogrammed per
+// country, the peak located, and the UTC offset recovered — scored against
+// the simulator's ground-truth offsets.
+void Diurnal(const Inputs& in, std::ostream& os) {
+  const sim::World& world = in.world;
+  PrintWorldBanner(world, os);
+  cdn::RawLogGenerator raw{world, in.daily.spec()};
+
+  // Histogram UTC request hours per country over one week, capping records
+  // per address so gateways do not drown the signal.
+  std::map<int, std::array<std::uint64_t, 24>> hours_by_country;
+  std::map<int, std::uint64_t> records_by_country;
+  for (const sim::BlockPlan& plan : world.blocks()) {
+    if (!sim::IsClientPolicy(plan.base.kind) || plan.country < 0) continue;
+    for (int step = 0; step < 7; ++step) {
+      raw.ForBlockStep(
+          plan, step,
+          [&](const cdn::LogRecord& r) {
+            ++hours_by_country[plan.country][(r.unix_time / 3600) % 24];
+            ++records_by_country[plan.country];
+          },
+          /*per_address_cap=*/3);
+    }
+  }
+
+  // The local diurnal curve peaks at 20:00; a UTC peak at hour H implies
+  // an offset of (20 - H) mod 24 (normalized into [-11, 12]).
+  const auto countries = geo::Countries();
+  os << "=== Per-country diurnal phase recovered from raw logs ===\n";
+  report::Table t({"country", "records", "UTC peak hour", "inferred offset",
+                   "true offset"});
+  int scored = 0, correct = 0;
+  for (const auto& [country, hours] : hours_by_country) {
+    if (records_by_country[country] < 20000) continue;  // too noisy
+    int peak = 0;
+    for (int h = 1; h < 24; ++h) {
+      if (hours[static_cast<std::size_t>(h)] >
+          hours[static_cast<std::size_t>(peak)]) {
+        peak = h;
+      }
+    }
+    int inferred = (20 - peak + 48) % 24;
+    if (inferred > 12) inferred -= 24;
+    int truth = countries[static_cast<std::size_t>(country)].utc_offset_hours;
+    ++scored;
+    if (std::abs(inferred - truth) <= 1) ++correct;
+    t.AddRow({std::string{countries[static_cast<std::size_t>(country)].code},
+              report::FormatCount(records_by_country[country]),
+              std::to_string(peak), std::to_string(inferred),
+              std::to_string(truth)});
+  }
+  t.Print(os);
+  os << "\noffsets recovered within +-1h: " << correct << "/" << scored
+     << "   [ref 30 infers sleep cycles from probe responses; here "
+        "the CDN's own request timestamps carry the same signal]\n";
+}
+
+// --- Robustness -----------------------------------------------------------
+
+// The reproduction's headline shapes must hold across world seeds, not
+// just the default one: the key metrics at five seeds (each its own world
+// at the run's scale), min/mean/max next to the paper's bands.
+void SeedStability(const Inputs& in, std::ostream& os) {
+  struct Metrics {
+    double daily_up_median;
+    double weekly_up_median;
+    double fd_above_250;
+    double fd_below_64;
+    double major_change;
+    double cdn_missed_by_icmp;
+  };
+  struct Band {
+    double min = 1e18, max = -1e18, sum = 0;
+    void Add(double v) {
+      min = std::min(min, v);
+      max = std::max(max, v);
+      sum += v;
+    }
+  };
+
+  os << "=== Headline metrics across 5 seeds ("
+     << in.config.target_client_blocks << " client blocks each) ===\n\n";
+
+  std::vector<Metrics> runs;
+  for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
+    sim::WorldConfig config = in.config;
+    config.seed = seed * 7919;
+    sim::World world{config};
+    auto store = cdn::Observatory::Daily(world).BuildStore();
+
+    Metrics m{};
+    activity::ChurnAnalyzer churn{store};
+    m.daily_up_median = churn.Churn(1).up.median;
+    m.weekly_up_median = churn.Churn(7).up.median;
+
+    auto metrics = activity::ComputeBlockMetrics(store);
+    double above = 0, below = 0;
+    for (const auto& b : metrics) {
+      above += b.filling_degree > 250;
+      below += b.filling_degree < 64;
+    }
+    m.fd_above_250 = 100.0 * above / static_cast<double>(metrics.size());
+    m.fd_below_64 = 100.0 * below / static_cast<double>(metrics.size());
+    m.major_change = 100.0 * activity::MajorChangeFraction(
+                                 activity::MaxMonthlyStuChange(store));
+
+    net::Ipv4Set cdn = store.ActiveSet(45, 76);
+    net::Ipv4Set icmp = scan::IcmpScanner{world}.ScanMonth(273, 31, 8);
+    m.cdn_missed_by_icmp =
+        100.0 * (1.0 - static_cast<double>(cdn.CountIntersect(icmp)) /
+                           static_cast<double>(cdn.Count()));
+    runs.push_back(m);
+  }
+
+  report::Table t({"metric", "min", "mean", "max", "paper"});
+  auto row = [&](const char* name, double Metrics::*field,
+                 const char* paper) {
+    Band band;
+    for (const Metrics& m : runs) band.Add(m.*field);
+    t.AddRow({name, report::FormatDouble(band.min),
+              report::FormatDouble(band.sum / static_cast<double>(runs.size())),
+              report::FormatDouble(band.max), paper});
+  };
+  row("daily up-event % (median)", &Metrics::daily_up_median, "~8");
+  row("weekly up-event % (median)", &Metrics::weekly_up_median, "~5");
+  row("% blocks FD>250", &Metrics::fd_above_250, "~50");
+  row("% blocks FD<64", &Metrics::fd_below_64, "~30");
+  row("% blocks major STU change", &Metrics::major_change, "9.8");
+  row("% CDN hosts missed by ICMP", &Metrics::cdn_missed_by_icmp, ">40");
+  t.Print(os);
+  os << "\n[narrow seed-to-seed bands mean the reproduced shapes are "
+        "properties of the mechanisms, not of one lucky seed]\n";
+}
+
+// The paper's footnote 2: the IPv4 stagnation (Fig 1) coincides with IPv6
+// growth — weekly active /64 counts doubled (200M -> 400M+) from Sep 2014
+// to Sep 2015. Regenerates that companion series and contrasts its growth
+// factor with the IPv4 series over the same year.
+void Ipv6Note(const Inputs& in, std::ostream& os) {
+  auto v6 = sim::GenerateIpv6Growth(in.config.seed);
+  auto v4 = sim::GenerateGrowthHistory(in.config.seed);
+
+  os << "=== Footnote 2: weekly active IPv6 /64s, Sep 2014 - Sep "
+        "2015 ===\n";
+  std::vector<double> series;
+  for (const auto& wc : v6.series) series.push_back(wc.active_slash64s);
+  os << "/64s:  " << report::RenderSparkline(series) << "\n";
+
+  report::Table t({"quantity", "measured", "paper"});
+  t.AddRow({"IPv6 /64s, Sep 2014",
+            report::FormatSi(v6.series.front().active_slash64s), "~200M"});
+  t.AddRow({"IPv6 /64s, Sep 2015",
+            report::FormatSi(v6.series.back().active_slash64s), ">400M"});
+  t.AddRow({"IPv6 yearly growth",
+            report::FormatDouble(v6.yearly_growth_factor) + "x", "~2x"});
+
+  // IPv4 over the same window (Sep 2014 = month index 80).
+  double v4_start = v4.series[80].active_ips;
+  double v4_end = v4.series[92].active_ips;
+  t.AddRow({"IPv4 actives, same year",
+            report::FormatSi(v4_start) + " -> " + report::FormatSi(v4_end),
+            "stagnant"});
+  t.AddRow({"IPv4 yearly growth",
+            report::FormatDouble(v4_end / v4_start) + "x", "~1.0x"});
+  t.Print(os);
+  os << "\n[the paper's framing: IPv4 enumeration stopped measuring "
+        "Internet growth precisely when IPv6 took over the growing]\n";
+}
+
+constexpr Experiment kExperiments[] = {
+    {"fig1_growth", Fig1Growth},
+    {"table1_datasets", Table1Datasets},
+    {"fig2_visibility", Fig2Visibility},
+    {"fig3_geography", Fig3Geography},
+    {"fig4_churn", Fig4Churn},
+    {"fig5_dissect", Fig5Dissect},
+    {"table2_longterm", Table2Longterm},
+    {"fig6_patterns", Fig6Patterns},
+    {"fig8_blocks", Fig8Blocks},
+    {"fig9_traffic", Fig9Traffic},
+    {"fig10_useragents", Fig10Useragents},
+    {"fig11_demographics", Fig11Demographics},
+    {"fig12_rirs", Fig12Rirs},
+    {"capture_recapture", CaptureRecapture},
+    {"baseline_udmap", BaselineUdmap},
+    {"ablation_change_threshold", AblationChangeThreshold},
+    {"ablation_scan_count", AblationScanCount},
+    {"ablation_ua_sampling", AblationUaSampling},
+    {"ablation_eventsize", AblationEventsize},
+    {"trinocular", Trinocular},
+    {"security_reputation", SecurityReputation},
+    {"hitlist", Hitlist},
+    {"diurnal", Diurnal},
+    {"seed_stability", SeedStability},
+    {"ipv6_note", Ipv6Note},
+};
+
+}  // namespace
+
+std::span<const Experiment> Experiments() { return kExperiments; }
+
+}  // namespace ipscope::analysis

@@ -11,6 +11,7 @@
 #include "activity/eventsize.h"
 #include "activity/metrics.h"
 #include "activity/pattern.h"
+#include "analysis/experiments.h"
 #include "analysis/fig10_useragents.h"
 #include "analysis/fig9_traffic.h"
 #include "analysis/visibility.h"
@@ -62,6 +63,13 @@ std::string FirstLineDiff(const std::string& expected,
              (aok ? al : std::string("<eof>")) + "'";
     }
   }
+}
+
+void SortByName(std::vector<GoldenFile>& files) {
+  std::sort(files.begin(), files.end(),
+            [](const GoldenFile& a, const GoldenFile& b) {
+              return a.name < b.name;
+            });
 }
 
 }  // namespace
@@ -273,10 +281,23 @@ std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config) {
            csv.AddRow({"gateway_whois_apnic", Fmt(r.gateway_whois_apnic), ""});
          });
 
-  std::sort(files.begin(), files.end(),
-            [](const GoldenFile& a, const GoldenFile& b) {
-              return a.name < b.name;
-            });
+  SortByName(files);
+  return files;
+}
+
+std::vector<GoldenFile> RenderAllGoldens(const GoldenConfig& config) {
+  std::vector<GoldenFile> files = RenderGoldens(config);
+  sim::WorldConfig wc;
+  wc.target_client_blocks = config.blocks;
+  wc.seed = config.seed;
+  const analysis::Inputs inputs{wc};
+  for (const analysis::Experiment& e : analysis::Experiments()) {
+    std::ostringstream os;
+    e.run(inputs, os);
+    files.push_back(
+        GoldenFile{"experiments/" + std::string(e.id) + ".txt", os.str()});
+  }
+  SortByName(files);
   return files;
 }
 
@@ -289,11 +310,13 @@ std::string RenderManifest(const std::vector<GoldenFile>& files) {
   return os.str();
 }
 
-void WriteGoldens(const std::string& dir, const GoldenConfig& config) {
+void WriteGoldens(const std::string& dir,
+                  const std::vector<GoldenFile>& files) {
   std::filesystem::create_directories(dir);
-  std::vector<GoldenFile> files = RenderGoldens(config);
   for (const GoldenFile& f : files) {
-    std::ofstream os{std::filesystem::path(dir) / f.name, std::ios::binary};
+    std::filesystem::path path = std::filesystem::path(dir) / f.name;
+    std::filesystem::create_directories(path.parent_path());
+    std::ofstream os{path, std::ios::binary};
     os << f.contents;
   }
   std::ofstream manifest{std::filesystem::path(dir) / kManifestName,
@@ -348,10 +371,9 @@ std::vector<std::pair<std::string, std::string>> ParseManifest(
 
 }  // namespace
 
-std::vector<GoldenIssue> VerifyGoldens(const std::string& dir,
-                                       const GoldenConfig& config) {
+std::vector<GoldenIssue> VerifyGoldens(
+    const std::string& dir, const std::vector<GoldenFile>& rendered) {
   std::vector<GoldenIssue> issues;
-  std::vector<GoldenFile> rendered = RenderGoldens(config);
   obs::GlobalRegistry()
       .GetCounter("check.golden_files_checked")
       .Add(rendered.size());

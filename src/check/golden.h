@@ -22,6 +22,8 @@
 //   fig2.csv               Fig 2 CDN vs ICMP splits + ICMP-only classes
 //   fig9.csv               Fig 9a/b days-active bins, 9c weekly shares
 //   fig10.csv              Fig 10 per-block UA samples + region tallies
+//   experiments/<id>.txt   the text every registered experiment prints
+//                          (analysis/experiments.h), e.g. fig4_churn.txt
 //
 // Renderings are bit-deterministic: every analysis obeys the
 // par::ParallelReduce ordered-merge contract (thread-count independent)
@@ -49,17 +51,23 @@ struct GoldenConfig {
 
 struct GoldenFile {
   std::string name;      // e.g. "churn.csv"
-  std::string contents;  // full CSV text
+  std::string contents;  // full file text
 };
 
-// Renders every golden snapshot (manifest excluded), sorted by name.
+// Renders the figure-series CSVs (manifest excluded), sorted by name.
 std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config);
+
+// Everything the golden directory holds, sorted by name: the series CSVs
+// plus experiments/<id>.txt for every registered experiment, all run on
+// one shared analysis::Inputs built at the config's seed and scale.
+std::vector<GoldenFile> RenderAllGoldens(const GoldenConfig& config);
 
 // "file,crc32c" manifest over the rendered files, one row per file.
 std::string RenderManifest(const std::vector<GoldenFile>& files);
 
-// Writes all snapshots plus MANIFEST.csv into `dir` (created if absent).
-void WriteGoldens(const std::string& dir, const GoldenConfig& config);
+// Writes `files` plus their MANIFEST.csv into `dir` (created if absent).
+void WriteGoldens(const std::string& dir,
+                  const std::vector<GoldenFile>& files);
 
 struct GoldenIssue {
   enum class Kind {
@@ -75,9 +83,10 @@ struct GoldenIssue {
 
 const char* GoldenIssueKindName(GoldenIssue::Kind kind);
 
-// Re-renders from the canonical seed and compares against `dir`. Empty
-// result = clean. Increments check.golden_files_checked.
+// Compares freshly `rendered` files against `dir` and its manifest; an
+// issue's `file` names the series or experiment that differs. Empty result
+// = clean. Increments check.golden_files_checked.
 std::vector<GoldenIssue> VerifyGoldens(const std::string& dir,
-                                       const GoldenConfig& config);
+                                       const std::vector<GoldenFile>& rendered);
 
 }  // namespace ipscope::check

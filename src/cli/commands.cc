@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -17,8 +18,10 @@
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "activity/change.h"
@@ -26,6 +29,7 @@
 #include "activity/eventsize.h"
 #include "activity/metrics.h"
 #include "activity/pattern.h"
+#include "analysis/experiments.h"
 #include "cdn/observatory.h"
 #include "cdn/rawlog.h"
 #include "check/golden.h"
@@ -127,17 +131,26 @@ commands:
       oracle, reloads a modified snapshot and re-verifies (new queries
       must see the new snapshot id), then drains via SIGINT. Exits 0 iff
       every response was bit-identical and the drain exited cleanly.
+  reproduce [--blocks N] [--seed S] [--only ID,ID...] [--out DIR]
+      Reproduce the paper: build the world (default 4000 client blocks),
+      its daily and weekly stores and the BGP feed once, then run every
+      experiment (or only the listed ids) in registry order, printing each
+      one's tables to stdout or to DIR/<id>.txt. An unknown id lists the
+      known ones. stderr gets one "id wall_s peak_rss_mb" line per
+      experiment, after an "inputs" line for the shared build and before
+      a "total" line; peak RSS is the process high-water mark so far.
   check [--goldens DIR] [--update-goldens] [--blocks N] [--threads-max N]
         [--perturb flip-bit]
       Differential correctness sweep: re-derives every figure series with
       the naive check::reference oracles and compares the optimized
       pipeline against them exactly, across seeds x thread counts x fault
       schedules, then verifies the committed golden snapshots in DIR
-      (default tests/golden). --update-goldens rewrites the snapshots and
-      manifest instead. --perturb flip-bit flips one activity bit on the
-      optimized side of the first case to prove the harness detects it
-      (the run then exits non-zero by design). Exits 0 iff no divergence
-      and no golden issue.
+      (default tests/golden): the figure series and every experiment's
+      output, naming each one that differs. --update-goldens rewrites the
+      snapshots and manifest instead. --perturb flip-bit flips one
+      activity bit on the optimized side of the first case to prove the
+      harness detects it (the run then exits non-zero by design). Exits 0
+      iff no divergence and no golden issue.
   help
       This message.
 
@@ -1198,7 +1211,7 @@ int CmdCheck(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   check::GoldenConfig gconfig;
 
   if (cmd.Flag("update-goldens")) {
-    check::WriteGoldens(goldens_dir, gconfig);
+    check::WriteGoldens(goldens_dir, check::RenderAllGoldens(gconfig));
     out << "check: wrote golden snapshots (seed " << gconfig.seed << ", "
         << gconfig.blocks << " client blocks) to " << goldens_dir << "\n";
     return 0;
@@ -1240,7 +1253,7 @@ int CmdCheck(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   }
 
   std::vector<check::GoldenIssue> issues =
-      check::VerifyGoldens(goldens_dir, gconfig);
+      check::VerifyGoldens(goldens_dir, check::RenderAllGoldens(gconfig));
   out << "\ngolden snapshots (" << goldens_dir << "): "
       << (issues.empty() ? "clean" : "ISSUES") << "\n";
   for (const check::GoldenIssue& issue : issues) {
@@ -1258,6 +1271,76 @@ int CmdCheck(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   bool ok = total_mismatches == 0 && issues.empty();
   out << "check: " << (ok ? "PASS" : "FAIL") << "\n";
   return ok ? 0 : 1;
+}
+
+// --- reproduce ------------------------------------------------------------
+
+// The process's peak resident set so far, in MB (getrusage reports KiB).
+double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+int CmdReproduce(const CommandLine& cmd, std::ostream& out,
+                 std::ostream& err) {
+  sim::WorldConfig config;
+  config.target_client_blocks = cmd.IntFlag("blocks", 4000);
+  if (config.target_client_blocks <= 0) {
+    throw FlagError("--blocks must be a positive number of client blocks");
+  }
+  config.seed = cmd.Uint64Flag("seed", config.seed);
+
+  std::span<const analysis::Experiment> all = analysis::Experiments();
+  std::vector<bool> selected(all.size(), !cmd.Flag("only"));
+  if (auto only = cmd.Flag("only")) {
+    std::istringstream ids{*only};
+    std::string id;
+    while (std::getline(ids, id, ',')) {
+      auto it = std::find_if(all.begin(), all.end(),
+                             [&](const analysis::Experiment& e) {
+                               return e.id == id;
+                             });
+      if (it == all.end()) {
+        err << "reproduce: unknown experiment '" << id << "'; known:";
+        for (const analysis::Experiment& e : all) err << " " << e.id;
+        err << "\n";
+        return 2;
+      }
+      selected[static_cast<std::size_t>(it - all.begin())] = true;
+    }
+  }
+  auto out_dir = cmd.Flag("out");
+  if (out_dir) std::filesystem::create_directories(*out_dir);
+
+  auto print_row = [&err](std::string_view id, const obs::Stopwatch& watch) {
+    err << id << " " << report::FormatDouble(watch.Seconds(), 3) << " "
+        << report::FormatDouble(PeakRssMb(), 1) << "\n";
+  };
+  obs::Stopwatch total;
+  obs::Stopwatch watch;
+  const analysis::Inputs inputs{config};
+  print_row("inputs", watch);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (!selected[i]) continue;
+    const analysis::Experiment& e = all[i];
+    watch.Restart();
+    if (out_dir) {
+      std::filesystem::path path =
+          std::filesystem::path(*out_dir) / (std::string(e.id) + ".txt");
+      std::ofstream file{path, std::ios::binary};
+      e.run(inputs, file);
+      if (!file.flush()) {
+        err << "reproduce: cannot write " << path.string() << "\n";
+        return 1;
+      }
+    } else {
+      e.run(inputs, out);
+    }
+    print_row(e.id, watch);
+  }
+  print_row("total", total);
+  return 0;
 }
 
 }  // namespace
@@ -1643,31 +1726,84 @@ int CmdServe(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+int CmdHelp(const CommandLine&, std::ostream& out, std::ostream&) {
+  out << kUsage;
+  return 0;
+}
+
+// Every command with the flags it reads; the global flags below are
+// accepted everywhere. Run() rejects any other flag before the command
+// starts, so a misspelled flag never runs a command on its defaults.
+struct CommandSpec {
+  std::string_view name;
+  int (*run)(const CommandLine&, std::ostream&, std::ostream&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<CommandSpec>& Commands() {
+  static const std::vector<CommandSpec> kCommands = {
+      {"generate", CmdGenerate, {"blocks", "seed", "weekly", "out"}},
+      {"summary", CmdSummary, {}},
+      {"churn", CmdChurn, {"window"}},
+      {"blocks", CmdBlocks, {"top", "sort"}},
+      {"render", CmdRender, {"block"}},
+      {"events", CmdEvents, {"window"}},
+      {"export", CmdExport, {"outdir"}},
+      {"hitlist", CmdHitlist, {"strategy"}},
+      {"describe", CmdDescribe, {"blocks", "seed"}},
+      {"profile", CmdProfile, {"blocks", "seed", "keep"}},
+      {"benchdiff", CmdBenchdiff, {"tolerance-pct"}},
+      {"chaos",
+       CmdChaos,
+       {"blocks", "seed", "fault-seed", "schedule", "window"}},
+      {"chaos-crash", CmdChaosCrash, {"blocks", "seed", "seeds", "dir"}},
+      {"reproduce", CmdReproduce, {"blocks", "seed", "only", "out"}},
+      {"check",
+       CmdCheck,
+       {"goldens", "update-goldens", "blocks", "threads-max", "perturb"}},
+      {"serve",
+       CmdServe,
+       {"session", "days", "port", "bind", "world-blocks", "world-seed",
+        "smoke", "blocks", "seed", "clients", "requests"}},
+      {"help", CmdHelp, {}},
+      {"--help", CmdHelp, {}},
+  };
+  return kCommands;
+}
+
+constexpr std::string_view kGlobalFlags[] = {"threads", "metrics-out",
+                                             "metrics-format", "trace-out"};
+
+const CommandSpec* FindCommand(const std::string& name) {
+  for (const CommandSpec& spec : Commands()) {
+    if (spec.name == name) return &spec;
+  }
+  return nullptr;
+}
+
 int Dispatch(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
-  if (cmd.command == "generate") return CmdGenerate(cmd, out, err);
-  if (cmd.command == "summary") return CmdSummary(cmd, out, err);
-  if (cmd.command == "churn") return CmdChurn(cmd, out, err);
-  if (cmd.command == "blocks") return CmdBlocks(cmd, out, err);
-  if (cmd.command == "render") return CmdRender(cmd, out, err);
-  if (cmd.command == "events") return CmdEvents(cmd, out, err);
-  if (cmd.command == "export") return CmdExport(cmd, out, err);
-  if (cmd.command == "hitlist") return CmdHitlist(cmd, out, err);
-  if (cmd.command == "describe") return CmdDescribe(cmd, out, err);
-  if (cmd.command == "profile") return CmdProfile(cmd, out, err);
-  if (cmd.command == "benchdiff") return CmdBenchdiff(cmd, out, err);
-  if (cmd.command == "chaos") return CmdChaos(cmd, out, err);
-  if (cmd.command == "chaos-crash") return CmdChaosCrash(cmd, out, err);
-  if (cmd.command == "check") return CmdCheck(cmd, out, err);
-  if (cmd.command == "serve") return CmdServe(cmd, out, err);
-  if (cmd.command == "help" || cmd.command == "--help") {
-    out << kUsage;
-    return 0;
+  if (const CommandSpec* spec = FindCommand(cmd.command)) {
+    return spec->run(cmd, out, err);
   }
   err << "unknown command '" << cmd.command << "'\n" << kUsage;
   return 2;
 }
 
 }  // namespace
+
+void ValidateFlags(const CommandLine& cmd) {
+  const CommandSpec* spec = FindCommand(cmd.command);
+  if (spec == nullptr) return;  // Dispatch reports the unknown command
+  for (const auto& [name, value] : cmd.flags) {
+    auto accepts = [&name](std::span<const std::string_view> flags) {
+      return std::find(flags.begin(), flags.end(), name) != flags.end();
+    };
+    if (!accepts(spec->flags) && !accepts(kGlobalFlags)) {
+      throw FlagError("--" + name + ": not a flag of '" + cmd.command +
+                      "' (see ipscope_cli help)");
+    }
+  }
+}
 
 int Run(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   auto metrics_out = cmd.Flag("metrics-out");
@@ -1680,6 +1816,7 @@ int Run(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     // Validate global flags inside the try block: a malformed --threads or
     // --metrics-format value reports like any other flag error — and
     // before the command runs, not after it did the work.
+    ValidateFlags(cmd);
     if (metrics_format != "json" && metrics_format != "prometheus") {
       throw FlagError("--metrics-format must be json or prometheus, got '" +
                       metrics_format + "'");

@@ -10,6 +10,7 @@
 //   ipscope_cli render daily.ipscope --block 40.112.7.0/24
 //   ipscope_cli events daily.ipscope --window 28
 //   ipscope_cli profile --blocks 2000 --metrics-out m.json --trace-out t.json
+//   ipscope_cli reproduce --only fig4_churn,fig9_traffic --out results/
 //
 // All command logic lives here (stream-parameterized) so it is unit-tested;
 // tools/ipscope_cli.cc is a thin main().
@@ -26,8 +27,10 @@
 namespace ipscope::cli {
 
 // Thrown by the numeric flag accessors on malformed values (e.g.
-// `--seed banana`). Run() catches it and turns it into exit code 2 with
-// the message on stderr, so commands can parse flags without try blocks.
+// `--seed banana`) and by ValidateFlags on a flag the command does not
+// know (e.g. `--blokcs`). Run() catches it and turns it into exit code 2
+// with the message on stderr, so commands can parse flags without try
+// blocks.
 struct FlagError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -52,6 +55,12 @@ struct CommandLine {
 // input is malformed.
 std::optional<CommandLine> Parse(const std::vector<std::string>& args,
                                  std::ostream& err);
+
+// Throws FlagError naming the first flag that `cmd.command` does not read
+// (the global flags --threads, --metrics-out, --metrics-format and
+// --trace-out are accepted by every command). Run() calls it before the
+// command starts.
+void ValidateFlags(const CommandLine& cmd);
 
 // Executes a parsed command. Returns a process exit code.
 int Run(const CommandLine& cmd, std::ostream& out, std::ostream& err);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
+#include <utility>
 
 #include "obs/timer.h"
 #include "rng/rng.h"
@@ -50,36 +52,30 @@ int SampleCountry(rng::Xoshiro256& g, bool cgn_biased) {
   return static_cast<int>(countries.size()) - 1;
 }
 
-int BlocksForAs(AsType type, rng::Xoshiro256& g) {
-  double mu, sigma;
+// Log-normal (mu, sigma) of an AS type's /24 count. The switch covers
+// every AsType; falling out of it means a corrupt enum value.
+std::pair<double, double> BlockCountShape(AsType type) {
   switch (type) {
     case AsType::kResidentialIsp:
-      mu = 3.0;
-      sigma = 0.8;
-      break;
+      return {3.0, 0.8};
     case AsType::kCellular:
       // Many mid-sized operators rather than a few giants: keeps CGN
       // deployment geographically mixed at small world scales.
-      mu = 2.2;
-      sigma = 0.6;
-      break;
+      return {2.2, 0.6};
     case AsType::kUniversity:
-      mu = 1.8;
-      sigma = 0.6;
-      break;
+      return {1.8, 0.6};
     case AsType::kEnterprise:
-      mu = 1.2;
-      sigma = 0.7;
-      break;
+      return {1.2, 0.7};
     case AsType::kHosting:
-      mu = 1.8;
-      sigma = 0.8;
-      break;
+      return {1.8, 0.8};
     case AsType::kTransit:
-      mu = 1.4;
-      sigma = 0.6;
-      break;
+      return {1.4, 0.6};
   }
+  std::abort();
+}
+
+int BlocksForAs(AsType type, rng::Xoshiro256& g) {
+  auto [mu, sigma] = BlockCountShape(type);
   double n = rng::NextLogNormal(g, mu, sigma);
   return std::clamp(static_cast<int>(n), 1, 150);
 }

@@ -1,8 +1,11 @@
 // Golden-snapshot store tests: write/verify round trip, and the three
-// failure modes (missing, stale/corrupt, code regression).
+// failure modes (missing, stale/corrupt, code regression). They use the
+// figure-series set only; the experiment set is checked against the
+// committed goldens in cli_check_test.cc.
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,6 +44,14 @@ class GoldenTest : public ::testing::Test {
     return buf.str();
   }
 
+  // The series set written from / verified against `config`'s world.
+  void Write(const check::GoldenConfig& config) {
+    check::WriteGoldens(dir_.string(), check::RenderGoldens(config));
+  }
+  std::vector<check::GoldenIssue> Verify(const check::GoldenConfig& config) {
+    return check::VerifyGoldens(dir_.string(), check::RenderGoldens(config));
+  }
+
   void WriteFile(const std::string& name, const std::string& contents) {
     std::ofstream os{dir_ / name, std::ios::binary};
     os << contents;
@@ -61,37 +72,37 @@ TEST_F(GoldenTest, RenderIsDeterministic) {
 }
 
 TEST_F(GoldenTest, WriteThenVerifyIsClean) {
-  check::WriteGoldens(dir_.string(), TestConfig());
+  Write(TestConfig());
   EXPECT_TRUE(fs::exists(dir_ / "MANIFEST.csv"));
   EXPECT_TRUE(fs::exists(dir_ / "churn.csv"));
-  auto issues = check::VerifyGoldens(dir_.string(), TestConfig());
+  auto issues = Verify(TestConfig());
   EXPECT_TRUE(issues.empty());
 }
 
 TEST_F(GoldenTest, CorruptSnapshotReportsStale) {
-  check::WriteGoldens(dir_.string(), TestConfig());
+  Write(TestConfig());
   std::string churn = ReadFile("churn.csv");
   churn[churn.size() / 2] ^= 1;  // one flipped bit in the committed file
   WriteFile("churn.csv", churn);
-  auto issues = check::VerifyGoldens(dir_.string(), TestConfig());
+  auto issues = Verify(TestConfig());
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].kind, check::GoldenIssue::Kind::kStale);
   EXPECT_EQ(issues[0].file, "churn.csv");
 }
 
 TEST_F(GoldenTest, MissingSnapshotReported) {
-  check::WriteGoldens(dir_.string(), TestConfig());
+  Write(TestConfig());
   fs::remove(dir_ / "summary.csv");
-  auto issues = check::VerifyGoldens(dir_.string(), TestConfig());
+  auto issues = Verify(TestConfig());
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].kind, check::GoldenIssue::Kind::kMissing);
   EXPECT_EQ(issues[0].file, "summary.csv");
 }
 
 TEST_F(GoldenTest, MissingManifestReported) {
-  check::WriteGoldens(dir_.string(), TestConfig());
+  Write(TestConfig());
   fs::remove(dir_ / "MANIFEST.csv");
-  auto issues = check::VerifyGoldens(dir_.string(), TestConfig());
+  auto issues = Verify(TestConfig());
   ASSERT_FALSE(issues.empty());
   EXPECT_EQ(issues[0].kind, check::GoldenIssue::Kind::kMissing);
   EXPECT_EQ(issues[0].file, "MANIFEST.csv");
@@ -102,10 +113,10 @@ TEST_F(GoldenTest, BehaviorChangeReportsRegressionNotStale) {
   // (simulated by verifying with a different seed). The disk still matches
   // its manifest, so this must classify as a code regression with a line
   // coordinate, not as a stale checkout.
-  check::WriteGoldens(dir_.string(), TestConfig());
+  Write(TestConfig());
   check::GoldenConfig changed = TestConfig();
   changed.seed = 10;
-  auto issues = check::VerifyGoldens(dir_.string(), changed);
+  auto issues = Verify(changed);
   ASSERT_FALSE(issues.empty());
   for (const auto& issue : issues) {
     EXPECT_EQ(issue.kind, check::GoldenIssue::Kind::kRegression) << issue.file;
@@ -114,11 +125,11 @@ TEST_F(GoldenTest, BehaviorChangeReportsRegressionNotStale) {
 }
 
 TEST_F(GoldenTest, ManifestOrphanReported) {
-  check::WriteGoldens(dir_.string(), TestConfig());
+  Write(TestConfig());
   std::string manifest = ReadFile("MANIFEST.csv");
   manifest += "retired_series.csv,00000000\n";
   WriteFile("MANIFEST.csv", manifest);
-  auto issues = check::VerifyGoldens(dir_.string(), TestConfig());
+  auto issues = Verify(TestConfig());
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].kind, check::GoldenIssue::Kind::kUnexpected);
   EXPECT_EQ(issues[0].file, "retired_series.csv");

@@ -6,6 +6,8 @@
 
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "netbase/ipv4.h"
@@ -217,6 +219,75 @@ TEST(Cli, GenerateRejectsNonNumericSeed) {
                  out, err),
             2);
   EXPECT_NE(err.str().find("--seed"), std::string::npos);
+}
+
+// Command -> the --flags its usage section documents (the heading and
+// description lines up to the next command), from `ipscope_cli help`.
+std::map<std::string, std::set<std::string>> DocumentedFlags() {
+  std::ostringstream out, err;
+  EXPECT_EQ(Main({"help"}, out, err), 0);
+  std::map<std::string, std::set<std::string>> documented;
+  auto is_lower = [](char c) { return c >= 'a' && c <= 'z'; };
+  std::istringstream usage{out.str()};
+  std::string line, command;
+  while (std::getline(usage, line)) {
+    if (line.rfind("global flags", 0) == 0) break;
+    // A heading is indented two spaces: "  <command> [args]".
+    if (line.size() > 2 && line.rfind("  ", 0) == 0 && is_lower(line[2])) {
+      command = line.substr(2, line.find(' ', 2) - 2);
+      documented[command];
+    }
+    if (command.empty()) continue;
+    for (auto at = line.find("--"); at != std::string::npos;
+         at = line.find("--", at + 2)) {
+      auto end = at + 2;
+      while (end < line.size() && (is_lower(line[end]) || line[end] == '-')) {
+        ++end;
+      }
+      if (end > at + 2) {
+        documented[command].insert(line.substr(at + 2, end - at - 2));
+      }
+    }
+  }
+  return documented;
+}
+
+TEST(CliFlags, EveryDocumentedFlagIsAccepted) {
+  auto documented = DocumentedFlags();
+  ASSERT_GE(documented.size(), 15u);
+  ASSERT_TRUE(documented.count("reproduce"));
+  EXPECT_EQ(documented["reproduce"],
+            (std::set<std::string>{"blocks", "seed", "only", "out"}));
+  for (const auto& [command, flags] : documented) {
+    for (const char* name :
+         {"threads", "metrics-out", "metrics-format", "trace-out"}) {
+      CommandLine cmd{command, {}, {{name, "1"}}};
+      EXPECT_NO_THROW(ValidateFlags(cmd)) << command << " --" << name;
+    }
+    for (const std::string& name : flags) {
+      CommandLine cmd{command, {}, {{name, "1"}}};
+      EXPECT_NO_THROW(ValidateFlags(cmd)) << command << " --" << name;
+    }
+  }
+}
+
+TEST(CliFlags, MisspelledFlagExitsTwoForEveryCommand) {
+  for (const auto& [command, flags] : DocumentedFlags()) {
+    std::ostringstream out, err;
+    EXPECT_EQ(Main({command, "--blokcs", "50"}, out, err), 2) << command;
+    EXPECT_NE(err.str().find("--blokcs"), std::string::npos)
+        << command << ": " << err.str();
+    EXPECT_TRUE(out.str().empty()) << command << " ran: " << out.str();
+  }
+}
+
+TEST(CliFlags, MisspelledSeedDoesNotRunReproduce) {
+  std::ostringstream out, err;
+  EXPECT_EQ(Main({"reproduce", "--sead", "3", "--only", "fig1_growth"}, out,
+                 err),
+            2);
+  EXPECT_NE(err.str().find("--sead"), std::string::npos) << err.str();
+  EXPECT_TRUE(out.str().empty());
 }
 
 TEST(Cli, MalformedIntFlagFails) {

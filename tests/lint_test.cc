@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache.h"
 #include "graph.h"
 #include "gtest/gtest.h"
 #include "lexer.h"
@@ -513,50 +512,6 @@ TEST(LintGraph, GuardedByHeaderAnnotationCoversCc) {
       "}\n"));
   pa = lint::AnalyzeProject(locked);
   EXPECT_EQ(FindProjectRule(pa, "concurrency.guarded-by"), nullptr);
-}
-
-// --- Facts cache -----------------------------------------------------------
-
-TEST(LintCache, RoundTripHitAndInvalidation) {
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     "ipscope_lint_cache_test")
-                        .string();
-  std::filesystem::remove_all(dir);
-  lint::FactsCache cache(dir);
-  ASSERT_TRUE(cache.enabled());
-
-  std::string src =
-      "#include \"obs/registry.h\"\n"
-      "ipscope::Result<int, int> Thing();\n"
-      "int x;\n";
-  lint::FileAnalysis fa = Analyze("src/geo/a.cc", src);
-  std::uint32_t crc = lint::ContentCrc(src);
-
-  lint::FileAnalysis out;
-  EXPECT_FALSE(cache.Load("src/geo/a.cc", crc, out));  // cold cache
-  cache.Store("src/geo/a.cc", crc, fa);
-  ASSERT_TRUE(cache.Load("src/geo/a.cc", crc, out));
-  // The cached facts are byte-identical to a fresh extraction, so the
-  // phase-2 passes see the same project either way.
-  EXPECT_TRUE(out.facts == fa.facts);
-  EXPECT_EQ(out.findings.size(), fa.findings.size());
-  EXPECT_EQ(out.suppressions.size(), fa.suppressions.size());
-
-  // An edit (different content CRC) and a rename (different path) miss.
-  lint::FileAnalysis miss;
-  EXPECT_FALSE(cache.Load("src/geo/a.cc", crc ^ 1u, miss));
-  EXPECT_FALSE(cache.Load("src/geo/renamed.cc", crc, miss));
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(LintCache, EmptyDirDisablesCache) {
-  lint::FactsCache cache("");
-  EXPECT_FALSE(cache.enabled());
-  lint::FileAnalysis fa = Analyze("src/geo/a.cc", "int x;\n");
-  cache.Store("src/geo/a.cc", 7, fa);  // no-op
-  lint::FileAnalysis out;
-  EXPECT_FALSE(cache.Load("src/geo/a.cc", 7, out));
 }
 
 // --- SARIF -----------------------------------------------------------------

@@ -340,8 +340,8 @@ TEST(ObsRegistry, ControlCharactersInMetricNamesStayValidJson) {
 }
 
 // obs::EnvString is the blessed read point for string-valued environment
-// variables (the [parsing] lint contract routes bench/common.h and any
-// future path-style env read through it).
+// variables (the [parsing] lint contract routes every env read, such as
+// src/ingest/session.cc's, through it).
 TEST(ObsEnvString, UnsetReturnsNullopt) {
   unsetenv("IPSCOPE_OBS_TEST_ENV");
   EXPECT_FALSE(EnvString("IPSCOPE_OBS_TEST_ENV").has_value());

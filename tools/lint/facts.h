@@ -2,9 +2,7 @@
 //
 // AnalyzeFile extracts one FileFacts per translation unit alongside the
 // per-file findings. Facts are the ONLY thing the whole-project passes in
-// graph.h consume, which is what makes the on-disk cache (cache.h) sound:
-// a file whose bytes have not changed contributes byte-identical facts, so
-// its token streams never need to be rebuilt.
+// graph.h consume.
 //
 // Extracted facts:
 //   * quoted #include edges (the layering DAG and fork-reachability input)
@@ -32,7 +30,6 @@ struct FileFacts {
     std::string target;
     int line = 0;
     int col = 0;
-    bool operator==(const Include&) const = default;
   };
 
   // `Result<...> Name(...)` declaration or definition (optionally
@@ -40,7 +37,6 @@ struct FileFacts {
   struct ResultFn {
     std::string name;
     int line = 0;
-    bool operator==(const ResultFn&) const = default;
   };
 
   // A call `Name(...)` in statement position: nothing consumes its value.
@@ -50,7 +46,6 @@ struct FileFacts {
     std::string name;
     int line = 0;
     int col = 0;
-    bool operator==(const DiscardedCall&) const = default;
   };
 
   // A fork-unsafe primitive use. kind is "pool" (anything from par::,
@@ -61,7 +56,6 @@ struct FileFacts {
     std::string token;  // the offending spelling, e.g. "std::mutex"
     int line = 0;
     int col = 0;
-    bool operator==(const Primitive&) const = default;
   };
 
   // `// guards: <mutex>` on (or immediately above) a field declaration:
@@ -71,7 +65,6 @@ struct FileFacts {
     std::string mutex;
     int decl_line = 0;  // the code line the annotation applies to
     int ann_line = 0;   // where the comment itself sits
-    bool operator==(const GuardAnnotation&) const = default;
   };
 
   // A member-field-shaped identifier touch (trailing '_' or accessed via
@@ -81,7 +74,6 @@ struct FileFacts {
     int line = 0;
     int col = 0;
     std::vector<std::string> held;  // sorted, deduplicated
-    bool operator==(const FieldTouch&) const = default;
   };
 
   std::vector<Include> includes;
@@ -91,7 +83,6 @@ struct FileFacts {
   std::vector<GuardAnnotation> guards;
   std::vector<FieldTouch> touches;
 
-  bool operator==(const FileFacts&) const = default;
 };
 
 

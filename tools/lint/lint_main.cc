@@ -1,13 +1,11 @@
 // ipscope_lint — the project-contract static analyzer.
 //
 //   ipscope_lint [--root DIR] [--format text|sarif] [--out FILE]
-//                [--metrics-out FILE] [--cache-dir DIR] [--list-rules]
-//                [paths...]
+//                [--metrics-out FILE] [--list-rules] [paths...]
 //   ipscope_lint --self-test [--corpus DIR]
 //
 // With no paths, scans root/{src,tools,bench,tests,examples} (skipping the
-// committed violation corpus). --cache-dir enables the CRC32C phase-1
-// cache (see tools/lint/cache.h) so reruns only re-analyze changed files.
+// committed violation corpus).
 // Exit codes: 0 clean, 1 findings or self-test failure, 2 usage error.
 // See tools/lint/rules.h for the rule catalogue and DESIGN.md §4.10/§4.15
 // for the contracts the rules encode.
@@ -29,8 +27,8 @@ namespace {
 
 int Usage(std::ostream& os) {
   os << "usage: ipscope_lint [--root DIR] [--format text|sarif] [--out FILE]\n"
-        "                    [--metrics-out FILE] [--cache-dir DIR]\n"
-        "                    [--list-rules] [paths...]\n"
+        "                    [--metrics-out FILE] [--list-rules] "
+        "[paths...]\n"
         "       ipscope_lint --self-test [--corpus DIR]\n";
   return 2;
 }
@@ -52,7 +50,7 @@ bool TakeValueFlag(const std::vector<std::string>& args, std::size_t& i,
 }
 
 void WriteText(const lint::ScanResult& result, double scan_seconds,
-               bool caching, std::ostream& os) {
+               std::ostream& os) {
   for (const lint::Finding& f : result.findings) {
     os << f.path << ":" << f.line << ":" << f.col << ": [" << f.rule << "] "
        << f.message << "\n";
@@ -64,21 +62,9 @@ void WriteText(const lint::ScanResult& result, double scan_seconds,
   os << "ipscope_lint: " << result.files_scanned << " files, "
      << result.findings.size() << " findings, " << result.suppressions_used
      << " justified suppressions\n";
-  char stats[160];
-  if (caching) {
-    double rate = result.files_scanned > 0
-                      ? 100.0 * result.cache_hits / result.files_scanned
-                      : 0.0;
-    std::snprintf(stats, sizeof(stats),
-                  "ipscope_lint: scan %.0f ms, cache %d/%d hits (%.1f%%), "
-                  "%d re-extracted",
-                  scan_seconds * 1e3, result.cache_hits,
-                  result.files_scanned, rate, result.facts_cached);
-  } else {
-    std::snprintf(stats, sizeof(stats),
-                  "ipscope_lint: scan %.0f ms (cache disabled)",
-                  scan_seconds * 1e3);
-  }
+  char stats[64];
+  std::snprintf(stats, sizeof(stats), "ipscope_lint: scan %.0f ms",
+                scan_seconds * 1e3);
   os << stats << "\n";
 }
 
@@ -90,7 +76,6 @@ int main(int argc, char** argv) {
   std::string format = "text";
   std::string out_path;
   std::string metrics_out;
-  std::string cache_dir;
   std::string corpus;
   bool self_test = false;
   bool list_rules = false;
@@ -102,7 +87,6 @@ int main(int argc, char** argv) {
     if (TakeValueFlag(args, i, "--format", format)) continue;
     if (TakeValueFlag(args, i, "--out", out_path)) continue;
     if (TakeValueFlag(args, i, "--metrics-out", metrics_out)) continue;
-    if (TakeValueFlag(args, i, "--cache-dir", cache_dir)) continue;
     if (TakeValueFlag(args, i, "--corpus", corpus)) continue;
     if (args[i] == "--self-test") {
       self_test = true;
@@ -140,12 +124,9 @@ int main(int argc, char** argv) {
       return lint::RunSelfTest(corpus, std::cout);
     }
 
-    lint::ScanOptions opts;
-    opts.cache_dir = cache_dir;
     ipscope::obs::Stopwatch watch;
-    lint::ScanResult result = paths.empty()
-                                  ? lint::ScanTree(root, opts)
-                                  : lint::ScanFiles(root, paths, opts);
+    lint::ScanResult result = paths.empty() ? lint::ScanTree(root)
+                                            : lint::ScanFiles(root, paths);
     double scan_seconds = watch.Seconds();
 
     auto& registry = ipscope::obs::GlobalRegistry();
@@ -155,10 +136,6 @@ int main(int argc, char** argv) {
         .Add(result.findings.size());
     registry.GetCounter("lint.suppressions_used")
         .Add(static_cast<std::uint64_t>(result.suppressions_used));
-    registry.GetCounter("lint.cache_hits")
-        .Add(static_cast<std::uint64_t>(result.cache_hits));
-    registry.GetCounter("lint.facts_cached")
-        .Add(static_cast<std::uint64_t>(result.facts_cached));
     registry.GetGauge("lint.scan_seconds").Set(scan_seconds);
     if (!metrics_out.empty()) registry.WriteJsonFile(metrics_out);
 
@@ -175,7 +152,7 @@ int main(int argc, char** argv) {
     if (format == "sarif") {
       lint::WriteSarif(result.findings, *os);
     } else {
-      WriteText(result, scan_seconds, !cache_dir.empty(), *os);
+      WriteText(result, scan_seconds, *os);
     }
     return result.findings.empty() ? 0 : 1;
   } catch (const std::exception& e) {

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "cache.h"
 #include "graph.h"
 
 namespace ipscope::lint {
@@ -62,7 +61,7 @@ void SortFindings(std::vector<Finding>& findings) {
 
 }  // namespace
 
-ScanResult ScanTree(const std::string& root, const ScanOptions& opts) {
+ScanResult ScanTree(const std::string& root) {
   static const char* kRoots[] = {"src", "tools", "bench", "tests", "examples"};
   std::vector<std::string> rels;
   for (const char* top : kRoots) {
@@ -79,33 +78,19 @@ ScanResult ScanTree(const std::string& root, const ScanOptions& opts) {
     }
   }
   std::sort(rels.begin(), rels.end());
-  return ScanFiles(root, rels, opts);
+  return ScanFiles(root, rels);
 }
 
 ScanResult ScanFiles(const std::string& root,
-                     const std::vector<std::string>& paths,
-                     const ScanOptions& opts) {
+                     const std::vector<std::string>& paths) {
   ScanResult out;
-  FactsCache cache(opts.cache_dir);
   std::vector<ProjectFile> project;
   for (const std::string& p : paths) {
     fs::path abs = fs::path(p).is_absolute() ? fs::path(p) : fs::path(root) / p;
     std::string rel = fs::path(p).is_absolute()
                           ? fs::relative(abs, root).generic_string()
                           : fs::path(p).generic_string();
-    std::string source = ReadFileOrThrow(abs);
-    std::uint32_t crc = ContentCrc(source);
-
-    FileAnalysis fa;
-    if (cache.Load(rel, crc, fa)) {
-      ++out.cache_hits;
-    } else {
-      fa = AnalyzeFile(ClassifyPath(rel), source);
-      if (cache.enabled()) {
-        cache.Store(rel, crc, fa);
-        ++out.facts_cached;
-      }
-    }
+    FileAnalysis fa = AnalyzeFile(ClassifyPath(rel), ReadFileOrThrow(abs));
     ++out.files_scanned;
     out.suppressions_used += fa.suppressions_used;
     for (Finding& f : fa.findings) out.findings.push_back(std::move(f));

@@ -1,11 +1,10 @@
 // Tree walking, the two-phase scan driver, and the self-test harness for
 // ipscope_lint.
 //
-// A scan is: phase 1 per file (rules.h findings + FileFacts, optionally
-// served from the CRC32C cache in cache.h), then phase 2 once over all
-// facts (graph.h). The project for phase 2 is exactly the scanned file
-// set — the full tree for ScanTree, the explicit list for ScanFiles, the
-// corpus for the self-test.
+// A scan is: phase 1 per file (rules.h findings + FileFacts), then phase 2
+// once over all facts (graph.h). The project for phase 2 is exactly the
+// scanned file set — the full tree for ScanTree, the explicit list for
+// ScanFiles, the corpus for the self-test.
 #pragma once
 
 #include <ostream>
@@ -16,30 +15,21 @@
 
 namespace ipscope::lint {
 
-struct ScanOptions {
-  // Phase-1 cache directory (e.g. build/lint-cache); empty disables
-  // caching. See cache.h for the invalidation rules.
-  std::string cache_dir;
-};
-
 struct ScanResult {
   std::vector<Finding> findings;  // unsuppressed, ordered by path then line
   int files_scanned = 0;
   int suppressions_used = 0;
-  int cache_hits = 0;    // phase-1 analyses served from the cache
-  int facts_cached = 0;  // phase-1 analyses extracted and written this run
 };
 
 // Scans every .cc/.cpp/.h/.hpp under root/{src,tools,bench,tests,examples},
 // skipping tests/lint_corpus (the committed violation corpus must never
 // fail the tree gate). Paths are reported relative to root, sorted.
-ScanResult ScanTree(const std::string& root, const ScanOptions& opts = {});
+ScanResult ScanTree(const std::string& root);
 
 // Scans an explicit list of files; each path is classified by its path
 // relative to root (or used verbatim when already relative).
 ScanResult ScanFiles(const std::string& root,
-                     const std::vector<std::string>& paths,
-                     const ScanOptions& opts = {});
+                     const std::vector<std::string>& paths);
 
 // Runs the analyzer against the committed violation corpus and its
 // expected-findings manifest. Proves, for every rule in the catalogue:
