@@ -47,7 +47,7 @@ int main() {
 
   std::cout << "=== sample log lines (day 0) ===\n";
   int shown = 0;
-  raw.ForBlockStep(*picks.front(), 0, [&](const cdn::LogRecord& r) {
+  raw.ForBlockSteps(*picks.front(), 0, 1, [&](const cdn::LogRecord& r) {
     if (shown++ < 5) {
       std::cout << "  " << cdn::FormatLogLine(r) << "\n";
       std::cout << "    UA: " << cdn::UaString(r.ua_id) << "\n";
@@ -56,9 +56,9 @@ int main() {
 
   std::cout << "\n=== round trip: format -> parse ===\n";
   cdn::LogRecord sample;
-  raw.ForBlockStep(*picks.front(), 0,
-                   [&](const cdn::LogRecord& r) { sample = r; },
-                   /*per_address_cap=*/1);
+  raw.ForBlockSteps(*picks.front(), 0, 1,
+                    [&](const cdn::LogRecord& r) { sample = r; },
+                    /*per_address_cap=*/1);
   std::string line = cdn::FormatLogLine(sample);
   cdn::LogRecord parsed;
   bool ok = cdn::ParseLogLine(line, parsed);
@@ -68,11 +68,9 @@ int main() {
 
   std::cout << "\n=== diurnal request histogram (one block, one week) ===\n";
   std::vector<double> per_hour(24, 0.0);
-  for (int step = 0; step < 7; ++step) {
-    raw.ForBlockStep(*picks.front(), step, [&](const cdn::LogRecord& r) {
-      per_hour[(r.unix_time / 3600) % 24] += 1.0;
-    });
-  }
+  raw.ForBlockSteps(*picks.front(), 0, 7, [&](const cdn::LogRecord& r) {
+    per_hour[(r.unix_time / 3600) % 24] += 1.0;
+  });
   std::vector<std::string> labels;
   for (int h = 0; h < 24; ++h) {
     labels.push_back((h < 10 ? "0" : "") + std::to_string(h) + ":00");
@@ -84,14 +82,19 @@ int main() {
   std::cout << "\n=== aggregation check: records -> per-IP counts ===\n";
   for (const sim::BlockPlan* plan : picks) {
     cdn::LogAggregator aggregator;
-    raw.ForBlockStep(*plan, 10, [&](const cdn::LogRecord& r) {
+    raw.ForBlockSteps(*plan, 10, 11, [&](const cdn::LogRecord& r) {
       aggregator.Consume(r);
     });
-    activity::DayBits bits;
-    std::uint32_t hits[256];
-    sim::GenerateStep(*plan, daily.spec(), 10, bits, hits);
+    // The kernel's hit counts for step 10, from steps [0, 11) of the spec.
+    sim::StepSpec spec = daily.spec();
+    spec.steps = 11;
+    std::vector<activity::DayBits> rows(11);
+    std::vector<std::uint32_t> hits(11 * 256);
+    sim::GenerateBlock(*plan, spec, rows.data(), hits.data());
     std::uint64_t kernel_total = 0;
-    for (std::uint32_t h : hits) kernel_total += h;
+    for (int host = 0; host < 256; ++host) {
+      kernel_total += hits[10 * 256 + host];
+    }
     std::cout << "  " << plan->block << " ("
               << sim::PolicyKindName(plan->base.kind)
               << "): " << aggregator.total_records() << " records, kernel "

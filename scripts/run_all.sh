@@ -23,11 +23,14 @@ if [ "${IPSCOPE_SKIP_SANITIZERS:-0}" != "1" ]; then
   # par::Pool scheduler, and the parallel determinism tests (Par*), with
   # oversubscribed thread counts to force real interleavings, plus the
   # serve daemon (Serve*: reload races, single-flight aggregate fills and
-  # the TCP accept loop).
+  # the TCP accept loop), plus the occupant producers that run blocks on
+  # the pool (ReputationSim*: the one-pass reputation scorer; Logins*: the
+  # login trace).
   cmake -B build-tsan -G Ninja -DIPSCOPE_TSAN=ON
   cmake --build build-tsan --target ipscope_tests ipscope_par_tests \
     ipscope_serve_tests
-  ctest --test-dir build-tsan -j"$(nproc)" -R '^(Obs|Par|Serve)'
+  ctest --test-dir build-tsan -j"$(nproc)" \
+    -R '^(Obs|Par|Serve|ReputationSim|Logins)'
 fi
 
 # A host-tuned pass: IPSCOPE_NATIVE builds the kernel TUs with
@@ -138,7 +141,7 @@ echo "chaos-crash gate: seeded recovery bug correctly caught"
 # the DirectAnswer oracle, hot-reload the snapshot mid-run, and drain via
 # SIGINT. Any divergent byte (including a stale snapshot id) exits 1.
 echo "== serve smoke"
-build/tools/ipscope_cli serve --smoke --blocks 400 --clients 4 \
+build/tools/ipscope_cli serve-smoke --blocks 400 --clients 4 \
   | tee results/serve_smoke.txt
 
 # The smoke's teeth against stale answers live in the serve ctest label

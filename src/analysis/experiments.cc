@@ -692,23 +692,25 @@ void SecurityReputation(const Inputs& in, std::ostream& os) {
   os << "(1% of subscribers abuse; blocklist trained on the full "
         "period, scored on the last 8 weeks)\n\n";
 
+  using security::TtlPolicy;
+  constexpr security::ReputationPolicy kPolicies[] = {
+      {TtlPolicy::kNever, 0},   {TtlPolicy::kFixed, 30},
+      {TtlPolicy::kFixed, 7},   {TtlPolicy::kFixed, 1},
+      {TtlPolicy::kPattern, 0}, {TtlPolicy::kPatternReset, 0}};
+  constexpr const char* kLabels[] = {
+      "never expire", "fixed 30d",           "fixed 7d",
+      "fixed 1d",     "pattern TTL (paper)", "pattern TTL + change reset"};
+  const auto evals =
+      security::EvaluateReputationPolicies(in.daily, in.daily_store, kPolicies);
   report::Table t({"policy", "blocked abusers", "miss rate",
                    "innocent blocked", "false-positive rate"});
-  auto add = [&](security::TtlPolicy policy, double ttl, const char* label) {
-    auto eval = security::EvaluateReputationPolicy(in.daily, policy, ttl);
-    t.AddRow({label, report::FormatCount(eval.blocked_abuser),
-              report::FormatPercent(eval.MissRate()),
-              report::FormatCount(eval.blocked_innocent),
-              report::FormatPercent(eval.FalsePositiveRate())});
-  };
-  add(security::TtlPolicy::kNever, 0, "never expire");
-  add(security::TtlPolicy::kFixed, 30, "fixed 30d");
-  add(security::TtlPolicy::kFixed, 7, "fixed 7d");
-  add(security::TtlPolicy::kFixed, 1, "fixed 1d");
-  add(security::TtlPolicy::kPattern, 0, "pattern TTL (paper)");
-  add(security::TtlPolicy::kPatternReset, 0, "pattern TTL + change reset");
+  for (std::size_t p = 0; p < evals.size(); ++p) {
+    t.AddRow({kLabels[p], report::FormatCount(evals[p].blocked_abuser),
+              report::FormatPercent(evals[p].MissRate()),
+              report::FormatCount(evals[p].blocked_innocent),
+              report::FormatPercent(evals[p].FalsePositiveRate())});
+  }
   t.Print(os);
-
   os << "\n[paper §8: reputations must expire on the block's "
         "reassignment timescale — static blocks can hold them for "
         "weeks, 24h pools for a day, gateways barely at all; the "
@@ -764,15 +766,13 @@ void Diurnal(const Inputs& in, std::ostream& os) {
   std::map<int, std::uint64_t> records_by_country;
   for (const sim::BlockPlan& plan : world.blocks()) {
     if (!sim::IsClientPolicy(plan.base.kind) || plan.country < 0) continue;
-    for (int step = 0; step < 7; ++step) {
-      raw.ForBlockStep(
-          plan, step,
-          [&](const cdn::LogRecord& r) {
-            ++hours_by_country[plan.country][(r.unix_time / 3600) % 24];
-            ++records_by_country[plan.country];
-          },
-          /*per_address_cap=*/3);
-    }
+    raw.ForBlockSteps(
+        plan, 0, 7,
+        [&](const cdn::LogRecord& r) {
+          ++hours_by_country[plan.country][(r.unix_time / 3600) % 24];
+          ++records_by_country[plan.country];
+        },
+        /*per_address_cap=*/3);
   }
 
   // The local diurnal curve peaks at 20:00; a UTC peak at hour H implies

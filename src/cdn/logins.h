@@ -38,7 +38,8 @@ class LoginTraceGenerator {
   // Login events of one block across the whole period, ordered by step.
   std::vector<LoginEvent> BlockTrace(const sim::BlockPlan& plan) const;
 
-  // Events for all CDN-visible blocks (ascending block key, then step).
+  // Events for all CDN-visible blocks (ascending block key, then step),
+  // generated per block on par::GlobalPool().
   std::vector<LoginEvent> Trace() const;
 
  private:

@@ -52,7 +52,7 @@ const std::array<double, 24>& DiurnalCurve();
 // UTC offset (hours) of the block's country; 0 when unknown.
 int CountryUtcOffset(const sim::BlockPlan& plan);
 
-// Deterministic raw-record generation for one (block, step) of an
+// Deterministic raw-record generation for a block over a step range of an
 // observatory's StepSpec. Record counts per address equal the kernel's hit
 // counts for the same (block, step). Intended for block-scale use (one
 // block-day can be tens of thousands of records at full hit counts), so a
@@ -61,30 +61,38 @@ class RawLogGenerator {
  public:
   RawLogGenerator(const sim::World& world, sim::StepSpec spec);
 
-  // Visits every record of (plan, step): fn(const LogRecord&).
+  // Visits every record of (plan, step) for the steps in [first, last), in
+  // step order: fn(const LogRecord&). Hits and occupants come from one
+  // sim::GenerateBlock call over steps [0, last) of the spec.
   template <typename Fn>
-  void ForBlockStep(const sim::BlockPlan& plan, int step, Fn&& fn,
-                    std::uint32_t per_address_cap = 0) const {
-    activity::DayBits bits;
-    std::uint32_t hits[256];
-    std::uint64_t occupants[256];
-    sim::GenerateStep(plan, spec_, step, bits, hits, occupants);
-    for (int host = 0; host < 256; ++host) {
-      std::uint32_t n = hits[host];
+  void ForBlockSteps(const sim::BlockPlan& plan, int first, int last, Fn&& fn,
+                     std::uint32_t per_address_cap = 0) const {
+    sim::StepSpec spec = spec_;
+    spec.steps = last;
+    std::vector<activity::DayBits> rows(static_cast<std::size_t>(last));
+    std::vector<std::uint32_t> hits(rows.size() * 256);
+    std::vector<std::uint64_t> occupants(hits.size());
+    sim::GenerateBlock(plan, spec, rows.data(), hits.data(), occupants.data());
+    for (auto cell = static_cast<std::size_t>(first) * 256; cell < hits.size();
+         ++cell) {
+      std::uint32_t n = hits[cell];
       if (n == 0) continue;
       if (per_address_cap != 0 && n > per_address_cap) n = per_address_cap;
-      EmitRecords(plan, step, host, n, occupants[host], fn);
+      EmitRecords(plan, static_cast<int>(cell / 256),
+                  static_cast<int>(cell % 256), n, occupants[cell], fn);
     }
   }
 
-  const sim::StepSpec& spec() const { return spec_; }
-
- private:
+  // Visits the first `count` records of (plan, step, host) held by
+  // `occupant`; ForBlockSteps passes the (capped) hit count.
   template <typename Fn>
   void EmitRecords(const sim::BlockPlan& plan, int step, int host,
                    std::uint32_t count, std::uint64_t occupant,
                    Fn& fn) const;
 
+  const sim::StepSpec& spec() const { return spec_; }
+
+ private:
   std::uint32_t DayStartUnixTime(int step) const;
 
   const sim::World& world_;

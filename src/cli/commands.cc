@@ -124,7 +124,7 @@ commands:
       rebuilds the simulated world so the as/country endpoints can
       attribute blocks. SIGINT/SIGTERM drain: in-flight queries finish,
       --metrics-out is flushed, exit code 0.
-  serve --smoke [--blocks N] [--seed S] [--clients N] [--requests N]
+  serve-smoke [--blocks N] [--seed S] [--clients N] [--requests N]
       Self-contained client-swarm gate over real TCP: builds a world,
       serves its daily store, hammers it from --clients connections,
       byte-compares every response against a direct store/analysis
@@ -927,9 +927,9 @@ int CmdChaos(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     } else {
       cdn::RawLogGenerator gen{world, observatory.spec()};
       std::vector<cdn::LogRecord> rows;
-      gen.ForBlockStep(*plan, 0,
-                       [&](const cdn::LogRecord& r) { rows.push_back(r); },
-                       /*per_address_cap=*/4);
+      gen.ForBlockSteps(*plan, 0, 1,
+                        [&](const cdn::LogRecord& r) { rows.push_back(r); },
+                        /*per_address_cap=*/4);
       cdn::LogAggregator base;
       for (const auto& r : rows) base.Consume(r);
       std::uint64_t duplicated = injector.DuplicateRows(rows, &report);
@@ -1673,8 +1673,6 @@ int CmdServeSmoke(const CommandLine& cmd, std::ostream& out,
 }
 
 int CmdServe(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
-  if (cmd.Flag("smoke")) return CmdServeSmoke(cmd, out, err);
-
   activity::ActivityStore store{1};
   if (auto session_dir = cmd.Flag("session")) {
     auto session =
@@ -1763,8 +1761,8 @@ const std::vector<CommandSpec>& Commands() {
        {"goldens", "update-goldens", "blocks", "threads-max", "perturb"}},
       {"serve",
        CmdServe,
-       {"session", "days", "port", "bind", "world-blocks", "world-seed",
-        "smoke", "blocks", "seed", "clients", "requests"}},
+       {"session", "days", "port", "bind", "world-blocks", "world-seed"}},
+      {"serve-smoke", CmdServeSmoke, {"blocks", "seed", "clients", "requests"}},
       {"help", CmdHelp, {}},
       {"--help", CmdHelp, {}},
   };

@@ -5,7 +5,7 @@
 // used for network abuse mitigation... addresses and network blocks become
 // encumbered by their prior uses... when reputation information is stale."
 //
-// This module provides the reputation store plus an evaluation harness that
+// This module provides a per-/24 blocklist plus an evaluation harness that
 // quantifies the paper's claim: an abuser population misbehaves through
 // churning addresses, a blocklist records bad IPs under a given expiry
 // policy, and every later client interaction is scored — was a blocked
@@ -13,42 +13,46 @@
 // innocent subscriber (collateral damage)? Expiry policies range from
 // "never expire" through fixed TTLs to the paper's proposal: TTLs derived
 // from the block's observed assignment pattern, plus resets triggered by
-// the §5.2 change detector.
+// the §5.2 change detector. One pooled replay scores every policy.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "activity/pattern.h"
+#include "activity/store.h"
 #include "cdn/observatory.h"
-#include "netbase/ipv4.h"
 
 namespace ipscope::security {
 
-// The blocklist: bad addresses with the day they were (last) flagged.
-class ReputationStore {
+// One /24's blocklist during the replay: the step each host was last
+// flagged bad. Marks arrive in step order, so the latest mark wins. A
+// change-triggered reset at `reset_step` drops the block's earlier marks:
+// from that step on, a mark counts only if it was made at or after it.
+class BlockMarks {
  public:
-  void MarkBad(net::IPv4Addr addr, std::int32_t day) {
-    auto [it, inserted] = bad_.try_emplace(addr.value(), day);
-    if (!inserted && day > it->second) it->second = day;
+  void MarkBad(int host, std::int32_t step) {
+    std::int32_t& mark = marks_[static_cast<std::size_t>(host)];
+    mark = std::max(mark, step + 1);
   }
 
-  // Is the address considered bad on `day` under a TTL (in days)?
-  bool IsBad(net::IPv4Addr addr, std::int32_t day, double ttl_days) const {
-    auto it = bad_.find(addr.value());
-    if (it == bad_.end()) return false;
-    return static_cast<double>(day - it->second) <= ttl_days;
+  // Is the host considered bad on `step` under a TTL (in days, inclusive)
+  // and the block's reset step (-1 = never reset)?
+  bool IsBad(int host, std::int32_t step, double ttl_days,
+             int reset_step) const {
+    const std::int32_t last = marks_[static_cast<std::size_t>(host)] - 1;
+    if (last < 0 || (reset_step >= 0 && step >= reset_step &&
+                     last < reset_step)) {
+      return false;
+    }
+    return static_cast<double>(step - last) <= ttl_days;
   }
-
-  // Change-triggered reset: drop every entry in a /24 (network renumbered
-  // or repurposed — its reputation history is meaningless).
-  void ResetBlock(net::BlockKey key);
-
-  std::size_t size() const { return bad_.size(); }
 
  private:
-  std::unordered_map<std::uint32_t, std::int32_t> bad_;
+  std::array<std::int32_t, 256> marks_{};  // last flagged step + 1; 0: never
 };
 
 enum class TtlPolicy {
@@ -58,16 +62,18 @@ enum class TtlPolicy {
   kPatternReset, // kPattern + change-detector-triggered block resets
 };
 
-const char* TtlPolicyName(TtlPolicy policy);
-
 // TTL (days) recommended for a block pattern: gateways share reputations
 // across thousands of users (hours), 24h pools need ~a day, long leases a
 // couple of weeks, static assignments a month-plus.
 double PatternTtlDays(activity::BlockPattern pattern);
 
+// An expiry policy to score: kFixed reads fixed_ttl_days.
+struct ReputationPolicy {
+  TtlPolicy ttl = TtlPolicy::kNever;
+  double fixed_ttl_days = 0;
+};
+
 struct ReputationEvaluation {
-  TtlPolicy policy = TtlPolicy::kNever;
-  double fixed_ttl_days = 0;          // for kFixed
   std::uint64_t abuse_events = 0;     // MarkBad calls
   std::uint64_t blocked_abuser = 0;   // queries blocked, holder is abuser
   std::uint64_t blocked_innocent = 0; // queries blocked, holder is innocent
@@ -100,12 +106,13 @@ struct AbuseSimConfig {
   int eval_last = 112;
 };
 
-// Runs the abuse simulation under one policy. Deterministic in the world
-// seed; identical abuse/activity streams across policies, so results are
-// directly comparable.
-ReputationEvaluation EvaluateReputationPolicy(const cdn::Observatory& daily,
-                                              TtlPolicy policy,
-                                              double fixed_ttl_days = 30.0,
-                                              AbuseSimConfig config = {});
+// Runs the abuse simulation once and scores every policy, returning one
+// evaluation per policy in order. `daily_store` must be `daily`'s store
+// (BuildStore); the pattern policies train on it. Deterministic in the
+// world seed and independent of the pool size; every policy sees the same
+// abuse/activity stream, so results are directly comparable.
+std::vector<ReputationEvaluation> EvaluateReputationPolicies(
+    const cdn::Observatory& daily, const activity::ActivityStore& daily_store,
+    std::span<const ReputationPolicy> policies, AbuseSimConfig config = {});
 
 }  // namespace ipscope::security

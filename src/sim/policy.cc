@@ -721,11 +721,45 @@ class HitQueue {
   std::uint64_t fallbacks_ = 0;
 };
 
+// The tenure (kStatic) or lease (kDynamicLong) schedule of one slot: at
+// mid-day `mid` the slot is held by Substream(block_seed, kTagOccupant,
+// slot, (mid + phase) / period).
+struct EpochSchedule {
+  int period = 0;
+  int phase = 0;
+};
+
+EpochSchedule SlotEpochs(const BlockPlan& plan, const PolicyParams& pp,
+                         int slot) {
+  if (pp.kind == PolicyKind::kStatic) {
+    const std::uint64_t tenure_h =
+        rng::Substream(plan.block_seed, kTagTenure, slot);
+    const int period = 150 + static_cast<int>(tenure_h & 511u);
+    return {period, static_cast<int>((tenure_h >> 16) %
+                                     static_cast<unsigned>(period))};
+  }
+  const int period = std::max<int>(1, pp.lease_days);
+  return {period, static_cast<int>(
+                      rng::Substream(plan.block_seed, kTagLease, slot) %
+                      static_cast<unsigned>(period))};
+}
+
+// First slot of a rotating kDynamicShort band at step s; the band's j-th
+// address is slot (start + j) % pool.
+int BandStart(const BlockPlan& plan, const PolicyParams& pp, int pool,
+              int s) {
+  const int stride = std::max<int>(
+      1, static_cast<int>(pp.subscribers * double{pp.daily_p}));
+  return static_cast<int>((plan.block_seed +
+                           static_cast<std::uint64_t>(s) *
+                               static_cast<std::uint64_t>(stride)) %
+                          static_cast<std::uint64_t>(pool));
+}
+
 // An epoch-occupant policy's current subscriber at one host: its
 // propensity changes only when the tenure / lease epoch does.
 struct EpochOccupant {
-  int period = 0;  // 0 = not yet derived on this step interval
-  int phase = 0;
+  EpochSchedule schedule;  // period 0 = not yet derived on this interval
   int epoch = 0;
   double propensity = 0.0;
 };
@@ -748,22 +782,11 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
   // kStatic / kDynamicLong: slot order, host_perm-scattered for static.
   auto epoch_hits = [&](int slot, int host) {
     EpochOccupant& o = occupants[static_cast<std::size_t>(host)];
-    if (o.period == 0) {
-      if (pp.kind == PolicyKind::kStatic) {
-        std::uint64_t tenure_h =
-            rng::Substream(plan.block_seed, kTagTenure, slot);
-        o.period = 150 + static_cast<int>(tenure_h & 511u);
-        o.phase = static_cast<int>((tenure_h >> 16) %
-                                   static_cast<unsigned>(o.period));
-      } else {
-        o.period = std::max<int>(1, pp.lease_days);
-        o.phase = static_cast<int>(
-            rng::Substream(plan.block_seed, kTagLease, slot) %
-            static_cast<unsigned>(o.period));
-      }
+    if (o.schedule.period == 0) {
+      o.schedule = SlotEpochs(plan, pp, slot);
       o.epoch = std::numeric_limits<int>::min();
     }
-    const int epoch = (mid + o.phase) / o.period;
+    const int epoch = (mid + o.schedule.phase) / o.schedule.period;
     if (epoch != o.epoch) {
       o.epoch = epoch;
       o.propensity = SubscriberPropensity(
@@ -796,12 +819,7 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
                                ActiveDaysInStep(p_day, spec.step_days));
       if (pp.rotating) {
         // Band order: j counts from the band's start, wrapping mod pool.
-        const int stride = std::max<int>(
-            1, static_cast<int>(pp.subscribers * double{pp.daily_p}));
-        const int start = static_cast<int>(
-            (plan.block_seed + static_cast<std::uint64_t>(s) *
-                                   static_cast<std::uint64_t>(stride)) %
-            static_cast<std::uint64_t>(pool));
+        const int start = BandStart(plan, pp, pool, s);
         const rng::SubstreamTail band_tail{plan.block_seed,
                                            kTagShortOccupant, s};
         for (int j = 0; j < pool; ++j) {
@@ -844,18 +862,15 @@ void SegmentHits(const BlockPlan& plan, const StepSpec& spec,
   }
 }
 
-// Fills hits[s * 256 + host] for steps [s0, s1), over which `owner` is the
-// per-host policy: ownership segments in ascending host order, each in its
-// policy's emission order, all from the step's one hit_gen.
-void HitsPass(const BlockPlan& plan, const StepSpec& spec,
-              const std::array<const PolicyParams*, 256>& owner, int s0,
-              int s1, const std::uint8_t* weekend,
-              const activity::DayBits* rows, HitQueue& queue,
-              std::uint32_t* hits) {
-  struct Segment {
-    activity::DayBits hosts;
-    const PolicyParams* pp;
-  };
+// A maximal run of hosts governed by one policy, as a host mask.
+struct Segment {
+  activity::DayBits hosts;
+  const PolicyParams* pp;
+};
+
+// The per-host `owner` table as ownership segments in ascending host order.
+std::vector<Segment> OwnershipSegments(
+    const std::array<const PolicyParams*, 256>& owner) {
   std::vector<Segment> segments;
   for (int lo = 0; lo < 256;) {
     int hi = lo + 1;
@@ -868,6 +883,18 @@ void HitsPass(const BlockPlan& plan, const StepSpec& spec,
     segments.push_back(seg);
     lo = hi;
   }
+  return segments;
+}
+
+// Fills hits[s * 256 + host] for steps [s0, s1), over which `owner` is the
+// per-host policy: ownership segments in ascending host order, each in its
+// policy's emission order, all from the step's one hit_gen.
+void HitsPass(const BlockPlan& plan, const StepSpec& spec,
+              const std::array<const PolicyParams*, 256>& owner, int s0,
+              int s1, const std::uint8_t* weekend,
+              const activity::DayBits* rows, HitQueue& queue,
+              std::uint32_t* hits) {
+  const std::vector<Segment> segments = OwnershipSegments(owner);
   std::vector<rng::SubstreamTail> short_tails;
   if (std::any_of(segments.begin(), segments.end(), [](const Segment& seg) {
         return seg.pp->kind == PolicyKind::kDynamicShort && !seg.pp->rotating;
@@ -891,15 +918,104 @@ void HitsPass(const BlockPlan& plan, const StepSpec& spec,
   }
 }
 
+// --- Occupants pass --------------------------------------------------------
+//
+// Who holds each active address is a pure function of (slot, step) and the
+// policy, so occupants, unlike hits, need no draw order: each ownership
+// segment is filled slot-major (a rotating band step-major) from the
+// finished rows, with GenerateStep's occupants256 values — 0 for the
+// policies whose addresses have no single subscriber.
+
+// Fills occupants[s * 256 + host] for steps [s0, s1) over which `owner` is
+// the per-host policy; the caller has zeroed the array.
+void OccupantsPass(const BlockPlan& plan, const StepSpec& spec,
+                   const std::array<const PolicyParams*, 256>& owner, int s0,
+                   int s1, const activity::DayBits* rows,
+                   std::uint64_t* occupants) {
+  auto at = [&](int s, int host) -> std::uint64_t& {
+    return occupants[static_cast<std::size_t>(s) * 256 +
+                     static_cast<std::size_t>(host)];
+  };
+  // Writes occupant(s) at every step of [s0, s1) where `host` is active.
+  auto fill_host = [&](int host, auto&& occupant) {
+    for (int s = s0; s < s1; ++s) {
+      if (activity::TestBit(rows[s], host)) at(s, host) = occupant(s);
+    }
+  };
+  for (const Segment& seg : OwnershipSegments(owner)) {
+    const PolicyParams& pp = *seg.pp;
+    const int pool = std::min<int>(pp.pool_size, 256);
+    if (pool == 0) continue;
+    switch (pp.kind) {
+      case PolicyKind::kUnused:
+      case PolicyKind::kRouterInfra:
+      case PolicyKind::kMiddlebox:
+      case PolicyKind::kCgnGateway:
+      case PolicyKind::kCrawlerBots:
+        break;
+      case PolicyKind::kStatic:
+      case PolicyKind::kDynamicLong:
+        for (int slot = 0; slot < pool; ++slot) {
+          const int host = pp.kind == PolicyKind::kStatic
+                               ? plan.host_perm[static_cast<std::size_t>(slot)]
+                               : slot;
+          if (!activity::TestBit(seg.hosts, host)) continue;
+          const EpochSchedule e = SlotEpochs(plan, pp, slot);
+          const rng::SubstreamTail occ_tail{plan.block_seed, kTagOccupant,
+                                            slot};
+          fill_host(host, [&](int s) {
+            return occ_tail.At(static_cast<std::uint64_t>(
+                (MidOf(spec, s) + e.phase) / e.period));
+          });
+        }
+        break;
+      case PolicyKind::kDynamicShort:
+        if (pp.rotating) {
+          for (int s = s0; s < s1; ++s) {
+            const int start = BandStart(plan, pp, pool, s);
+            const rng::SubstreamTail band_tail{plan.block_seed,
+                                               kTagShortOccupant, s};
+            activity::ForEachSetBit(
+                activity::AndBits(rows[s], seg.hosts), [&](int slot) {
+                  at(s, slot) = band_tail.At(
+                      static_cast<std::uint64_t>((slot - start + pool) % pool));
+                });
+          }
+        } else {
+          activity::ForEachSetBit(seg.hosts, [&](int slot) {
+            const rng::SubstreamTail short_tail{plan.block_seed,
+                                                kTagShortOccupant, slot};
+            fill_host(slot, [&](int s) {
+              return short_tail.At(static_cast<std::uint64_t>(s));
+            });
+          });
+        }
+        break;
+      case PolicyKind::kServerFarm:
+        activity::ForEachSetBit(seg.hosts, [&](int slot) {
+          const std::uint64_t occ =
+              rng::Substream(plan.block_seed, kTagOccupant, slot);
+          fill_host(slot, [&](int) { return occ; });
+        });
+        break;
+    }
+  }
+}
+
 }  // namespace
 
 void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
-                   activity::DayBits* rows, std::uint32_t* hits) {
+                   activity::DayBits* rows, std::uint32_t* hits,
+                   std::uint64_t* occupants) {
   const int steps = spec.steps;
   std::fill_n(rows, steps, activity::DayBits{});
   if (steps <= 0) return;
   if (hits != nullptr) {
     std::fill_n(hits, static_cast<std::size_t>(steps) * 256, 0u);
+  }
+  if (occupants != nullptr) {
+    std::fill_n(occupants, static_cast<std::size_t>(steps) * 256,
+                std::uint64_t{0});
   }
 
   // Mid-days increase strictly with the step index, so the activation
@@ -977,6 +1093,9 @@ void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
     }
     if (hits != nullptr) {
       HitsPass(plan, spec, owner, i0, i1, weekend.data(), rows, queue, hits);
+    }
+    if (occupants != nullptr) {
+      OccupantsPass(plan, spec, owner, i0, i1, rows, occupants);
     }
   }
   if (hits != nullptr) {

@@ -3,10 +3,11 @@
 // A BlockPlan describes how one /24 is administered: which policy assigns
 // addresses to subscribers, with what parameters, and which scheduled
 // events (reconfiguration, activation, deactivation) change that over the
-// year. GenerateStep turns a (plan, step) pair into the 256-bit activity
-// slice — and optionally per-address hit counts — fully deterministically:
-// the same (world seed, block, step) always yields the same bits, so
-// observation layers can regenerate data on demand instead of storing it.
+// year. GenerateBlock turns a plan into its activity matrix — and optionally
+// per-address hit counts and occupants — fully deterministically: the same
+// (world seed, block, step) always yields the same bits, so observation
+// layers can regenerate data on demand instead of storing it. GenerateStep
+// computes one step the obvious way and is kept as GenerateBlock's oracle.
 //
 // Policy kinds and the figures they reproduce:
 //   kStatic            Fig 6a  sparse scatter, stable set, weekday pattern
@@ -118,6 +119,9 @@ struct StepSpec {
 // subscriber identity hash currently holding each active address (0 for
 // inactive addresses and for aggregating gateways, which have no single
 // subscriber). Bits are independent of whether hits/occupants are requested.
+// This is the per-step reference that tests and bench oracles compare
+// GenerateBlock against; code under src/ calls GenerateBlock (lint rule
+// design.one-kernel).
 void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
                   activity::DayBits& bits, std::uint32_t* hits256,
                   std::uint64_t* occupants256);
@@ -133,8 +137,10 @@ inline void GenerateStep(const BlockPlan& plan, const StepSpec& spec,
 // every Substream draw is a pure function of (seed, tags), so the per-step
 // × per-slot loop nest can be transposed and the per-slot state (tenure
 // epochs, occupants, propensities, activity-run decisions) hoisted out of
-// the step sweep. This is the store-build, ICMP-scan and hits-stream hot
-// path; GenerateStep stays as its reference.
+// the step sweep. This is the one production generation kernel: the store
+// build, the ICMP scans, the hits stream and the occupant producers
+// (reputation replay, login traces, raw logs) all call it; GenerateStep
+// stays as its reference.
 //
 // If `hits` is non-null it receives spec.steps × 256 per-address request
 // counts (hits[step * 256 + host], zero where inactive), bit-identical to
@@ -149,9 +155,15 @@ inline void GenerateStep(const BlockPlan& plan, const StepSpec& spec,
 // occupant's identity hash: just before the kernel, one vectorized lane
 // loop (SubscriberHitsMu, sim/behavior.h) turns each run of them into
 // DailyHitsMu(hits_mu, SubscriberPropensity(occupant)), the same value
-// GenerateStep computes. Callers that need occupants stay on
-// GenerateStep.
+// GenerateStep computes.
+//
+// If `occupants` is non-null it receives spec.steps × 256 subscriber
+// identities (occupants[step * 256 + host]), equal to GenerateStep's
+// occupants256 for every step: 0 where inactive and for the policies with
+// no single subscriber behind an address. They come from their own pass
+// over the finished rows, which makes no hit draws.
 void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
-                   activity::DayBits* rows, std::uint32_t* hits = nullptr);
+                   activity::DayBits* rows, std::uint32_t* hits = nullptr,
+                   std::uint64_t* occupants = nullptr);
 
 }  // namespace ipscope::sim

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "cdn/observatory.h"
+#include "par/pool.h"
+#include "rng/rng.h"
+#include "sim/policy.h"
 
 namespace ipscope::baseline {
 namespace {
@@ -71,6 +76,57 @@ TEST(Logins, LoginRateScalesVolume) {
   auto few = low.BlockTrace(*client);
   auto many = high.BlockTrace(*client);
   EXPECT_GT(many.size(), few.size() * 4);
+}
+
+// BlockTrace against a trace derived step by step from the GenerateStep
+// reference, for every block Trace() covers, and Trace() against the
+// BlockTraces concatenated in key order at two pool sizes.
+TEST(Logins, BlockTraceMatchesPerStepReferenceForEveryClientBlock) {
+  constexpr std::uint64_t kTagLogin = 0x106e;
+  constexpr double kLoginRate = 0.5;
+  const sim::StepSpec spec = cdn::Observatory::Daily(TestWorld()).spec();
+  cdn::LoginTraceGenerator gen{TestWorld(), spec, kLoginRate};
+  std::map<net::BlockKey, std::vector<cdn::LoginEvent>> by_key;
+  for (const sim::BlockPlan& plan : TestWorld().blocks()) {
+    if (!sim::IsClientPolicy(plan.base.kind) &&
+        plan.base.kind != sim::PolicyKind::kCrawlerBots) {
+      continue;
+    }
+    std::vector<cdn::LoginEvent> want;
+    activity::DayBits bits;
+    std::uint64_t occupants[256];
+    for (int step = 0; step < spec.steps; ++step) {
+      sim::GenerateStep(plan, spec, step, bits, nullptr, occupants);
+      for (int host = 0; host < 256; ++host) {
+        const std::uint64_t occ = occupants[host];
+        if (occ == 0 ||
+            static_cast<double>(rng::Substream(occ, kTagLogin, step) >> 11) *
+                    0x1.0p-53 >=
+                kLoginRate) {
+          continue;
+        }
+        want.push_back(cdn::LoginEvent{
+            occ,
+            net::IPv4Addr{plan.block.network().value() +
+                          static_cast<std::uint32_t>(host)},
+            step});
+      }
+    }
+    const auto got = gen.BlockTrace(plan);
+    ASSERT_EQ(got, want) << plan.block << " "
+                         << sim::PolicyKindName(plan.base.kind);
+    by_key[net::BlockKeyOf(plan.block)] = want;
+  }
+  std::vector<cdn::LoginEvent> concatenated;
+  for (const auto& [key, events] : by_key) {
+    concatenated.insert(concatenated.end(), events.begin(), events.end());
+  }
+  ASSERT_GT(concatenated.size(), 100000u);
+  for (int threads : {1, 4}) {
+    par::GlobalPool().Resize(threads);
+    EXPECT_TRUE(gen.Trace() == concatenated) << "threads " << threads;
+  }
+  par::GlobalPool().Resize(0);
 }
 
 TEST(Udmap, SyntheticStaticVsDynamic) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "cdn/observatory.h"
 
@@ -37,7 +39,7 @@ TEST(RawLog, RecordCountsMatchKernelHits) {
   sim::GenerateStep(*plan, daily.spec(), 10, bits, hits);
 
   std::map<std::uint32_t, std::uint32_t> per_ip;
-  raw.ForBlockStep(*plan, 10, [&](const LogRecord& r) {
+  raw.ForBlockSteps(*plan, 10, 11, [&](const LogRecord& r) {
     ++per_ip[r.client.value()];
   });
   for (int h = 0; h < 256; ++h) {
@@ -49,13 +51,57 @@ TEST(RawLog, RecordCountsMatchKernelHits) {
   }
 }
 
+// ForBlockSteps against records derived step by step from the GenerateStep
+// reference: same records, same order, for every client kind, a range that
+// does not start at step 0, and both capped and uncapped streams.
+TEST(RawLog, ForBlockStepsMatchesPerStepReference) {
+  Observatory daily = Observatory::Daily(TestWorld());
+  RawLogGenerator raw{TestWorld(), daily.spec()};
+  int compared = 0;
+  for (sim::PolicyKind kind :
+       {sim::PolicyKind::kStatic, sim::PolicyKind::kDynamicShort,
+        sim::PolicyKind::kDynamicLong, sim::PolicyKind::kCgnGateway,
+        sim::PolicyKind::kCrawlerBots}) {
+    const sim::BlockPlan* plan = FindClientBlock(kind);
+    if (plan == nullptr) continue;
+    for (std::uint32_t cap : {0u, 3u}) {
+      if (cap == 0 && kind == sim::PolicyKind::kCgnGateway) continue;
+      std::vector<std::string> got;
+      raw.ForBlockSteps(
+          *plan, 4, 9,
+          [&](const LogRecord& r) { got.push_back(FormatLogLine(r)); }, cap);
+      std::vector<std::string> want;
+      auto collect = [&](const LogRecord& r) {
+        want.push_back(FormatLogLine(r));
+      };
+      for (int step = 4; step < 9; ++step) {
+        activity::DayBits bits;
+        std::uint32_t hits[256];
+        std::uint64_t occupants[256];
+        sim::GenerateStep(*plan, raw.spec(), step, bits, hits, occupants);
+        for (int host = 0; host < 256; ++host) {
+          std::uint32_t n = hits[host];
+          if (cap != 0 && n > cap) n = cap;
+          if (n != 0) {
+            raw.EmitRecords(*plan, step, host, n, occupants[host], collect);
+          }
+        }
+      }
+      ASSERT_FALSE(want.empty()) << sim::PolicyKindName(kind);
+      EXPECT_EQ(got, want) << sim::PolicyKindName(kind) << " cap " << cap;
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 6);
+}
+
 TEST(RawLog, PerAddressCapHonored) {
   Observatory daily = Observatory::Daily(TestWorld());
   RawLogGenerator raw{TestWorld(), daily.spec()};
   const sim::BlockPlan* plan = FindClientBlock(sim::PolicyKind::kCgnGateway);
   if (plan == nullptr) GTEST_SKIP() << "no gateway block";
   std::map<std::uint32_t, std::uint32_t> per_ip;
-  raw.ForBlockStep(*plan, 3, [&](const LogRecord& r) {
+  raw.ForBlockSteps(*plan, 3, 4, [&](const LogRecord& r) {
     ++per_ip[r.client.value()];
   }, /*per_address_cap=*/5);
   ASSERT_FALSE(per_ip.empty());
@@ -75,7 +121,7 @@ TEST(RawLog, TimestampsWithinDayAndDiurnal) {
   std::uint64_t total = 0, evening = 0, night = 0;
   const int offset = CountryUtcOffset(*plan);
   for (int step = 0; step < 5; ++step) {
-    raw.ForBlockStep(*plan, step, [&](const LogRecord& r) {
+    raw.ForBlockSteps(*plan, step, step + 1, [&](const LogRecord& r) {
       std::uint32_t step_start = day_start + 86400u * static_cast<std::uint32_t>(step);
       ASSERT_GE(r.unix_time, step_start);
       ASSERT_LT(r.unix_time, step_start + 86400u);
@@ -97,8 +143,9 @@ TEST(RawLog, BotsUseOneUaString) {
   const sim::BlockPlan* plan = FindClientBlock(sim::PolicyKind::kCrawlerBots);
   if (plan == nullptr) GTEST_SKIP() << "no crawler block";
   std::set<std::uint64_t> uas;
-  raw.ForBlockStep(*plan, 0, [&](const LogRecord& r) { uas.insert(r.ua_id); },
-                   /*per_address_cap=*/50);
+  raw.ForBlockSteps(
+      *plan, 0, 1, [&](const LogRecord& r) { uas.insert(r.ua_id); },
+      /*per_address_cap=*/50);
   EXPECT_EQ(uas.size(), 1u);
 }
 
@@ -157,7 +204,7 @@ TEST(LogAggregator, ReconstructsAggregates) {
 
   LogAggregator aggregator{/*ua_sample_interval=*/64};
   std::uint64_t emitted = 0;
-  raw.ForBlockStep(*plan, 7, [&](const LogRecord& r) {
+  raw.ForBlockSteps(*plan, 7, 8, [&](const LogRecord& r) {
     aggregator.Consume(r);
     ++emitted;
   });

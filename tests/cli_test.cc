@@ -290,6 +290,24 @@ TEST(CliFlags, MisspelledSeedDoesNotRunReproduce) {
   EXPECT_TRUE(out.str().empty());
 }
 
+TEST(CliFlags, ServeAndServeSmokeRejectEachOthersFlags) {
+  // The daemon and the smoke client are separate commands with separate
+  // flag lists: neither silently ignores a flag only the other reads.
+  struct Case {
+    std::vector<std::string> args;
+    const char* flag;
+  };
+  for (const Case& c :
+       {Case{{"serve", "x.store", "--clients", "4"}, "--clients"},
+        Case{{"serve-smoke", "--session", "d"}, "--session"}}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(Main(c.args, out, err), 2) << c.args[0];
+    EXPECT_NE(err.str().find(c.flag), std::string::npos)
+        << c.args[0] << ": " << err.str();
+    EXPECT_TRUE(out.str().empty()) << c.args[0] << " ran: " << out.str();
+  }
+}
+
 TEST(Cli, MalformedIntFlagFails) {
   std::ostringstream out, err;
   EXPECT_EQ(Main({"churn", DatasetPath(), "--window", "soon"}, out, err), 2);

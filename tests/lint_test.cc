@@ -241,6 +241,28 @@ TEST(LintRules, PopcountFiresOutsideMatrixHeaderOnly) {
                        "perf.popcount"));
 }
 
+TEST(LintRules, OneKernelFiresInSrcOutsidePolicyOnly) {
+  std::string call = "void F() { GenerateStep(plan, spec, 0, bits); }\n";
+  for (const char* path : {"src/security/reputation.cc", "src/cdn/rawlog.h",
+                           "src/sim/world.cc", "src/check/reference.cc"}) {
+    EXPECT_TRUE(HasRule(Analyze(path, "#pragma once\n" + call),
+                        "design.one-kernel"))
+        << path;
+  }
+  for (const char* path : {"src/sim/policy.cc", "src/sim/policy.h",
+                           "tests/sim_kernel_test.cc", "bench/bench_micro.cc",
+                           "examples/log_pipeline.cpp"}) {
+    EXPECT_FALSE(HasRule(Analyze(path, "#pragma once\n" + call),
+                         "design.one-kernel"))
+        << path;
+  }
+  // A mention in a comment, or the name without a call, is not a call.
+  EXPECT_FALSE(HasRule(Analyze("src/cdn/x.cc",
+                               "// GenerateStep(plan)\n"
+                               "auto* f = &GenerateStep;\n"),
+                       "design.one-kernel"));
+}
+
 TEST(LintRules, RawParseAndGetenvFireEverywhere) {
   std::string src =
       "#include <cstdlib>\n"

@@ -383,7 +383,7 @@ TEST(ServeMemo, FilledSlotsMatchOracleBeforeAndAfterReload) {
 }
 
 TEST(ServeMemo, SmokeAggregatesDiscriminateSnapshots) {
-  // The aggregate bodies of `ipscope_cli serve --smoke` (SmokeRequests in
+  // The aggregate bodies of `ipscope_cli serve-smoke` (SmokeRequests in
   // src/cli/commands.cc) on its world, against its reloaded snapshot: the
   // same store with day 0 uncovered. summary and both churn windows answer
   // differently on the two stores under one snapshot id, so a summary or

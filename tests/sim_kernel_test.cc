@@ -76,34 +76,49 @@ StepSpec LongStepSpec() {
 }
 
 // The contract under test: GenerateBlock(plan, spec, rows) must equal the
-// per-step reference row for row, and GenerateBlock(plan, spec, rows, hits)
-// must return the same rows plus GenerateStep's hits256 for every step.
-// Returns the number of non-zero hit counts, so callers can tell a real
-// comparison from an all-zero one.
+// per-step reference row for row, GenerateBlock(plan, spec, rows, hits)
+// must return the same rows plus GenerateStep's hits256 for every step, and
+// GenerateBlock(plan, spec, rows, nullptr, occupants) the same rows plus
+// GenerateStep's occupants256. Returns the number of non-zero hit counts, so
+// callers can tell a real comparison from an all-zero one.
 std::size_t ExpectBlockMatchesSteps(const BlockPlan& plan,
                                     const StepSpec& spec,
                                     const std::string& label) {
   const auto steps = static_cast<std::size_t>(spec.steps);
   std::vector<activity::DayBits> rows(steps);
   std::vector<activity::DayBits> hit_rows(steps);
+  std::vector<activity::DayBits> occ_rows(steps);
   // Poisoned: every entry must be written, zeros included.
   std::vector<std::uint32_t> hits(steps * 256, 0xFFFFFFFFu);
+  std::vector<std::uint64_t> occupants(steps * 256, ~std::uint64_t{0});
   GenerateBlock(plan, spec, rows.data());
   GenerateBlock(plan, spec, hit_rows.data(), hits.data());
+  GenerateBlock(plan, spec, occ_rows.data(), nullptr, occupants.data());
   activity::DayBits ref;
   std::uint32_t ref_hits[256];
+  std::uint64_t ref_occupants[256];
   std::size_t nonzero = 0;
   for (int s = 0; s < spec.steps; ++s) {
     const auto si = static_cast<std::size_t>(s);
-    GenerateStep(plan, spec, s, ref, ref_hits);
+    GenerateStep(plan, spec, s, ref, ref_hits, ref_occupants);
     EXPECT_EQ(rows[si], ref) << label << " step " << s;
     EXPECT_EQ(hit_rows[si], ref) << label << " step " << s << " (hits call)";
-    if (rows[si] != ref || hit_rows[si] != ref) return nonzero;
+    EXPECT_EQ(occ_rows[si], ref)
+        << label << " step " << s << " (occupants call)";
+    if (rows[si] != ref || hit_rows[si] != ref || occ_rows[si] != ref) {
+      return nonzero;
+    }
     for (std::size_t h = 0; h < 256; ++h) {
       if (hits[si * 256 + h] != ref_hits[h]) {
         ADD_FAILURE() << label << " step " << s << " host " << h << ": hits "
                       << hits[si * 256 + h] << " != reference "
                       << ref_hits[h];
+        return nonzero;
+      }
+      if (occupants[si * 256 + h] != ref_occupants[h]) {
+        ADD_FAILURE() << label << " step " << s << " host " << h
+                      << ": occupant " << occupants[si * 256 + h]
+                      << " != reference " << ref_occupants[h];
         return nonzero;
       }
       nonzero += ref_hits[h] != 0 ? 1 : 0;

@@ -427,6 +427,23 @@ struct Engine {
     }
   }
 
+  // --- [design] ------------------------------------------------------------
+
+  // GenerateStep calls in library code. GenerateBlock is the one production
+  // generation kernel; GenerateStep stays only as its per-step oracle.
+  void RuleOneKernel() {
+    if (!info.kernel_scope) return;
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (!IsIdent(toks[i], "GenerateStep") || !IsPunct(toks[i + 1], "(")) {
+        continue;
+      }
+      Report("design.one-kernel", toks[i],
+             "'GenerateStep(' in src/: production code generates with "
+             "sim::GenerateBlock (rows, hits, occupants); GenerateStep is "
+             "the oracle for tests, bench and examples");
+    }
+  }
+
   // --- [hygiene] -----------------------------------------------------------
 
   void RulePragmaOnce() {
@@ -551,6 +568,9 @@ FileInfo ClassifyPath(std::string rel_path) {
       StartsWith(rel_path, "src/") || StartsWith(rel_path, "tools/");
   info.activity_impl = StartsWith(rel_path, "src/activity/") && !info.header;
   info.popcount_home = rel_path == "src/activity/matrix.h";
+  info.kernel_scope = StartsWith(rel_path, "src/") &&
+                      rel_path != "src/sim/policy.h" &&
+                      rel_path != "src/sim/policy.cc";
   return info;
 }
 
@@ -587,6 +607,9 @@ const std::vector<RuleMeta>& RuleCatalogue() {
        "No std::popcount or __builtin_popcount* outside "
        "src/activity/matrix.h; the baseline build compiles them to libgcc "
        "calls. Use activity::PopCount."},
+      {"design.one-kernel", "kernel",
+       "No GenerateStep calls in src/ outside src/sim/policy.{h,cc}; "
+       "production code generates with sim::GenerateBlock."},
       {"hygiene.unchecked-close", "close",
        "No discarded fclose/close/fflush/fsync results; a failed close is "
        "a lost write."},
@@ -631,6 +654,7 @@ FileAnalysis AnalyzeFile(const FileInfo& info, std::string_view source) {
   engine.RuleUncheckedClose();
   engine.RuleRowLoop();
   engine.RulePopcount();
+  engine.RuleOneKernel();
 
   // Resolve where each suppression applies: a comment sharing a line with
   // code suppresses that line; a standalone comment suppresses the first

@@ -58,6 +58,13 @@
 //                                 call; activity::PopCount is call-free.
 //                                 Suppress: lint: popcount(...)
 //
+//  [design]
+//    design.one-kernel            a GenerateStep call in src/ outside
+//                                 src/sim/policy.{h,cc}: GenerateBlock is
+//                                 the one production generation kernel,
+//                                 GenerateStep its oracle for tests, bench
+//                                 and examples. Suppress: lint: kernel(...)
+//
 //  lint.suppression — a `// lint: tag(...)` with empty justification. The
 //  justification is the reviewable artifact; it is mandatory.
 //
@@ -99,6 +106,8 @@ struct FileInfo {
   bool default_scope = false;// src/** or tools/** (silent-fallback.empty-default)
   bool activity_impl = false;// src/activity/** non-header (perf.row-loop)
   bool popcount_home = false;// src/activity/matrix.h (perf.popcount)
+  bool kernel_scope = false; // src/** minus src/sim/policy.{h,cc}
+                             // (design.one-kernel)
 };
 
 // Classifies `rel_path` (path relative to the repo root, '/'-separated).
