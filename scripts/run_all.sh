@@ -25,12 +25,12 @@ if [ "${IPSCOPE_SKIP_SANITIZERS:-0}" != "1" ]; then
   # serve daemon (Serve*: reload races, single-flight aggregate fills and
   # the TCP accept loop), plus the occupant producers that run blocks on
   # the pool (ReputationSim*: the one-pass reputation scorer; Logins*: the
-  # login trace).
+  # login trace; Udmap*: the per-block UDmap analysis).
   cmake -B build-tsan -G Ninja -DIPSCOPE_TSAN=ON
   cmake --build build-tsan --target ipscope_tests ipscope_par_tests \
     ipscope_serve_tests
   ctest --test-dir build-tsan -j"$(nproc)" \
-    -R '^(Obs|Par|Serve|ReputationSim|Logins)'
+    -R '^(Obs|Par|Serve|ReputationSim|Logins|Udmap)'
 fi
 
 # A host-tuned pass: IPSCOPE_NATIVE builds the kernel TUs with
@@ -157,7 +157,8 @@ cp BENCH_serve.json results/BENCH_serve_baseline.json
 
 # The paper reproduction: one world, its stores and the BGP feed built once,
 # every experiment written to results/<id>.txt; stderr carries one
-# "id wall_s peak_rss_mb" row per experiment.
+# "id wall_s peak_rss_mb peak_rise_mb" row per experiment (the high-water
+# mark so far, and how far that experiment raised it).
 echo "== reproduce"
 build/tools/ipscope_cli reproduce --blocks "${IPSCOPE_BLOCKS:-4000}" \
   --out results/ 2>&1 | tee results/reproduce_times.txt

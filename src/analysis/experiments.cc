@@ -28,7 +28,6 @@
 #include "analysis/table2_longterm.h"
 #include "analysis/visibility.h"
 #include "baseline/udmap.h"
-#include "cdn/logins.h"
 #include "cdn/rawlog.h"
 #include "cdn/useragent.h"
 #include "geo/country.h"
@@ -329,15 +328,14 @@ void BaselineUdmap(const Inputs& in, std::ostream& os) {
   Score rdns_sta = score(rdns_tags.static_blocks, is_static, true_static);
 
   // Method 2: UDmap over login traces.
-  cdn::LoginTraceGenerator logins{world, in.daily.spec()};
-  auto events = logins.Trace();
-  auto udmap = baseline::AnalyzeLogins(events);
+  const baseline::UdmapResult udmap =
+      baseline::AnalyzeWorld(world, in.daily.spec());
   Score udmap_dyn = score(udmap.dynamic_blocks, is_dynamic, true_dynamic);
   Score udmap_sta = score(udmap.static_blocks, is_static, true_static);
 
   os << "=== Static/dynamic inference: rDNS (paper) vs UDmap "
         "(baseline) ===\n";
-  os << "login events analysed: " << events.size() << "\n\n";
+  os << "login events analysed: " << udmap.events << "\n\n";
   report::Table t({"method", "class", "tagged", "precision", "recall"});
   auto add = [&](const char* method, const char* cls, const Score& s) {
     t.AddRow({method, cls, report::FormatCount(s.tagged),
@@ -358,7 +356,7 @@ void BaselineUdmap(const Inputs& in, std::ostream& os) {
   std::map<sim::PolicyKind, std::vector<double>> holdings;
   for (const auto& stats : udmap.blocks) {
     auto it = truth.find(stats.key);
-    if (it == truth.end() || stats.events < 50) continue;
+    if (it == truth.end() || stats.events < baseline::kMinEvents) continue;
     holdings[it->second].push_back(stats.median_holding_steps);
   }
   report::Table h({"true policy", "blocks", "median holding (days)"});

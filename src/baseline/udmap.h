@@ -17,8 +17,12 @@
 
 #include "cdn/logins.h"
 #include "netbase/prefix.h"
+#include "sim/world.h"
 
 namespace ipscope::baseline {
+
+// Blocks with fewer login events are left unclassified.
+inline constexpr std::uint64_t kMinEvents = 50;
 
 struct BlockUdmapStats {
   net::BlockKey key = 0;
@@ -27,25 +31,28 @@ struct BlockUdmapStats {
   std::uint64_t users = 0;         // distinct users seen in the block
   double users_per_ip = 0.0;       // mean distinct users per address
   double median_holding_steps = 0; // median (user, ip) pairing span
+
+  friend bool operator==(const BlockUdmapStats&,
+                         const BlockUdmapStats&) = default;
 };
 
 struct UdmapResult {
   std::vector<BlockUdmapStats> blocks;            // ascending key
   std::vector<net::BlockKey> dynamic_blocks;      // inferred dynamic
   std::vector<net::BlockKey> static_blocks;       // inferred static
+  std::uint64_t events = 0;                       // login events analysed
 };
 
-struct UdmapOptions {
-  // Addresses shared by at least this many distinct users on average mark
-  // a dynamic block.
-  double dynamic_users_per_ip = 3.0;
-  // At most this many users per address (and long holdings) marks static.
-  double static_users_per_ip = 1.5;
-  // Blocks with fewer login events are left unclassified.
-  std::uint64_t min_events = 50;
-};
+// Stats of block `key` from its login events, in any order; sorts them.
+BlockUdmapStats AnalyzeBlock(net::BlockKey key,
+                             std::span<cdn::LoginEvent> events);
 
-UdmapResult AnalyzeLogins(std::span<const cdn::LoginEvent> events,
-                          const UdmapOptions& options = UdmapOptions{});
+// Splits analysed blocks (ascending key) into inferred dynamic and static.
+UdmapResult Classify(std::vector<BlockUdmapStats> blocks);
+
+// Classify(AnalyzeBlock) over the login trace (cdn::LoginTraceGenerator at
+// its default rate) of every client and crawler block with logins, one
+// block at a time on par::GlobalPool().
+UdmapResult AnalyzeWorld(const sim::World& world, sim::StepSpec spec);
 
 }  // namespace ipscope::baseline

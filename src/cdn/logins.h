@@ -4,10 +4,10 @@
 // addresses from user-login traces: the same user identity appearing on
 // many addresses (and many users on one address over time) marks dynamic
 // assignment. A large web platform legitimately observes (user, IP, time)
-// tuples; this generator produces them for the simulated world, consistent
-// with the activity kernel's occupant identities. They feed the UDmap
-// baseline (src/baseline/udmap.h), which we compare against the paper's
-// rDNS tagging and our pattern classifier.
+// tuples; this generator produces them one block at a time for the
+// simulated world, consistent with the activity kernel's occupant
+// identities. They feed the UDmap baseline (src/baseline/udmap.h), which we
+// compare against the paper's rDNS tagging and our pattern classifier.
 #pragma once
 
 #include <cstdint>
@@ -38,12 +38,7 @@ class LoginTraceGenerator {
   // Login events of one block across the whole period, ordered by step.
   std::vector<LoginEvent> BlockTrace(const sim::BlockPlan& plan) const;
 
-  // Events for all CDN-visible blocks (ascending block key, then step),
-  // generated per block on par::GlobalPool().
-  std::vector<LoginEvent> Trace() const;
-
  private:
-  const sim::World& world_;
   sim::StepSpec spec_;
   double login_rate_;
 };

@@ -136,9 +136,10 @@ commands:
       its daily and weekly stores and the BGP feed once, then run every
       experiment (or only the listed ids) in registry order, printing each
       one's tables to stdout or to DIR/<id>.txt. An unknown id lists the
-      known ones. stderr gets one "id wall_s peak_rss_mb" line per
-      experiment, after an "inputs" line for the shared build and before
-      a "total" line; peak RSS is the process high-water mark so far.
+      known ones. stderr gets one "id wall_s peak_rss_mb peak_rise_mb"
+      line per experiment, after an "inputs" line for the shared build
+      and before a "total" line; peak_rss_mb is the process high-water
+      mark so far, peak_rise_mb how far that row raised it.
   check [--goldens DIR] [--update-goldens] [--blocks N] [--threads-max N]
         [--perturb flip-bit]
       Differential correctness sweep: re-derives every figure series with
@@ -1313,17 +1314,24 @@ int CmdReproduce(const CommandLine& cmd, std::ostream& out,
   auto out_dir = cmd.Flag("out");
   if (out_dir) std::filesystem::create_directories(*out_dir);
 
-  auto print_row = [&err](std::string_view id, const obs::Stopwatch& watch) {
+  // The high-water mark only rises, so each row also prints how far it
+  // raised it: the row that sets the peak names itself.
+  auto print_row = [&err](std::string_view id, const obs::Stopwatch& watch,
+                          double peak_before) {
+    const double peak = PeakRssMb();
     err << id << " " << report::FormatDouble(watch.Seconds(), 3) << " "
-        << report::FormatDouble(PeakRssMb(), 1) << "\n";
+        << report::FormatDouble(peak, 1) << " "
+        << report::FormatDouble(peak - peak_before, 1) << "\n";
   };
+  const double peak_start = PeakRssMb();
   obs::Stopwatch total;
   obs::Stopwatch watch;
   const analysis::Inputs inputs{config};
-  print_row("inputs", watch);
+  print_row("inputs", watch, peak_start);
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (!selected[i]) continue;
     const analysis::Experiment& e = all[i];
+    const double peak_before = PeakRssMb();
     watch.Restart();
     if (out_dir) {
       std::filesystem::path path =
@@ -1337,9 +1345,9 @@ int CmdReproduce(const CommandLine& cmd, std::ostream& out,
     } else {
       e.run(inputs, out);
     }
-    print_row(e.id, watch);
+    print_row(e.id, watch, peak_before);
   }
-  print_row("total", total);
+  print_row("total", total, peak_start);
   return 0;
 }
 

@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cdn/observatory.h"
 #include "par/pool.h"
 #include "rng/rng.h"
 #include "sim/policy.h"
+#include "stats/quantile.h"
 
 namespace ipscope::baseline {
 namespace {
@@ -79,14 +83,13 @@ TEST(Logins, LoginRateScalesVolume) {
 }
 
 // BlockTrace against a trace derived step by step from the GenerateStep
-// reference, for every block Trace() covers, and Trace() against the
-// BlockTraces concatenated in key order at two pool sizes.
+// reference, for every block the UDmap analysis covers.
 TEST(Logins, BlockTraceMatchesPerStepReferenceForEveryClientBlock) {
   constexpr std::uint64_t kTagLogin = 0x106e;
   constexpr double kLoginRate = 0.5;
   const sim::StepSpec spec = cdn::Observatory::Daily(TestWorld()).spec();
   cdn::LoginTraceGenerator gen{TestWorld(), spec, kLoginRate};
-  std::map<net::BlockKey, std::vector<cdn::LoginEvent>> by_key;
+  std::size_t total = 0;
   for (const sim::BlockPlan& plan : TestWorld().blocks()) {
     if (!sim::IsClientPolicy(plan.base.kind) &&
         plan.base.kind != sim::PolicyKind::kCrawlerBots) {
@@ -115,38 +118,184 @@ TEST(Logins, BlockTraceMatchesPerStepReferenceForEveryClientBlock) {
     const auto got = gen.BlockTrace(plan);
     ASSERT_EQ(got, want) << plan.block << " "
                          << sim::PolicyKindName(plan.base.kind);
-    by_key[net::BlockKeyOf(plan.block)] = want;
+    total += want.size();
   }
-  std::vector<cdn::LoginEvent> concatenated;
-  for (const auto& [key, events] : by_key) {
-    concatenated.insert(concatenated.end(), events.begin(), events.end());
+  EXPECT_GT(total, 100000u);
+}
+
+// The whole-trace hash-set analysis the per-block one replaced, kept as the
+// reference: per-block hash sets of users per address and of users, and a
+// map from pairing key to its first and last step.
+UdmapResult OracleAnalyzeLogins(std::span<const cdn::LoginEvent> events) {
+  constexpr double kDynamicUsersPerIp = 3.0;
+  constexpr double kStaticUsersPerIp = 1.5;
+  constexpr std::uint64_t kOracleMinEvents = 50;
+  struct PairingSpan {
+    std::int32_t first;
+    std::int32_t last;
+  };
+  struct BlockAcc {
+    std::uint64_t events = 0;
+    std::unordered_map<std::uint32_t, std::unordered_set<std::uint64_t>>
+        users_per_addr;
+    std::unordered_set<std::uint64_t> users;
+    // (user, addr) -> observed step span
+    std::unordered_map<std::uint64_t, PairingSpan> pairings;
+  };
+  // std::map keeps blocks in ascending key order for deterministic output.
+  std::map<net::BlockKey, BlockAcc> accs;
+
+  for (const cdn::LoginEvent& ev : events) {
+    BlockAcc& acc = accs[net::BlockKeyOf(ev.ip)];
+    ++acc.events;
+    acc.users_per_addr[ev.ip.value()].insert(ev.user);
+    acc.users.insert(ev.user);
+    // Mix user and address into one pairing key; collisions are harmless
+    // noise at these scales.
+    std::uint64_t pairing = ev.user * 0x9e3779b97f4a7c15ULL ^ ev.ip.value();
+    auto [it, inserted] = acc.pairings.try_emplace(
+        pairing, PairingSpan{ev.step, ev.step});
+    if (!inserted) {
+      it->second.first = std::min(it->second.first, ev.step);
+      it->second.last = std::max(it->second.last, ev.step);
+    }
   }
-  ASSERT_GT(concatenated.size(), 100000u);
+
+  UdmapResult out;
+  for (auto& [key, acc] : accs) {
+    BlockUdmapStats stats;
+    stats.key = key;
+    stats.events = acc.events;
+    stats.addresses = static_cast<std::uint32_t>(acc.users_per_addr.size());
+    stats.users = acc.users.size();
+    double user_sum = 0;
+    for (const auto& [addr, users] : acc.users_per_addr) {
+      user_sum += static_cast<double>(users.size());
+    }
+    stats.users_per_ip =
+        stats.addresses ? user_sum / stats.addresses : 0.0;
+    std::vector<double> spans;
+    spans.reserve(acc.pairings.size());
+    for (const auto& [pairing, span] : acc.pairings) {
+      spans.push_back(static_cast<double>(span.last - span.first + 1));
+    }
+    stats.median_holding_steps = stats::Median(std::move(spans));
+    out.blocks.push_back(stats);
+
+    if (acc.events < kOracleMinEvents) continue;
+    if (stats.users_per_ip >= kDynamicUsersPerIp) {
+      out.dynamic_blocks.push_back(key);
+    } else if (stats.users_per_ip <= kStaticUsersPerIp) {
+      out.static_blocks.push_back(key);
+    }
+  }
+  return out;
+}
+
+// Every login-bearing block of the test world against the oracle, at two
+// pool sizes. The oracle runs on one block's trace at a time and its
+// results are appended in key order; it keeps blocks apart and in key
+// order, so that equals one oracle run over the concatenated trace.
+TEST(UdmapBlock, MatchesOracleForEveryBlock) {
+  const sim::World& world = TestWorld();
+  const sim::StepSpec spec = cdn::Observatory::Daily(world).spec();
+  cdn::LoginTraceGenerator gen{world, spec};
+  std::vector<const sim::BlockPlan*> order;
+  for (const sim::BlockPlan& plan : world.blocks()) {
+    if (sim::IsClientPolicy(plan.base.kind) ||
+        plan.base.kind == sim::PolicyKind::kCrawlerBots) {
+      order.push_back(&plan);
+    }
+  }
+  std::sort(order.begin(), order.end(),
+            [](const sim::BlockPlan* a, const sim::BlockPlan* b) {
+              return net::BlockKeyOf(a->block) < net::BlockKeyOf(b->block);
+            });
+  UdmapResult want;
+  for (const sim::BlockPlan* plan : order) {
+    const std::vector<cdn::LoginEvent> trace = gen.BlockTrace(*plan);
+    const UdmapResult one = OracleAnalyzeLogins(trace);
+    want.events += trace.size();
+    want.blocks.insert(want.blocks.end(), one.blocks.begin(),
+                       one.blocks.end());
+    want.dynamic_blocks.insert(want.dynamic_blocks.end(),
+                               one.dynamic_blocks.begin(),
+                               one.dynamic_blocks.end());
+    want.static_blocks.insert(want.static_blocks.end(),
+                              one.static_blocks.begin(),
+                              one.static_blocks.end());
+  }
+  ASSERT_GT(want.blocks.size(), 300u);
+  ASSERT_FALSE(want.dynamic_blocks.empty());
+  ASSERT_FALSE(want.static_blocks.empty());
   for (int threads : {1, 4}) {
     par::GlobalPool().Resize(threads);
-    EXPECT_TRUE(gen.Trace() == concatenated) << "threads " << threads;
+    const UdmapResult got = AnalyzeWorld(world, spec);
+    EXPECT_EQ(got.events, want.events) << "threads " << threads;
+    ASSERT_EQ(got.blocks.size(), want.blocks.size()) << "threads " << threads;
+    for (std::size_t i = 0; i < want.blocks.size(); ++i) {
+      EXPECT_TRUE(got.blocks[i] == want.blocks[i])
+          << "block " << want.blocks[i].key << " threads " << threads;
+    }
+    EXPECT_EQ(got.dynamic_blocks, want.dynamic_blocks) << "threads " << threads;
+    EXPECT_EQ(got.static_blocks, want.static_blocks) << "threads " << threads;
   }
   par::GlobalPool().Resize(0);
 }
 
+// The inverse of an odd multiplier mod 2^64 by Newton's iteration: x = a
+// is right in the low 3 bits, and each step doubles that.
+constexpr std::uint64_t InverseMod64(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+TEST(UdmapBlock, CollidingPairingKeysMergeLikeTheOracle) {
+  constexpr std::uint64_t kPhi = 0x9e3779b97f4a7c15ULL;
+  static_assert(kPhi * InverseMod64(kPhi) == 1);
+  // Two distinct (user, ip) pairings in one /24 with equal pairing keys
+  // user·φ ^ ip: solve u2·φ ^ ip2 = u1·φ ^ ip1 for u2.
+  const net::IPv4Addr ip1{0x0A000001u};
+  const net::IPv4Addr ip2{0x0A000002u};
+  const std::uint64_t u1 = 12345;
+  const std::uint64_t u2 =
+      ((u1 * kPhi) ^ ip1.value() ^ ip2.value()) * InverseMod64(kPhi);
+  ASSERT_NE(u2, u1);
+  ASSERT_EQ(u1 * kPhi ^ ip1.value(), u2 * kPhi ^ ip2.value());
+  std::vector<cdn::LoginEvent> events{{u1, ip1, 0}, {u2, ip2, 50},
+                                      {u1, ip1, 10}};
+  const UdmapResult want = OracleAnalyzeLogins(events);
+  ASSERT_EQ(want.blocks.size(), 1u);
+  // One span over steps 0..50, not spans of 11 and 1 steps.
+  EXPECT_EQ(want.blocks[0].median_holding_steps, 51.0);
+  const BlockUdmapStats got = AnalyzeBlock(0x0A0000u, events);
+  EXPECT_TRUE(got == want.blocks[0]);
+  EXPECT_EQ(got.median_holding_steps, 51.0);
+  EXPECT_EQ(got.users, 2u);
+  EXPECT_EQ(got.addresses, 2u);
+}
+
 TEST(Udmap, SyntheticStaticVsDynamic) {
-  std::vector<cdn::LoginEvent> events;
   // Static block 10.0.0.0/24: users 1..50 each pinned to one address.
+  std::vector<cdn::LoginEvent> static_events;
   for (int day = 0; day < 50; ++day) {
     for (std::uint64_t user = 1; user <= 50; ++user) {
-      events.push_back({user, net::IPv4Addr{0x0A000000u +
-                                            static_cast<std::uint32_t>(user)},
-                        day});
+      static_events.push_back(
+          {user, net::IPv4Addr{0x0A000000u + static_cast<std::uint32_t>(user)},
+           day});
     }
   }
   // Dynamic block 10.0.1.0/24: a new user on each address every day.
+  std::vector<cdn::LoginEvent> dynamic_events;
   for (int day = 0; day < 50; ++day) {
     for (std::uint32_t host = 0; host < 50; ++host) {
       std::uint64_t user = 1000 + static_cast<std::uint64_t>(day) * 100 + host;
-      events.push_back({user, net::IPv4Addr{0x0A000100u + host}, day});
+      dynamic_events.push_back({user, net::IPv4Addr{0x0A000100u + host}, day});
     }
   }
-  auto result = AnalyzeLogins(events);
+  auto result = Classify({AnalyzeBlock(0x0A0000u, static_events),
+                          AnalyzeBlock(0x0A0001u, dynamic_events)});
   ASSERT_EQ(result.blocks.size(), 2u);
   EXPECT_EQ(result.static_blocks,
             std::vector<net::BlockKey>{0x0A0000u});
@@ -162,9 +311,7 @@ TEST(Udmap, MinEventsLeavesQuietBlocksUnclassified) {
   for (int day = 0; day < 3; ++day) {
     events.push_back({1, net::IPv4Addr{0x0A000001u}, day});
   }
-  UdmapOptions options;
-  options.min_events = 50;
-  auto result = AnalyzeLogins(events, options);
+  auto result = Classify({AnalyzeBlock(0x0A0000u, events)});
   EXPECT_TRUE(result.static_blocks.empty());
   EXPECT_TRUE(result.dynamic_blocks.empty());
   ASSERT_EQ(result.blocks.size(), 1u);  // stats still reported
@@ -174,11 +321,8 @@ TEST(Udmap, RecoversGroundTruthPolicies) {
   // The headline validation: UDmap-style inference on simulated login
   // traces recovers the true assignment regime.
   const sim::World& world = TestWorld();
-  cdn::LoginTraceGenerator gen{world,
-                               cdn::Observatory::Daily(world).spec()};
-  auto events = gen.Trace();
-  ASSERT_GT(events.size(), 10000u);
-  auto result = AnalyzeLogins(events);
+  auto result = AnalyzeWorld(world, cdn::Observatory::Daily(world).spec());
+  ASSERT_GT(result.events, 10000u);
 
   std::unordered_map<net::BlockKey, sim::PolicyKind> truth;
   for (const sim::BlockPlan& plan : world.blocks()) {
@@ -225,17 +369,19 @@ TEST(Udmap, HoldingTimesTrackLeaseRegimes) {
     if (plan.HasReconfiguration()) continue;
     if (static_holding < 0 && plan.base.kind == sim::PolicyKind::kStatic &&
         plan.base.pool_size > 30) {
-      auto result = AnalyzeLogins(gen.BlockTrace(plan));
-      if (!result.blocks.empty() && result.blocks[0].events > 100) {
-        static_holding = result.blocks[0].median_holding_steps;
+      auto events = gen.BlockTrace(plan);
+      auto stats = AnalyzeBlock(net::BlockKeyOf(plan.block), events);
+      if (stats.events > 100) {
+        static_holding = stats.median_holding_steps;
       }
     }
     if (short_holding < 0 &&
         plan.base.kind == sim::PolicyKind::kDynamicShort &&
         !plan.base.rotating) {
-      auto result = AnalyzeLogins(gen.BlockTrace(plan));
-      if (!result.blocks.empty()) {
-        short_holding = result.blocks[0].median_holding_steps;
+      auto events = gen.BlockTrace(plan);
+      auto stats = AnalyzeBlock(net::BlockKeyOf(plan.block), events);
+      if (stats.events > 0) {
+        short_holding = stats.median_holding_steps;
       }
     }
     if (static_holding >= 0 && short_holding >= 0) break;
