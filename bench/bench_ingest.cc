@@ -48,33 +48,6 @@ struct StageResult {
   double mbytes = 0;  // bytes moved / 1e6, 0 when not meaningful
 };
 
-// A day-slice delta with every block of `full` present, so composed
-// shards serialize byte-identically to the batch store (the same slicing
-// the chaos-crash gate uses).
-ipscope::activity::ActivityStore SliceDays(
-    const ipscope::activity::ActivityStore& full, int first, int last) {
-  ipscope::activity::ActivityStore delta{full.days()};
-  for (int d = 0; d < full.days(); ++d) {
-    if (d < first || d > last || !full.DayCovered(d)) {
-      delta.SetDayCovered(d, false);
-    }
-  }
-  full.ForEach([&](ipscope::net::BlockKey key,
-                   const ipscope::activity::ActivityMatrix& m) {
-    ipscope::activity::ActivityMatrix& dst = delta.GetOrCreate(key);
-    for (int d = first; d <= last; ++d) {
-      if (delta.DayCovered(d)) dst.Row(d) = m.Row(d);
-    }
-  });
-  return delta;
-}
-
-std::string StoreBytes(const ipscope::activity::ActivityStore& store) {
-  std::ostringstream os{std::ios::binary};
-  ipscope::io::SaveStore(store, os);
-  return std::move(os).str();
-}
-
 void WriteJson(std::ostream& os, const ipscope::sim::WorldConfig& cfg,
                const std::vector<StageResult>& stages, double total) {
   os << "{\n  \"bench\": \"ingest\",\n"
@@ -100,6 +73,8 @@ void WriteJson(std::ostream& os, const ipscope::sim::WorldConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using ipscope::ingest::SliceDays;
+  using ipscope::ingest::StoreBytes;
   auto config = ipscope::bench::ConfigFromArgs(argc, argv, 2000);
   std::cout << "ingest: " << config.target_client_blocks
             << " client blocks, seed " << config.seed << "\n";

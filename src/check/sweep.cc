@@ -1,5 +1,6 @@
 #include "check/sweep.h"
 
+#include <ostream>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -10,11 +11,13 @@
 #include "activity/metrics.h"
 #include "activity/pattern.h"
 #include "cdn/observatory.h"
+#include "check/golden.h"
 #include "check/reference.h"
 #include "fault/injector.h"
 #include "fault/schedule.h"
 #include "obs/registry.h"
 #include "par/pool.h"
+#include "report/table.h"
 #include "rng/rng.h"
 #include "sim/world.h"
 #include "stats/capture_recapture.h"
@@ -285,17 +288,48 @@ Diff RunCase(const CaseSpec& spec) {
   return diff;
 }
 
-SweepResult RunSweep(std::span<const CaseSpec> specs) {
-  SweepResult result;
+bool RunCheck(std::span<const CaseSpec> specs, const std::string& goldens_dir,
+              std::ostream& out) {
+  report::Table card({"case", "status", "diffs"});
+  std::uint64_t total_mismatches = 0;
+  std::vector<Divergence> divergences;
   for (const CaseSpec& spec : specs) {
     Diff diff = RunCase(spec);
-    ++result.cases;
-    result.mismatches += diff.mismatches();
-    for (const Divergence& d : diff.divergences()) {
-      result.divergences.push_back(d);
+    total_mismatches += diff.mismatches();
+    for (const Divergence& d : diff.divergences()) divergences.push_back(d);
+    card.AddRow({spec.Name(), diff.ok() ? "PASS" : "FAIL",
+                 std::to_string(diff.mismatches())});
+  }
+  card.Print(out);
+
+  if (!divergences.empty()) {
+    out << "\nfirst divergences (optimized vs reference):\n";
+    for (const Divergence& d : divergences) {
+      out << "  " << d.series << " [" << d.coordinate
+          << "]: reference=" << d.expected << " optimized=" << d.actual
+          << "  (" << d.case_name << ")\n";
     }
   }
-  return result;
+
+  std::vector<GoldenIssue> issues =
+      VerifyGoldens(goldens_dir, RenderAllGoldens(GoldenConfig{}));
+  out << "\ngolden snapshots (" << goldens_dir << "): "
+      << (issues.empty() ? "clean" : "ISSUES") << "\n";
+  for (const GoldenIssue& issue : issues) {
+    out << "  " << GoldenIssueKindName(issue.kind) << ": " << issue.file
+        << " — " << issue.detail << "\n";
+  }
+
+  auto& registry = obs::GlobalRegistry();
+  out << "\ncheck: " << registry.GetCounter("check.cases_run").value()
+      << " cases, " << registry.GetCounter("check.diffs_total").value()
+      << " diffs, "
+      << registry.GetCounter("check.golden_files_checked").value()
+      << " golden files checked\n";
+
+  bool ok = total_mismatches == 0 && issues.empty();
+  out << "check: " << (ok ? "PASS" : "FAIL") << "\n";
+  return ok;
 }
 
 std::vector<CaseSpec> DefaultSweep(std::span<const std::uint64_t> seeds,

@@ -4,8 +4,8 @@
 // thread count, and an optional fault::Schedule spec applied to the store
 // before analysis (so both sides see the same coverage gaps). RunCase
 // builds the store once, runs every optimized analysis and its oracle
-// counterpart, and returns the Diff. RunSweep drives a list of cases and
-// aggregates.
+// counterpart, and returns the Diff. RunCheck drives a list of cases and
+// the golden verification behind `ipscope_cli check`.
 //
 // The comparisons are exact (see diff.h); the single tolerance check is
 // the capture–recapture estimate against the simulator's true active
@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,13 +46,13 @@ struct CaseSpec {
 // std::invalid_argument on an unparseable fault spec.
 Diff RunCase(const CaseSpec& spec);
 
-struct SweepResult {
-  std::uint64_t cases = 0;
-  std::uint64_t mismatches = 0;
-  std::vector<Divergence> divergences;  // capped per case; see Diff
-};
-
-SweepResult RunSweep(std::span<const CaseSpec> specs);
+// `ipscope_cli check`: runs every case, then verifies the committed
+// goldens in `goldens_dir` against a fresh render at the canonical config
+// (check/golden.h). Prints the per-case scorecard, the first divergences,
+// each golden issue and the check.* counters to `out`. True iff no case
+// diverged and the goldens are clean.
+bool RunCheck(std::span<const CaseSpec> specs, const std::string& goldens_dir,
+              std::ostream& out);
 
 // The default sweep matrix: `seeds` x {1, `max_threads`} x {no fault,
 // "drop-days=2"}.

@@ -1,28 +1,20 @@
 #include "cli/commands.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/resource.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <thread>
 
 #include "activity/change.h"
 #include "activity/churn.h"
@@ -31,21 +23,15 @@
 #include "activity/pattern.h"
 #include "analysis/experiments.h"
 #include "cdn/observatory.h"
-#include "cdn/rawlog.h"
+#include "check/chaos.h"
 #include "check/golden.h"
 #include "check/sweep.h"
 #include "cli/signals.h"
 #include "fault/crash.h"
-#include "geo/country.h"
-#include "obs/json.h"
-#include "serve/frame.h"
-#include "serve/server.h"
-#include "serve/tcp.h"
-#include "fault/injector.h"
 #include "fault/schedule.h"
+#include "ingest/crash_sweep.h"
 #include "ingest/session.h"
 #include "io/store_io.h"
-#include "scan/icmp.h"
 #include "measurement/hitlist.h"
 #include "obs/benchdiff.h"
 #include "obs/registry.h"
@@ -55,6 +41,9 @@
 #include "report/csv.h"
 #include "report/table.h"
 #include "report/textplot.h"
+#include "serve/server.h"
+#include "serve/smoke.h"
+#include "serve/tcp.h"
 #include "sim/world.h"
 
 namespace ipscope::cli {
@@ -670,60 +659,6 @@ int CmdBenchdiff(const CommandLine& cmd, std::ostream& out,
   return result.regressed ? 1 : 0;
 }
 
-// What a salvage load of the damaged byte stream must recover, derived
-// from the clean store and the injector's report. Salvage is sequential,
-// so the expected outcome is the longest undamaged prefix of blocks; any
-// damage in the header makes the stream unrecoverable.
-struct SalvagePrediction {
-  bool header_ok = true;
-  std::uint64_t blocks = 0;
-  bool complete = true;
-};
-
-SalvagePrediction PredictSalvage(const activity::ActivityStore& clean,
-                                 std::uint64_t damaged_size,
-                                 const std::vector<std::uint64_t>& flips,
-                                 std::uint64_t original_size) {
-  SalvagePrediction p;
-  // IPSCOPE2 layout: magic(8) + days(4) + blocks(8) + coverage bitmap +
-  // header CRC(4); per block key(4) + count(4) + 34 bytes/non-empty day +
-  // block CRC(4); footer "END2"(4) + echo(8) + stream CRC(4).
-  const std::uint64_t header =
-      8 + 4 + 8 + (static_cast<std::uint64_t>(clean.days()) + 7) / 8 + 4;
-  auto damaged_in = [&](std::uint64_t first, std::uint64_t last) {
-    if (damaged_size < last) return true;  // truncation cut into [first,last)
-    for (std::uint64_t f : flips) {
-      if (f >= first && f < last) return true;
-    }
-    return false;
-  };
-  if (damaged_in(0, header)) {
-    p.header_ok = false;
-    p.complete = false;
-    return p;
-  }
-  std::uint64_t pos = header;
-  bool stopped = false;
-  clean.ForEach([&](net::BlockKey, const activity::ActivityMatrix& m) {
-    if (stopped) return;
-    std::uint64_t nonzero = 0;
-    for (int d = 0; d < m.days(); ++d) {
-      const activity::DayBits& row = m.Row(d);
-      if ((row[0] | row[1] | row[2] | row[3]) != 0) ++nonzero;
-    }
-    const std::uint64_t size = 4 + 4 + nonzero * 34 + 4;
-    if (damaged_in(pos, pos + size)) {
-      stopped = true;
-      p.complete = false;
-      return;
-    }
-    ++p.blocks;
-    pos += size;
-  });
-  if (!stopped && damaged_in(pos, original_size)) p.complete = false;
-  return p;
-}
-
 int CmdChaos(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   sim::WorldConfig config;
   config.target_client_blocks = cmd.IntFlag("blocks", 800);
@@ -738,263 +673,8 @@ int CmdChaos(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     err << "chaos: " << parse_error << "\n";
     return 2;
   }
-  int window = cmd.IntFlag("window", 7);
-
-  fault::Injector injector{schedule};
-  fault::Injector::Report report;
-
-  out << "chaos: " << config.target_client_blocks
-      << " client blocks, seed " << config.seed << ", fault seed "
-      << schedule.seed << "\nchaos: schedule " << schedule.ToString()
-      << "\n\n";
-
-  report::Table card({"check", "status", "detail"});
-  bool all_ok = true;
-  auto check = [&](const char* name, bool ok, const std::string& detail) {
-    card.AddRow({name, ok ? "PASS" : "FAIL", detail});
-    if (!ok) all_ok = false;
-  };
-  auto info = [&](const char* name, const char* status,
-                  const std::string& detail) {
-    card.AddRow({name, status, detail});
-  };
-
-  // Stage 1: the clean pipeline — the ground truth every faulted result
-  // is compared against.
-  sim::World world{config};
-  auto clean = cdn::Observatory::Daily(world).BuildStore();
-
-  // Stage 2: serialize, damage the bytes, salvage-load.
-  std::stringstream buffer;
-  io::SaveStore(clean, buffer);
-  const std::string original = buffer.str();
-  std::string bytes = original;
-  injector.ApplyToBytes(bytes, &report);
-  auto predicted = PredictSalvage(clean, bytes.size(), report.flipped_offsets,
-                                  original.size());
-  std::istringstream damaged{bytes};
-  auto load = io::TryLoadStore(damaged, io::LoadOptions{.salvage = true});
-
-  bool store_usable = load.ok();
-  if (!store_usable) {
-    // Damage reached the header: nothing is recoverable, but the failure
-    // must be a typed error, not a crash — that is itself the contract.
-    check("store salvage", !predicted.header_ok,
-          "unrecoverable: " + load.error().ToString());
-    info("salvaged blocks intact", "SKIP", "no store recovered");
-    info("missing days accounted", "SKIP", "no store recovered");
-    info("churn matches clean data", "SKIP", "no store recovered");
-    info("change detection matches", "SKIP", "no store recovered");
-    info("active-address drift", "SKIP", "no store recovered");
-  }
-
-  activity::ActivityStore faulted{clean.days()};
-  std::vector<int> dropped;
-  if (store_usable) {
-    const io::LoadStats& stats = load.value().stats;
-    faulted = std::move(load.value().store);
-
-    {
-      std::string detail =
-          std::to_string(stats.blocks_loaded) + "/" +
-          std::to_string(stats.blocks_expected) + " blocks" +
-          (stats.complete ? " (complete)" : " (salvaged)");
-      check("store salvage",
-            stats.blocks_loaded == predicted.blocks &&
-                stats.complete == predicted.complete,
-            detail + ", expected " + std::to_string(predicted.blocks));
-    }
-
-    // Salvaged blocks must be bit-identical to the clean store's —
-    // checked before day drops mutate the rows.
-    bool intact = true;
-    faulted.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
-      const activity::ActivityMatrix* cm = clean.Find(key);
-      if (cm == nullptr) {
-        intact = false;
-        return;
-      }
-      for (int d = 0; d < clean.days(); ++d) {
-        if (m.Row(d) != cm->Row(d)) intact = false;
-      }
-    });
-    check("salvaged blocks intact", intact,
-          std::to_string(faulted.BlockCount()) + " blocks bit-compared");
-
-    // Stage 3: collector outages — dropped days become coverage gaps.
-    dropped = injector.ApplyToStore(faulted, &report);
-    double gauge =
-        obs::GlobalRegistry().GetGauge("activity.days_missing").value();
-    check("missing days accounted",
-          faulted.MissingDays() == static_cast<int>(dropped.size()) &&
-              gauge == static_cast<double>(faulted.MissingDays()),
-          std::to_string(faulted.MissingDays()) + " uncovered of " +
-              std::to_string(faulted.days()) + " days");
-
-    // Stage 4: analyses on the faulted store must match the clean data
-    // restricted to the same blocks and coverage — exactly, not loosely.
-    activity::ActivityStore reference{clean.days()};
-    faulted.ForEach([&](net::BlockKey key, const activity::ActivityMatrix&) {
-      const activity::ActivityMatrix* cm = clean.Find(key);
-      activity::ActivityMatrix& dst = reference.GetOrCreate(key);
-      for (int d = 0; d < clean.days(); ++d) dst.Row(d) = cm->Row(d);
-    });
-    for (int d : dropped) reference.SetDayCovered(d, false);
-
-    if (faulted.BlockCount() == 0) {
-      info("churn matches clean data", "SKIP", "no blocks salvaged");
-      info("change detection matches", "SKIP", "no blocks salvaged");
-    } else {
-      auto fs = activity::ChurnAnalyzer{faulted}.Churn(window);
-      auto rs = activity::ChurnAnalyzer{reference}.Churn(window);
-      int num_windows = faulted.days() / window;
-      check("churn matches clean data",
-            fs.pairs == rs.pairs && fs.up_pct == rs.up_pct &&
-                fs.down_pct == rs.down_pct,
-            std::to_string(fs.pairs.size()) + "/" +
-                std::to_string(num_windows > 1 ? num_windows - 1 : 0) +
-                " window pairs valid, all exact");
-
-      auto fc = activity::MaxMonthlyStuChange(faulted);
-      auto rc = activity::MaxMonthlyStuChange(reference);
-      bool change_ok = fc.size() == rc.size();
-      if (change_ok) {
-        for (std::size_t i = 0; i < fc.size(); ++i) {
-          if (fc[i].key != rc[i].key || fc[i].max_delta != rc[i].max_delta) {
-            change_ok = false;
-          }
-        }
-      }
-      check("change detection matches", change_ok,
-            std::to_string(fc.size()) + " per-block STU deltas, all exact");
-    }
-
-    // Drift vs the truly clean run is bounded by what the faults removed:
-    // the faulted totals must equal the reference totals exactly.
-    std::uint64_t clean_total = clean.CountActive(0, clean.days());
-    std::uint64_t faulted_total = faulted.CountActive(0, faulted.days());
-    std::uint64_t reference_total = reference.CountActive(0, reference.days());
-    double drift =
-        clean_total == 0
-            ? 0.0
-            : 100.0 * (static_cast<double>(clean_total) -
-                       static_cast<double>(faulted_total)) /
-                  static_cast<double>(clean_total);
-    check("active-address drift", faulted_total == reference_total,
-          report::FormatDouble(drift) +
-              "% below clean run, all attributable to injected faults");
-  }
-
-  // Stage 5: the scan campaign loses snapshots but the month union still
-  // computes from the survivors.
-  {
-    constexpr int kNumScans = 8;
-    constexpr std::int32_t kMonthStart = 273;  // October, like the paper
-    constexpr int kMonthDays = 28;
-    auto killed = injector.PickSnapshotsToDrop(kNumScans, &report);
-    scan::IcmpScanner scanner{world};
-    net::Ipv4Set month;
-    int used = 0;
-    for (int s = 0; s < kNumScans; ++s) {
-      if (std::find(killed.begin(), killed.end(), s) != killed.end()) continue;
-      month = month.Union(
-          scanner.Scan(kMonthStart + s * kMonthDays / kNumScans));
-      ++used;
-    }
-    check("scan campaign degraded",
-          used == kNumScans - static_cast<int>(killed.size()) &&
-              !month.Empty(),
-          std::to_string(used) + "/" + std::to_string(kNumScans) +
-              " snapshots, " + report::FormatCount(month.Count()) +
-              " responsive addresses");
-  }
-
-  // Stage 6: duplicated raw log rows must not change the active set —
-  // aggregation is idempotent w.r.t. activity (bitmaps OR, counts add).
-  if (schedule.Has(fault::FaultKind::kDupRows)) {
-    auto observatory = cdn::Observatory::Daily(world);
-    const sim::BlockPlan* plan = nullptr;
-    if (clean.BlockCount() > 0) {
-      net::BlockKey first_key = clean.keys()[0];
-      for (const sim::BlockPlan& p : world.blocks()) {
-        if (net::BlockKeyOf(p.block) == first_key) {
-          plan = &p;
-          break;
-        }
-      }
-    }
-    if (plan == nullptr) {
-      info("log aggregation idempotent", "SKIP", "no CDN-active block");
-    } else {
-      cdn::RawLogGenerator gen{world, observatory.spec()};
-      std::vector<cdn::LogRecord> rows;
-      gen.ForBlockSteps(*plan, 0, 1,
-                        [&](const cdn::LogRecord& r) { rows.push_back(r); },
-                        /*per_address_cap=*/4);
-      cdn::LogAggregator base;
-      for (const auto& r : rows) base.Consume(r);
-      std::uint64_t duplicated = injector.DuplicateRows(rows, &report);
-      cdn::LogAggregator dup;
-      for (const auto& r : rows) dup.Consume(r);
-      bool same_actives = base.hits_per_ip().size() == dup.hits_per_ip().size();
-      if (same_actives) {
-        for (const auto& [ip, hits] : base.hits_per_ip()) {
-          if (dup.hits_per_ip().count(ip) == 0) same_actives = false;
-        }
-      }
-      check("log aggregation idempotent", same_actives,
-            std::to_string(duplicated) + " duplicate rows, active set " +
-                (same_actives ? "unchanged" : "CHANGED"));
-    }
-  }
-
-  card.Print(out);
-
-  auto& registry = obs::GlobalRegistry();
-  report::Table metrics({"data-quality metric", "value"});
-  for (const char* name :
-       {"fault.injected_total", "io.store.blocks_salvaged",
-        "io.store.salvaged_loads", "io.store.load_errors"}) {
-    metrics.AddRow({name,
-                    report::FormatCount(registry.GetCounter(name).value())});
-  }
-  metrics.AddRow(
-      {"activity.days_missing",
-       report::FormatCount(static_cast<std::uint64_t>(
-           registry.GetGauge("activity.days_missing").value()))});
-  out << "\n";
-  metrics.Print(out);
-
-  out << "\nchaos: " << (all_ok ? "PASS" : "FAIL") << " ("
-      << report.faults_injected << " faults injected)\n";
-  return all_ok ? 0 : 1;
-}
-
-// The day-slice delta of `full` covering [first, last] (inclusive): every
-// block of the full store is present — even ones with no activity in the
-// range — so composing the resulting shards serializes byte-identically
-// to the batch-built store, which is what the gate memcmp's against.
-activity::ActivityStore SliceDays(const activity::ActivityStore& full,
-                                  int first, int last) {
-  activity::ActivityStore delta{full.days()};
-  for (int d = 0; d < full.days(); ++d) {
-    if (d < first || d > last || !full.DayCovered(d)) {
-      delta.SetDayCovered(d, false);
-    }
-  }
-  full.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
-    activity::ActivityMatrix& dst = delta.GetOrCreate(key);
-    for (int d = first; d <= last; ++d) {
-      if (delta.DayCovered(d)) dst.Row(d) = m.Row(d);
-    }
-  });
-  return delta;
-}
-
-std::string StoreBytes(const activity::ActivityStore& store) {
-  std::ostringstream os{std::ios::binary};
-  io::SaveStore(store, os);
-  return std::move(os).str();
+  return check::RunChaos(config, schedule, cmd.IntFlag("window", 7), out) ? 0
+                                                                          : 1;
 }
 
 int CmdChaosCrash(const CommandLine& cmd, std::ostream& out,
@@ -1018,169 +698,52 @@ int CmdChaosCrash(const CommandLine& cmd, std::ostream& out,
       << "\nchaos-crash: store root " << root.string() << "\n\n";
 
   // Build every world up front: the observatory uses the shared pool, and
-  // forking a multithreaded process is only safe once the pool is down to
-  // its inline (single-thread) strategy.
-  struct SeedCase {
-    std::uint64_t seed;
-    activity::ActivityStore delta0{1};  // committed cleanly by the parent
-    activity::ActivityStore delta1{1};  // appended by the crashing child
-    std::string full_bytes;             // batch build of all days
-    std::string prefix_bytes;           // batch build of delta0's days
-    int days = 0;
-  };
-  std::vector<SeedCase> cases;
+  // the sweep forks, which is only safe once the pool is down to its
+  // inline (single-thread) strategy.
+  std::vector<ingest::CrashCase> cases;
   for (int s = 0; s < num_seeds; ++s) {
-    SeedCase c;
-    c.seed = base_seed + 12 * static_cast<std::uint64_t>(s);
     sim::WorldConfig config;
     config.target_client_blocks = blocks;
-    config.seed = c.seed;
-    sim::World world{config};
-    auto full = cdn::Observatory::Daily(world).BuildStore();
-    c.days = full.days();
-    int split = c.days / 2;
-    c.delta0 = SliceDays(full, 0, split - 1);
-    c.delta1 = SliceDays(full, split, c.days - 1);
-    c.full_bytes = StoreBytes(full);
-    c.prefix_bytes = StoreBytes(c.delta0);
+    config.seed = base_seed + 12 * static_cast<std::uint64_t>(s);
+    auto full = cdn::Observatory::Daily(sim::World{config}).BuildStore();
+    int split = full.days() / 2;
+    ingest::CrashCase c{config.seed, ingest::SliceDays(full, 0, split - 1),
+                        ingest::SliceDays(full, split, full.days() - 1), "",
+                        ingest::StoreBytes(full)};
+    c.prefix_bytes = ingest::StoreBytes(c.delta0);
     cases.push_back(std::move(c));
   }
   int pool_threads = par::GlobalPool().threads();
-  par::GlobalPool().Resize(1);  // fork safety: no worker threads alive
+  par::GlobalPool().Resize(1);
+  std::vector<ingest::CrashCell> cells = ingest::SweepCrashPoints(
+      cases, root, ingest::Session::Open, [] { return DrainRequested(); });
+  par::GlobalPool().Resize(pool_threads);
+  if (cells.size() < points.size() * cases.size()) {
+    out << "chaos-crash: drain requested, stopping before point "
+        << points[cells.size() / cases.size()] << "\n";
+  }
 
+  // One scorecard row per point: its seeds are consecutive cells.
   report::Table card({"crash point", "status", "detail"});
   bool all_ok = true;
-  for (const std::string& point : points) {
-    if (DrainRequested()) {
-      out << "chaos-crash: drain requested, stopping before point " << point
-          << "\n";
-      break;
-    }
-    int passed = 0;
+  for (std::size_t at = 0; at < cells.size(); at += cases.size()) {
+    std::size_t passed = 0;
     std::string failure;
-    for (const SeedCase& c : cases) {
-      std::filesystem::path dir =
-          root / (point + "-s" + std::to_string(c.seed));
-      std::error_code ec;
-      std::filesystem::remove_all(dir, ec);
-
-      auto fail = [&](const std::string& what) {
-        if (failure.empty()) {
-          failure = "seed " + std::to_string(c.seed) + ": " + what;
-        }
-      };
-
-      // The parent commits delta0 cleanly: the committed prefix every
-      // pre-commit crash must roll back to.
-      auto opened = ingest::Session::Open(dir.string(), c.days);
-      if (!opened.ok()) {
-        fail("open: " + opened.error().ToString());
-        continue;
+    for (std::size_t i = at; i < at + cases.size(); ++i) {
+      if (cells[i].ok()) {
+        ++passed;
+      } else if (failure.empty()) {
+        failure =
+            "seed " + std::to_string(cells[i].seed) + ": " + cells[i].failure;
       }
-      ingest::Session session = std::move(opened).value();
-      auto first = session.Append(c.delta0, "delta0");
-      if (!first.ok() || !first.value().applied) {
-        fail("delta0 commit failed");
-        continue;
-      }
-
-      pid_t pid = ::fork();
-      if (pid < 0) {
-        fail("fork failed");
-        continue;
-      }
-      if (pid == 0) {
-        // Child: arm the point through the schedule grammar (so the gate
-        // also exercises crash-at parsing), then run one Append. Reaching
-        // _exit(0) means the armed point never fired — a gate failure the
-        // parent detects via the exit code.
-        fault::Schedule schedule;
-        schedule.seed = c.seed;
-        std::string parse_error;
-        if (!fault::ParseSchedule("crash-at:" + point, &schedule,
-                                  &parse_error)) {
-          ::_exit(90);
-        }
-        fault::ArmFromSchedule(schedule);
-        auto child_session = ingest::Session::Open(dir.string(), c.days);
-        if (!child_session.ok()) ::_exit(91);
-        auto append = child_session.value().Append(c.delta1, "delta1");
-        ::_exit(append.ok() ? 0 : 92);
-      }
-      int status = 0;
-      if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) {
-        fail("child did not exit normally");
-        continue;
-      }
-      if (WEXITSTATUS(status) != fault::kCrashExitCode) {
-        fail("child exited " + std::to_string(WEXITSTATUS(status)) +
-             ", expected crash code " +
-             std::to_string(fault::kCrashExitCode));
-        continue;
-      }
-
-      // Recovery must land on exactly the committed prefix — which the
-      // parent knows a priori: only post-commit crashes after the
-      // manifest rename, so only it may keep delta1.
-      bool expect_delta1 = point == "post-commit";
-      auto recovered = ingest::Session::Open(dir.string(), c.days);
-      if (!recovered.ok()) {
-        fail("recovery: " + recovered.error().ToString());
-        continue;
-      }
-      ingest::Session after = std::move(recovered).value();
-      if (after.manifest().HasDelta("delta1") != expect_delta1) {
-        fail(std::string("recovered manifest ") +
-             (expect_delta1 ? "lost the committed delta"
-                            : "kept the uncommitted delta"));
-        continue;
-      }
-      auto loaded = after.Load();
-      if (!loaded.ok()) {
-        fail("recovered load: " + loaded.error().ToString());
-        continue;
-      }
-      if (StoreBytes(loaded.value()) !=
-          (expect_delta1 ? c.full_bytes : c.prefix_bytes)) {
-        fail("recovered store diverges from committed prefix");
-        continue;
-      }
-
-      // Crash-and-retry convergence: replaying both deltas must be a
-      // no-op for committed ones and converge on the batch dataset.
-      auto replay0 = after.Append(c.delta0, "delta0");
-      if (!replay0.ok() || replay0.value().applied) {
-        fail("delta0 replay was not a no-op");
-        continue;
-      }
-      auto replay1 = after.Append(c.delta1, "delta1");
-      if (!replay1.ok() || replay1.value().applied == expect_delta1) {
-        fail("delta1 replay applied=" +
-             std::string(replay1.ok() && replay1.value().applied ? "true"
-                                                                 : "false"));
-        continue;
-      }
-      auto again = after.Append(c.delta1, "delta1");
-      if (!again.ok() || again.value().applied) {
-        fail("second delta1 replay was not a no-op");
-        continue;
-      }
-      auto final_load = after.Load();
-      if (!final_load.ok() ||
-          StoreBytes(final_load.value()) != c.full_bytes) {
-        fail("replayed store is not bit-identical to the batch build");
-        continue;
-      }
-      ++passed;
     }
-    bool ok = passed == static_cast<int>(cases.size());
+    bool ok = passed == cases.size();
     if (!ok) all_ok = false;
-    card.AddRow({point, ok ? "PASS" : "FAIL",
+    card.AddRow({cells[at].point, ok ? "PASS" : "FAIL",
                  std::to_string(passed) + "/" +
                      std::to_string(cases.size()) + " seeds recovered" +
                      (ok ? " bit-exact" : ": " + failure)});
   }
-  par::GlobalPool().Resize(pool_threads);
 
   card.Print(out);
   auto& registry = obs::GlobalRegistry();
@@ -1230,48 +793,7 @@ int CmdCheck(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
       seeds, cmd.IntFlag("blocks", 300), cmd.IntFlag("threads-max", 4));
   if (perturb == "flip-bit") specs.front().perturb = true;
 
-  report::Table card({"case", "status", "diffs"});
-  std::uint64_t total_mismatches = 0;
-  std::vector<check::Divergence> divergences;
-  for (const check::CaseSpec& spec : specs) {
-    check::Diff diff = check::RunCase(spec);
-    total_mismatches += diff.mismatches();
-    for (const check::Divergence& d : diff.divergences()) {
-      divergences.push_back(d);
-    }
-    card.AddRow({spec.Name(), diff.ok() ? "PASS" : "FAIL",
-                 std::to_string(diff.mismatches())});
-  }
-  card.Print(out);
-
-  if (!divergences.empty()) {
-    out << "\nfirst divergences (optimized vs reference):\n";
-    for (const check::Divergence& d : divergences) {
-      out << "  " << d.series << " [" << d.coordinate
-          << "]: reference=" << d.expected << " optimized=" << d.actual
-          << "  (" << d.case_name << ")\n";
-    }
-  }
-
-  std::vector<check::GoldenIssue> issues =
-      check::VerifyGoldens(goldens_dir, check::RenderAllGoldens(gconfig));
-  out << "\ngolden snapshots (" << goldens_dir << "): "
-      << (issues.empty() ? "clean" : "ISSUES") << "\n";
-  for (const check::GoldenIssue& issue : issues) {
-    out << "  " << check::GoldenIssueKindName(issue.kind) << ": "
-        << issue.file << " — " << issue.detail << "\n";
-  }
-
-  auto& registry = obs::GlobalRegistry();
-  out << "\ncheck: " << registry.GetCounter("check.cases_run").value()
-      << " cases, " << registry.GetCounter("check.diffs_total").value()
-      << " diffs, "
-      << registry.GetCounter("check.golden_files_checked").value()
-      << " golden files checked\n";
-
-  bool ok = total_mismatches == 0 && issues.empty();
-  out << "check: " << (ok ? "PASS" : "FAIL") << "\n";
-  return ok ? 0 : 1;
+  return check::RunCheck(specs, goldens_dir, out) ? 0 : 1;
 }
 
 // --- reproduce ------------------------------------------------------------
@@ -1428,256 +950,32 @@ namespace {
 
 // --- serve ----------------------------------------------------------------
 
-// Blocking client-side frame exchange used by the smoke swarm: write one
-// request frame, read one response frame. Empty return = transport error.
-std::string ServeExchange(int fd, const std::string& body) {
-  std::string frame = serve::EncodeFrame(body);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    ssize_t n = ::write(fd, frame.data() + sent, frame.size() - sent);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return {};
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  auto read_exactly = [fd](char* buf, std::size_t want) {
-    std::size_t got = 0;
-    while (got < want) {
-      ssize_t n = ::read(fd, buf + got, want - got);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      got += static_cast<std::size_t>(n);
-    }
-    return true;
-  };
-  char header[serve::kFrameHeaderBytes];
-  if (!read_exactly(header, sizeof(header))) return {};
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(header[4 + static_cast<size_t>(i)]))
-           << (8 * i);
-  }
-  std::string response(len, '\0');
-  if (len > 0 && !read_exactly(response.data(), len)) return {};
-  return response;
-}
-
-int ConnectLoopback(int port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);  // lint: close(best-effort teardown of a failed connect)
-    return -1;
-  }
-  return fd;
-}
-
-// A deterministic request mix touching every endpoint (including the
-// typed-error paths) for the store/attribution at hand.
-std::vector<std::string> SmokeRequests(
-    const activity::ActivityStore& store,
-    const std::vector<serve::BlockAttribution>& attribution) {
-  std::vector<std::string> bodies;
-  bodies.push_back(R"({"endpoint": "summary"})");
-  bodies.push_back(R"({"endpoint": "churn", "window": 7})");
-  bodies.push_back(R"({"endpoint": "churn", "window": 28})");
-  bodies.push_back(R"({"endpoint": "patterns"})");
-  auto keys = store.keys();
-  for (std::size_t i = 0; i < 5 && !keys.empty(); ++i) {
-    net::BlockKey key = keys[i * (keys.size() - 1) / 4];
-    std::string block = net::BlockFromKey(key).ToString();
-    bodies.push_back(R"({"endpoint": "point", "block": ")" + block + "\"}");
-    bodies.push_back(R"({"endpoint": "point", "block": ")" + block +
-                     R"(", "host": 17})");
-  }
-  if (!keys.empty()) {
-    // An absent block: first key gap above the smallest key.
-    net::BlockKey absent = keys.front() + 1;
-    while (store.Find(absent) != nullptr) ++absent;
-    bodies.push_back(R"({"endpoint": "point", "block": ")" +
-                     net::BlockFromKey(absent).ToString() + "\"}");
-    net::Prefix p16{net::IPv4Addr{(keys.front() << 8) & 0xFFFF0000u}, 16};
-    bodies.push_back(R"({"endpoint": "prefix", "prefix": ")" +
-                     p16.ToString() + "\"}");
-    bodies.push_back(R"({"endpoint": "prefix", "prefix": ")" +
-                     p16.ToString() + R"(", "day_first": 0, "day_last": 7})");
-    bodies.push_back(R"({"endpoint": "patterns", "prefix": ")" +
-                     p16.ToString() + "\"}");
-  }
-  if (!attribution.empty()) {
-    const serve::BlockAttribution& entry = attribution.front();
-    bodies.push_back(R"({"endpoint": "as", "asn": )" +
-                     std::to_string(entry.asn) + "}");
-    if (entry.country >= 0) {
-      bodies.push_back(
-          R"({"endpoint": "country", "code": ")" +
-          std::string(
-              geo::Countries()[static_cast<std::size_t>(entry.country)]
-                  .code) +
-          "\"}");
-    }
-  }
-  // Typed-error paths must be deterministic over the wire too.
-  bodies.push_back(R"({"endpoint": "no-such-endpoint"})");
-  bodies.push_back(R"({"endpoint": "point"})");  // missing required field
-  return bodies;
-}
-
-// Runs the swarm once and byte-compares every response against the oracle
-// (DirectAnswer on `oracle` at `want_snapshot`). Returns the number of
-// divergent responses; writes the first few to `err`.
-int SmokeVerifyPhase(int port, int clients,
-                     const std::vector<std::string>& bodies, int repeat,
-                     const activity::ActivityStore& oracle,
-                     std::uint64_t want_snapshot,
-                     const std::vector<serve::BlockAttribution>& attribution,
-                     std::ostream& err) {
-  std::vector<std::string> expected;
-  expected.reserve(bodies.size());
-  for (const std::string& body : bodies) {
-    expected.push_back(serve::Server::DirectAnswer(oracle, want_snapshot,
-                                                   attribution, body));
-  }
-  std::atomic<int> divergent{0};
-  std::mutex err_mu;
-  std::vector<std::thread> swarm;
-  for (int c = 0; c < clients; ++c) {
-    swarm.emplace_back([&, c] {
-      int fd = ConnectLoopback(port);
-      if (fd < 0) {
-        ++divergent;
-        std::lock_guard<std::mutex> lock{err_mu};
-        err << "serve-smoke: client " << c << " failed to connect\n";
-        return;
-      }
-      for (int r = 0; r < repeat; ++r) {
-        for (std::size_t i = 0; i < bodies.size(); ++i) {
-          std::string got = ServeExchange(fd, bodies[i]);
-          if (got == expected[i]) continue;
-          int seen = ++divergent;
-          if (seen <= 3) {
-            std::lock_guard<std::mutex> lock{err_mu};
-            err << "serve-smoke: response diverges from oracle for "
-                << bodies[i] << "\n  want: " << expected[i]
-                << "\n  got:  " << (got.empty() ? "<transport error>" : got)
-                << "\n";
-          }
-        }
-      }
-      if (::close(fd) != 0) {
-        std::lock_guard<std::mutex> lock{err_mu};
-        err << "serve-smoke: client close failed\n";
-      }
-    });
-  }
-  for (std::thread& t : swarm) t.join();
-  return divergent.load();
-}
-
 int CmdServeSmoke(const CommandLine& cmd, std::ostream& out,
                   std::ostream& err) {
   sim::WorldConfig config;
   config.target_client_blocks = cmd.IntFlag("blocks", 400);
   config.seed = cmd.Uint64Flag("seed", config.seed);
-  int clients = cmd.IntFlag("clients", 4);
-  int repeat = std::max(1, cmd.IntFlag("requests", 120) /
-                               std::max(1, clients) / 20);
+  serve::SmokeOptions smoke;
+  smoke.clients = cmd.IntFlag("clients", 4);
+  smoke.repeat = std::max(1, cmd.IntFlag("requests", 120) /
+                                 std::max(1, smoke.clients) / 20);
+  // Drain through the real signal path: the installed handler sets the
+  // flag, the accept loop and the connection threads wind down, in-flight
+  // requests included.
+  smoke.should_stop = [] { return DrainRequested(); };
+  smoke.drain = [] {
+    if (::kill(::getpid(), SIGINT) != 0) RequestDrain();
+  };
   sim::World world{config};
   auto attribution = serve::Server::AttributionFromWorld(world);
   auto store = cdn::Observatory::Daily(world).BuildStore();
 
-  // Oracle copies: the smoke diffs wire responses against direct calls on
-  // these, per claimed snapshot id. Snapshot 2 is snapshot 1 with day 0
-  // marked uncovered — summary/churn/point answers all shift, so an
-  // aggregate carried over from snapshot 1 cannot masquerade as a fresh
-  // answer (tests/serve_test.cc checks which bodies discriminate).
-  activity::ActivityStore oracle_v1 = store;
-  activity::ActivityStore reloaded = store;
-  reloaded.SetDayCovered(0, false);
-  activity::ActivityStore oracle_v2 = reloaded;
-
-  serve::Server server{std::move(store)};
-  server.SetAttribution(attribution);
-
   InstallSignalHandlers();
   ResetDrainForTests();
-  std::mutex mu;
-  std::condition_variable cv;
-  int port = 0;
-  serve::TcpOptions tcp;
-  tcp.max_connections = clients + 8;
-  std::uint64_t served_connections = 0;
-  std::string tcp_error;
-  std::thread daemon{[&] {
-    auto result = serve::RunTcpServer(
-        server, tcp, [] { return DrainRequested(); },
-        [&](int bound) {
-          std::lock_guard<std::mutex> lock{mu};
-          port = bound;
-          cv.notify_all();
-        });
-    std::lock_guard<std::mutex> lock{mu};
-    if (result.ok()) {
-      served_connections = result.value();
-    } else {
-      tcp_error = result.error().message;
-      port = -1;
-    }
-    cv.notify_all();
-  }};
-  {
-    std::unique_lock<std::mutex> lock{mu};
-    cv.wait(lock, [&] { return port != 0; });
-    if (port < 0) {
-      err << "serve-smoke: " << tcp_error << "\n";
-      lock.unlock();
-      RequestDrain();
-      daemon.join();
-      return 1;
-    }
-  }
-  out << "serve-smoke: listening on 127.0.0.1:" << port << ", " << clients
-      << " clients\n";
-
-  auto bodies = SmokeRequests(oracle_v1, attribution);
-  int bad = SmokeVerifyPhase(port, clients, bodies, repeat, oracle_v1,
-                             /*want_snapshot=*/1, attribution, err);
-  out << "serve-smoke: phase 1 (snapshot 1): " << bodies.size() << " queries x "
-      << clients << " clients x " << repeat << " rounds, " << bad
-      << " divergent\n";
-
-  std::uint64_t new_id = server.Reload(std::move(reloaded));
-  int bad2 = SmokeVerifyPhase(port, clients, bodies, repeat, oracle_v2,
-                              new_id, attribution, err);
-  out << "serve-smoke: phase 2 (snapshot " << new_id
-      << " after reload): " << bad2 << " divergent\n";
-
-  // Drain through the real signal path: the installed handler sets the
-  // flag, the accept loop and the connection threads wind down, in-flight
-  // requests included.
-  if (::kill(::getpid(), SIGINT) != 0) RequestDrain();
-  daemon.join();
+  int rc = serve::RunServeSmoke(std::move(store), std::move(attribution),
+                                smoke, out, err);
   ResetDrainForTests();
-  out << "serve-smoke: drained cleanly after " << served_connections
-      << " connections\n";
-
-  if (bad + bad2 > 0) {
-    err << "serve-smoke: " << bad + bad2
-        << " responses diverged from the direct-store oracle\n";
-    return 1;
-  }
-  out << "serve-smoke: every response bit-identical to the oracle, before "
-         "and after reload\n";
-  return 0;
+  return rc;
 }
 
 int CmdServe(const CommandLine& cmd, std::ostream& out, std::ostream& err) {

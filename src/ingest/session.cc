@@ -95,16 +95,6 @@ Result<std::string, io::StoreError> ReadShard(const fs::path& dir,
   return bytes;
 }
 
-// The deliberately seeded recovery bug for the chaos-crash teeth test
-// (scripts/run_all.sh): when IPSCOPE_INGEST_SKIP_ROLLBACK=1, recovery
-// adopts orphaned shard files as if they were committed instead of
-// quarantining them — exactly the bug the gate must catch. Never set this
-// outside the gate's self-test.
-bool SkipRollbackForTeethTest() {
-  auto value = obs::EnvString("IPSCOPE_INGEST_SKIP_ROLLBACK");
-  return value && *value == "1";
-}
-
 // Day range + validity of a delta store's coverage mask.
 struct DayRange {
   int first = -1;
@@ -189,25 +179,10 @@ Result<Session, io::StoreError> Session::Open(const std::string& dir,
   // files on disk that the manifest does not name (a crash landed between
   // the shard rename and the manifest commit). Rolling those back is what
   // "recover to the last committed manifest" means.
-  const bool adopt_orphans = SkipRollbackForTeethTest();
   for (const std::string& name : names) {
-    if (!EndsWith(name, kShardSuffix) || manifest.HasShardFile(name)) {
-      continue;
-    }
-    if (!adopt_orphans) {
+    if (EndsWith(name, kShardSuffix) && !manifest.HasShardFile(name)) {
       Quarantine(dir, name, &recovery);
-      continue;
     }
-    // Teeth-test bug path: blindly adopt the orphan as committed.
-    std::string bytes;
-    if (!ReadFile(fs::path(dir) / name, &bytes)) continue;
-    auto loaded = io::TryLoadStoreFile((fs::path(dir) / name).string());
-    if (!loaded.ok()) continue;
-    DayRange range = CoveredRange(loaded.value().store);
-    manifest.shards.push_back(ShardEntry{
-        name, range.first < 0 ? 0 : range.first,
-        range.last < 0 ? 0 : range.last, "adopted-" + name, bytes.size(),
-        io::Crc32c(bytes.data(), bytes.size())});
   }
   for (const ShardEntry& entry : manifest.shards) {
     auto bytes = ReadShard(dir, entry);
@@ -334,6 +309,29 @@ Result<activity::ActivityStore, io::StoreError> Session::Load() const {
   }
   registry.GetCounter("ingest.loads").Add(1);
   return combined;
+}
+
+activity::ActivityStore SliceDays(const activity::ActivityStore& full,
+                                  int first, int last) {
+  activity::ActivityStore delta{full.days()};
+  for (int d = 0; d < full.days(); ++d) {
+    if (d < first || d > last || !full.DayCovered(d)) {
+      delta.SetDayCovered(d, false);
+    }
+  }
+  full.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
+    activity::ActivityMatrix& dst = delta.GetOrCreate(key);
+    for (int d = first; d <= last; ++d) {
+      if (delta.DayCovered(d)) dst.Row(d) = m.Row(d);
+    }
+  });
+  return delta;
+}
+
+std::string StoreBytes(const activity::ActivityStore& store) {
+  std::ostringstream os{std::ios::binary};
+  io::SaveStore(store, os);
+  return std::move(os).str();
 }
 
 }  // namespace ipscope::ingest

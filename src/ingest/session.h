@@ -18,7 +18,7 @@
 //      way. The manifest rename is THE commit: before it the store reads
 //      as the previous prefix, after it the delta is durable.
 // Every syscall boundary of this path is a registered crash point
-// (fault/crash.h), swept by `ipscope_cli chaos-crash`.
+// (fault/crash.h), swept by ingest::SweepCrashPoints (ingest/crash_sweep.h).
 //
 // Recovery (Open): quarantine *.tmp files (torn temp writes) and shard
 // files the manifest does not name (orphans: crash between shard rename
@@ -96,5 +96,16 @@ class Session {
   Manifest manifest_;
   RecoveryReport recovery_;
 };
+
+// The delta of `full` covering days [first, last] (inclusive) that
+// `full` covers. Every block of `full` is present, even one with no
+// activity in the range, so the shards of consecutive slices compose into
+// a store that serializes byte-identically to `full`.
+activity::ActivityStore SliceDays(const activity::ActivityStore& full,
+                                  int first, int last);
+
+// The IPSCOPE2 image io::SaveStore writes for `store`: the bytes a
+// composed or recovered store is compared by.
+std::string StoreBytes(const activity::ActivityStore& store);
 
 }  // namespace ipscope::ingest

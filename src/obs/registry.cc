@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -294,15 +293,6 @@ void Registry::WritePrometheusFile(const std::string& path) const {
 Registry& GlobalRegistry() {
   static Registry* registry = new Registry;  // never destroyed: atexit-safe
   return *registry;
-}
-
-std::optional<std::string> EnvString(const char* name) {
-  // lint: getenv(blessed wrapper: EnvString is the single audited getenv
-  // call site for string-valued variables; empty values are normalized to
-  // nullopt so callers cannot mistake them for a configured path)
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  return std::string(value);
 }
 
 }  // namespace ipscope::obs

@@ -20,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,13 +139,5 @@ std::string PrometheusName(const std::string& name);
 
 // The process-global registry every pipeline stage reports into.
 Registry& GlobalRegistry();
-
-// The blessed read point for string-valued (path-like) environment
-// variables: returns the value when set and non-empty, nullopt otherwise.
-// Centralizing the read keeps raw getenv out of harnesses and library
-// code (the [parsing] lint contract); numeric variables instead go
-// through their dedicated checked parsers (par::ParseThreadsEnv, the cli
-// flag parsers).
-std::optional<std::string> EnvString(const char* name);
 
 }  // namespace ipscope::obs

@@ -28,31 +28,29 @@ void CloseFd(int fd) {
   }
 }
 
-// Reads exactly `want` bytes into `buf`. While no byte of the current
-// frame has arrived yet (`frame_started` false), a drain request ends the
-// connection cleanly; once a frame is underway it is always completed.
-// Returns false on EOF, error, or drain-before-frame.
-bool ReadExactly(int fd, char* buf, std::size_t want, bool frame_started,
+// Reads exactly `want` bytes into `buf`. Once a drain is requested, a
+// poll tick that brings no byte ends the connection, even mid-frame: a
+// peer that stalls cannot hold the drain, while a frame that is still
+// streaming completes. Returns false on EOF, error, or drain.
+bool ReadExactly(int fd, char* buf, std::size_t want,
                  const std::function<bool()>& should_stop, int poll_millis) {
   std::size_t got = 0;
   while (got < want) {
-    if (!frame_started && should_stop()) return false;
     struct pollfd pfd = {};
     pfd.fd = fd;
     pfd.events = POLLIN;
     int ready = ::poll(&pfd, 1, poll_millis);
-    if (ready < 0) {
-      if (errno == EINTR) continue;  // signal; loop re-checks should_stop
-      return false;
+    if (ready <= 0) {
+      if (ready < 0 && errno != EINTR) return false;
+      if (should_stop()) return false;  // timeout or signal: check drain
+      continue;
     }
-    if (ready == 0) continue;  // timeout; re-check drain
     ssize_t n = ::read(fd, buf + got, want - got);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;  // EOF or hard error
     }
     got += static_cast<std::size_t>(n);
-    frame_started = true;
   }
   return true;
 }
@@ -77,8 +75,8 @@ void ServeConnection(Server& server, int fd, std::size_t max_body,
   std::string frame;
   while (!should_stop()) {
     frame.resize(kFrameHeaderBytes);
-    if (!ReadExactly(fd, frame.data(), kFrameHeaderBytes,
-                     /*frame_started=*/false, should_stop, poll_millis)) {
+    if (!ReadExactly(fd, frame.data(), kFrameHeaderBytes, should_stop,
+                     poll_millis)) {
       break;
     }
     // Decode just the header to learn the body length. Header-level
@@ -105,8 +103,8 @@ void ServeConnection(Server& server, int fd, std::size_t max_body,
     frame.resize(kFrameHeaderBytes + body_len);
     if (body_len > 0 &&
         !ReadExactly(fd, frame.data() + kFrameHeaderBytes, body_len,
-                     /*frame_started=*/true, should_stop, poll_millis)) {
-      break;  // peer died mid-frame
+                     should_stop, poll_millis)) {
+      break;  // peer died or stalled mid-frame
     }
     if (!WriteAll(fd, server.HandleFrame(frame))) break;
   }
@@ -222,8 +220,8 @@ Result<std::uint64_t, TcpError> RunTcpServer(
     workers.push_back(Worker{std::move(thread), std::move(done)});
   }
   CloseFd(listen_fd);
-  // Drain: every connection thread exits at its next frame boundary (or
-  // poll tick); in-flight requests complete first.
+  // Drain: every connection thread exits at its next frame boundary or at
+  // its first poll tick without a byte; requests already read complete.
   for (Worker& w : workers) w.thread.join();
   return accepted;
 }

@@ -5,9 +5,11 @@
 // observed promptly, accepts connections, and hands each one to a
 // connection thread. A connection reads length-prefixed frames
 // (serve/frame.h), answers through Server::HandleFrame, and writes the
-// response frame back; it exits on EOF, on any socket error, or at the
-// next frame boundary once draining starts — in-flight requests always
-// finish (the drain contract of src/cli/signals.h).
+// response frame back; it exits on EOF, on any socket error, or once
+// draining starts at the next frame boundary or the first poll tick that
+// brings no byte, even mid-frame. A request already read always gets its
+// answer, and a stalled peer cannot hold the drain (the drain contract of
+// src/cli/signals.h).
 //
 // This is deliberately not an async i/o engine: the query engine below it
 // is CPU-bound and already parallel (par::Pool), so a thread per
@@ -33,8 +35,8 @@ struct TcpOptions {
   std::string bind_address = "127.0.0.1";
   int port = 0;  // 0 = ephemeral; the chosen port is reported via on_listen
   int max_connections = 64;
-  // Poll granularity for the accept loop and idle connections; bounds how
-  // long a drain request can go unnoticed.
+  // Poll granularity for the accept loop and for connection reads; bounds
+  // how long a drain request can go unnoticed.
   int poll_millis = 100;
 };
 

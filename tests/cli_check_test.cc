@@ -13,6 +13,7 @@
 
 #include "analysis/experiments.h"
 #include "check/golden.h"
+#include "par/pool.h"
 
 
 namespace ipscope::cli {
@@ -195,6 +196,32 @@ TEST_F(Reproduce, GoldenWorldMatchesCommittedExperimentGoldens) {
   }
   EXPECT_EQ(rows.rfind("inputs ", 0), 0u) << rows;
   EXPECT_NE(rows.find("\ntotal "), std::string::npos) << rows;
+}
+
+// Thread-count independence (the ordered-merge contract of DESIGN §4.8):
+// the reproduction renders the committed goldens at pool sizes 1, 2 and an
+// oversubscribed 7.
+TEST_F(Reproduce, EveryPoolSizeMatchesCommittedExperimentGoldens) {
+  check::GoldenConfig golden;
+  const fs::path committed = fs::path(IPSCOPE_GOLDEN_DIR) / "experiments";
+  const int pool_threads = par::GlobalPool().threads();
+  for (int threads : {1, 2, 7}) {
+    const fs::path out_dir = dir_ / std::to_string(threads);
+    std::ostringstream out, err;
+    EXPECT_EQ(Main({"reproduce", "--threads", std::to_string(threads),
+                    "--blocks", std::to_string(golden.blocks), "--seed",
+                    std::to_string(golden.seed), "--out", out_dir.string()},
+                   out, err),
+              0)
+        << err.str();
+    for (const analysis::Experiment& e : analysis::Experiments()) {
+      const std::string name = std::string(e.id) + ".txt";
+      EXPECT_EQ(ReadFile(out_dir / name), ReadFile(committed / name))
+          << "experiment " << e.id << " differs from its golden at pool size "
+          << threads;
+    }
+  }
+  par::GlobalPool().Resize(pool_threads);
 }
 
 TEST_F(Reproduce, OnlyWritesExactlyTheSelectedExperiments) {

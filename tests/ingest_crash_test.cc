@@ -1,27 +1,28 @@
 // Crash-safety tests for the sharded ingest store (src/ingest): the
-// commit protocol's crash-point sweep (fork a child, kill it at an armed
-// syscall boundary, prove recovery lands on the committed prefix),
-// idempotent replay, manifest tamper detection, and quarantine of torn
-// or orphaned files. Lives in the `chaos` ctest label with the other
+// commit protocol's crash-point sweep (ingest/crash_sweep.h) with the
+// production recovery and with one that adopts orphans, idempotent
+// replay, manifest tamper detection, and quarantine of torn or orphaned
+// files. Lives in the `chaos` ctest label with the other
 // corruption-recovery suites.
 #include "ingest/session.h"
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "fault/crash.h"
-#include "fault/schedule.h"
+#include "ingest/crash_sweep.h"
 #include "ingest/manifest.h"
 #include "io/atomic_file.h"
-#include "io/store_io.h"
+#include "io/crc32c.h"
 #include "par/pool.h"
 
 namespace ipscope::ingest {
@@ -45,25 +46,6 @@ activity::ActivityStore BuildStore(int days, std::uint64_t salt) {
   return store;
 }
 
-activity::ActivityStore SliceDays(const activity::ActivityStore& full,
-                                  int first, int last) {
-  activity::ActivityStore delta{full.days()};
-  for (int d = 0; d < full.days(); ++d) {
-    if (d < first || d > last) delta.SetDayCovered(d, false);
-  }
-  full.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
-    activity::ActivityMatrix& dst = delta.GetOrCreate(key);
-    for (int d = first; d <= last; ++d) dst.Row(d) = m.Row(d);
-  });
-  return delta;
-}
-
-std::string StoreBytes(const activity::ActivityStore& store) {
-  std::ostringstream os{std::ios::binary};
-  io::SaveStore(store, os);
-  return std::move(os).str();
-}
-
 std::string FreshDir(const std::string& tag) {
   std::string dir = ::testing::TempDir() + "ipscope_ingest_" + tag + "_" +
                     std::to_string(::getpid());
@@ -71,68 +53,95 @@ std::string FreshDir(const std::string& tag) {
   return dir;
 }
 
-TEST(IngestCrash, SweepEveryPointRecoversCommittedPrefix) {
+// The sweep's cases: one hand-built store split in half, under three
+// crash seeds (the seed moves the mid-shard-write split).
+std::vector<CrashCase> SweepCases() {
   auto full = BuildStore(kDays, 1);
-  auto delta0 = SliceDays(full, 0, kDays / 2 - 1);
-  auto delta1 = SliceDays(full, kDays / 2, kDays - 1);
-  const std::string full_bytes = StoreBytes(full);
-  const std::string prefix_bytes = StoreBytes(delta0);
+  std::vector<CrashCase> cases;
+  for (std::uint64_t seed : {11ull, 23ull, 47ull}) {
+    CrashCase c{seed, SliceDays(full, 0, kDays / 2 - 1),
+                SliceDays(full, kDays / 2, kDays - 1), "", StoreBytes(full)};
+    c.prefix_bytes = StoreBytes(c.delta0);
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
 
+// Runs the sweep with the pool down to its inline strategy (fork safety:
+// no worker threads alive) and removes its directories afterwards.
+std::vector<CrashCell> Sweep(const std::string& tag,
+                             const RecoveryOpener& recover) {
+  const std::string root = FreshDir(tag);
   int pool_threads = par::GlobalPool().threads();
-  par::GlobalPool().Resize(1);  // fork safety: no worker threads alive
-  for (const std::string& point : fault::CrashPoints()) {
-    for (std::uint64_t seed : {11ull, 23ull, 47ull}) {
-      SCOPED_TRACE(point + " seed " + std::to_string(seed));
-      std::string dir = FreshDir(point + "_" + std::to_string(seed));
+  par::GlobalPool().Resize(1);
+  auto cells = SweepCrashPoints(SweepCases(), root, recover);
+  par::GlobalPool().Resize(pool_threads);
+  fs::remove_all(root);
+  return cells;
+}
 
-      auto opened = Session::Open(dir, kDays);
-      ASSERT_TRUE(opened.ok()) << opened.error().ToString();
-      Session session = std::move(opened).value();
-      auto first = session.Append(delta0, "delta0");
-      ASSERT_TRUE(first.ok() && first.value().applied);
-
-      pid_t pid = ::fork();
-      ASSERT_GE(pid, 0);
-      if (pid == 0) {
-        fault::ArmCrash(point, seed);
-        auto child = Session::Open(dir, kDays);
-        if (!child.ok()) ::_exit(91);
-        auto append = child.value().Append(delta1, "delta1");
-        ::_exit(append.ok() ? 0 : 92);  // 0 = armed point never fired
-      }
-      int status = 0;
-      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-      ASSERT_TRUE(WIFEXITED(status));
-      ASSERT_EQ(WEXITSTATUS(status), fault::kCrashExitCode)
-          << "child did not die at the armed point";
-
-      // Recovery must land on exactly the prefix the parent knows was
-      // committed: only post-commit crashes after the manifest rename.
-      const bool expect_delta1 = point == "post-commit";
-      auto recovered = Session::Open(dir, kDays);
-      ASSERT_TRUE(recovered.ok()) << recovered.error().ToString();
-      Session after = std::move(recovered).value();
-      EXPECT_EQ(after.manifest().HasDelta("delta1"), expect_delta1);
-      auto loaded = after.Load();
-      ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
-      EXPECT_EQ(StoreBytes(loaded.value()),
-                expect_delta1 ? full_bytes : prefix_bytes);
-
-      // Crash-and-retry: replaying both deltas converges on the full
-      // dataset, with committed ones as no-ops.
-      auto r0 = after.Append(delta0, "delta0");
-      ASSERT_TRUE(r0.ok());
-      EXPECT_FALSE(r0.value().applied);
-      auto r1 = after.Append(delta1, "delta1");
-      ASSERT_TRUE(r1.ok());
-      EXPECT_EQ(r1.value().applied, !expect_delta1);
-      auto final_load = after.Load();
-      ASSERT_TRUE(final_load.ok());
-      EXPECT_EQ(StoreBytes(final_load.value()), full_bytes);
-      fs::remove_all(dir);
+// A broken recovery: instead of quarantining orphaned shards (a crash
+// between the shard rename and the manifest commit), it names each one in
+// a new MANIFEST as if it had been committed, then opens the store.
+Result<Session, io::StoreError> AdoptOrphansThenOpen(const std::string& dir,
+                                                     int days) {
+  std::ifstream is{fs::path(dir) / "MANIFEST", std::ios::binary};
+  std::ostringstream text;
+  text << is.rdbuf();
+  auto parsed = ParseManifest(text.str());
+  if (!parsed.ok()) return parsed.error();
+  Manifest manifest = std::move(parsed).value();
+  std::vector<std::string> names;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    std::string name = entry.path().filename().string();
+    if (name.ends_with(".ips2") && !manifest.HasShardFile(name)) {
+      names.push_back(name);
     }
   }
-  par::GlobalPool().Resize(pool_threads);
+  std::sort(names.begin(), names.end());
+  for (const std::string& name : names) {
+    std::ifstream shard{fs::path(dir) / name, std::ios::binary};
+    std::ostringstream bytes;
+    bytes << shard.rdbuf();
+    const std::string b = bytes.str();
+    // Shard names read shard-<first>-<last>-<delta id>.ips2.
+    int first = 0;
+    int last = 0;
+    std::from_chars(name.data() + 6, name.data() + 9, first);
+    std::from_chars(name.data() + 10, name.data() + 13, last);
+    manifest.shards.push_back(ShardEntry{name, first, last, "adopted-" + name,
+                                         b.size(),
+                                         io::Crc32c(b.data(), b.size())});
+  }
+  if (auto error = io::WriteFileAtomic(
+          (fs::path(dir) / "MANIFEST").string(), manifest.Serialize())) {
+    return io::StoreError{io::StoreErrorKind::kWriteFailed, 0, *error};
+  }
+  return Session::Open(dir, days);
+}
+
+TEST(IngestCrash, SweepEveryPointRecoversCommittedPrefix) {
+  auto cells = Sweep("sweep", Session::Open);
+  EXPECT_EQ(cells.size(), fault::CrashPoints().size() * 3);
+  for (const CrashCell& cell : cells) {
+    EXPECT_TRUE(cell.ok()) << cell.point << " seed " << cell.seed << ": "
+                           << cell.failure;
+  }
+}
+
+TEST(IngestCrash, SweepFailsARecoveryThatAdoptsOrphans) {
+  // Only a crash after the shard rename and before the manifest rename
+  // leaves an orphan to adopt; every such cell must fail, every other
+  // cell must still pass.
+  auto cells = Sweep("teeth", AdoptOrphansThenOpen);
+  ASSERT_EQ(cells.size(), fault::CrashPoints().size() * 3);
+  for (const CrashCell& cell : cells) {
+    const bool leaves_orphan = cell.point == "pre-manifest-append" ||
+                               cell.point == "pre-manifest-fsync" ||
+                               cell.point == "pre-manifest-rename";
+    EXPECT_EQ(cell.ok(), !leaves_orphan)
+        << cell.point << " seed " << cell.seed << ": " << cell.failure;
+  }
 }
 
 TEST(IngestCrash, ReplayingTheSameDeltaChangesNothing) {
@@ -257,40 +266,6 @@ TEST(IngestCrash, TornTempAndOrphanShardAreQuarantined) {
   auto loaded = reopened.value().Load();
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(StoreBytes(loaded.value()), StoreBytes(delta));
-  fs::remove_all(dir);
-}
-
-TEST(IngestCrash, SkipRollbackEnvFlagAdoptsOrphans) {
-  // The deliberately seeded recovery bug behind the run_all.sh teeth
-  // test: with the flag set, an orphaned shard is adopted as committed,
-  // which the chaos-crash gate must flag as divergence.
-  std::string dir = FreshDir("teeth");
-  auto full = BuildStore(kDays, 7);
-  auto delta0 = SliceDays(full, 0, 5);
-  auto delta1 = SliceDays(full, 6, kDays - 1);
-  {
-    auto opened = Session::Open(dir, kDays);
-    ASSERT_TRUE(opened.ok());
-    ASSERT_TRUE(opened.value().Append(delta0, "delta0").ok());
-  }
-  // Plant delta1 as an orphan: a valid shard file the manifest omits.
-  std::ostringstream os{std::ios::binary};
-  io::SaveStore(delta1, os);
-  ASSERT_EQ(io::WriteFileAtomic(
-                (fs::path(dir) / "shard-006-011-orphan.ips2").string(),
-                os.view()),
-            std::nullopt);
-
-  ::setenv("IPSCOPE_INGEST_SKIP_ROLLBACK", "1", 1);
-  auto buggy = Session::Open(dir, kDays);
-  ::unsetenv("IPSCOPE_INGEST_SKIP_ROLLBACK");
-  ASSERT_TRUE(buggy.ok()) << buggy.error().ToString();
-  EXPECT_TRUE(buggy.value().recovery().quarantined.empty());
-  EXPECT_EQ(buggy.value().manifest().shards.size(), 2u);
-  // The adopted orphan makes the load diverge from the committed prefix.
-  auto loaded = buggy.value().Load();
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_NE(StoreBytes(loaded.value()), StoreBytes(delta0));
   fs::remove_all(dir);
 }
 

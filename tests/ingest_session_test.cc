@@ -30,12 +30,6 @@ namespace fs = std::filesystem;
 
 constexpr int kDays = 12;
 
-std::string StoreBytes(const activity::ActivityStore& store) {
-  std::ostringstream os{std::ios::binary};
-  io::SaveStore(store, os);
-  return std::move(os).str();
-}
-
 std::string FreshDir(const std::string& tag) {
   std::string dir = ::testing::TempDir() + "ipscope_session_" + tag + "_" +
                     std::to_string(::getpid());

@@ -1,14 +1,15 @@
 // lint-corpus-as: src/io/corpus.cc
-// Clean twin: environment reads go through the blessed wrapper.
-#include <optional>
+// Clean twin: the one environment setting is read through the blessed
+// wrapper; everything else arrives as a flag.
 #include <string>
 
 namespace corpus {
 
-std::optional<std::string> EnvString(const char* name);  // obs::EnvString
+int DefaultThreads();  // par::DefaultThreads
 
-std::string OutputDir() {
-  return EnvString("IPSCOPE_OUT_DIR").value_or(".");
+std::string OutputDir(const std::string& out_flag, int* threads) {
+  *threads = DefaultThreads();
+  return out_flag.empty() ? "." : out_flag;
 }
 
 }  // namespace corpus

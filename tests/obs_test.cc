@@ -339,22 +339,6 @@ TEST(ObsRegistry, ControlCharactersInMetricNamesStayValidJson) {
   EXPECT_NE(json.find("tab\\tgauge"), std::string::npos) << json;
 }
 
-// obs::EnvString is the blessed read point for string-valued environment
-// variables (the [parsing] lint contract routes every env read, such as
-// src/ingest/session.cc's, through it).
-TEST(ObsEnvString, UnsetReturnsNullopt) {
-  unsetenv("IPSCOPE_OBS_TEST_ENV");
-  EXPECT_FALSE(EnvString("IPSCOPE_OBS_TEST_ENV").has_value());
-}
-
-TEST(ObsEnvString, SetReturnsValue) {
-  setenv("IPSCOPE_OBS_TEST_ENV", "/tmp/metrics.json", 1);
-  auto v = EnvString("IPSCOPE_OBS_TEST_ENV");
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, "/tmp/metrics.json");
-  unsetenv("IPSCOPE_OBS_TEST_ENV");
-}
-
 TEST(ObsJsonUnicode, SurrogatePairDecodesToFourByteUtf8) {
   // U+1F600 (😀) spelled as a UTF-16 surrogate pair. External clients
   // (serve requests) are allowed to send arbitrary JSON-escaped text.
@@ -405,13 +389,6 @@ TEST(ObsJsonUnicode, HighSurrogateBeforeNonEscapeIsRejected) {
   EXPECT_THROW(json::Parse(R"("\uD83DA")"), std::runtime_error);
 }
 
-TEST(ObsEnvString, EmptyIsNormalizedToNullopt) {
-  // An empty value must read as "not configured" — callers treat the
-  // result as a path and an empty path would silently write nowhere.
-  setenv("IPSCOPE_OBS_TEST_ENV", "", 1);
-  EXPECT_FALSE(EnvString("IPSCOPE_OBS_TEST_ENV").has_value());
-  unsetenv("IPSCOPE_OBS_TEST_ENV");
-}
 
 }  // namespace
 }  // namespace ipscope::obs

@@ -2,13 +2,11 @@
 // per-snapshot aggregate memo, snapshot isolation under concurrent reload,
 // a multi-threaded hammer that diffs every served response against direct
 // ActivityStore/analysis calls on the same snapshot, and the TCP accept
-// loop's thread reaping and fd-exhaustion backoff.
+// loop's thread reaping, bounded drain past stalled clients and
+// fd-exhaustion backoff.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/resource.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,6 +32,7 @@
 #include "par/pool.h"
 #include "serve/frame.h"
 #include "serve/server.h"
+#include "serve/smoke.h"
 #include "serve/tcp.h"
 #include "sim/world.h"
 
@@ -384,7 +383,7 @@ TEST(ServeMemo, FilledSlotsMatchOracleBeforeAndAfterReload) {
 
 TEST(ServeMemo, SmokeAggregatesDiscriminateSnapshots) {
   // The aggregate bodies of `ipscope_cli serve-smoke` (SmokeRequests in
-  // src/cli/commands.cc) on its world, against its reloaded snapshot: the
+  // src/serve/smoke.cc) on its world, against its reloaded snapshot: the
   // same store with day 0 uncovered. summary and both churn windows answer
   // differently on the two stores under one snapshot id, so a summary or
   // churn memo carried across the reload cannot pass the smoke.
@@ -621,51 +620,6 @@ std::uint64_t ProcStatus(const std::string& field) {
   return 0;
 }
 
-int ConnectLoopback(int port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    EXPECT_EQ(::close(fd), 0);
-    return -1;
-  }
-  return fd;
-}
-
-bool ReadFully(int fd, char* buf, std::size_t want) {
-  while (want > 0) {
-    ssize_t n = ::read(fd, buf, want);
-    if (n <= 0) return false;
-    buf += n;
-    want -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-// One request frame out, one response body back ("" on a transport error).
-std::string Exchange(int fd, const std::string& body) {
-  std::string frame = EncodeFrame(body);
-  if (::write(fd, frame.data(), frame.size()) !=
-      static_cast<ssize_t>(frame.size())) {
-    return {};
-  }
-  std::string response(kFrameHeaderBytes, '\0');
-  if (!ReadFully(fd, response.data(), kFrameHeaderBytes)) return {};
-  std::uint32_t length = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(
-                  static_cast<unsigned char>(response[4 + i]))
-              << (8 * i);
-  }
-  response.resize(kFrameHeaderBytes + length);
-  if (!ReadFully(fd, response.data() + kFrameHeaderBytes, length)) return {};
-  return response.substr(kFrameHeaderBytes);
-}
-
 TEST(ServeTcp, FinishedConnectionsAreReapedAndDrainJoinsLiveOnes) {
   par::GlobalPool();  // start the pool's workers before the thread baseline
   const std::uint64_t threads_before = ProcStatus("Threads");
@@ -733,6 +687,61 @@ TEST(ServeTcp, FinishedConnectionsAreReapedAndDrainJoinsLiveOnes) {
     EXPECT_EQ(::close(fd), 0);
   }
   EXPECT_EQ(ProcStatus("Threads"), threads_before);
+}
+
+// A client sends the first `sent` bytes of a request frame, after one
+// full exchange, and then goes silent. Once stop is requested,
+// RunTcpServer must return within 50 poll ticks. When it does not, the
+// test closes the client, which lets the server go, and fails instead of
+// hanging.
+void ExpectDrainDespiteStalledClient(std::size_t sent) {
+  constexpr int kPollMillis = 20;
+  constexpr auto kDrainBound = std::chrono::milliseconds(50 * kPollMillis);
+  Server server{MakeStore()};
+  TcpOptions options;
+  options.poll_millis = kPollMillis;
+  std::atomic<bool> stop{false};
+  std::promise<int> listening;
+  std::promise<void> returned;
+  std::thread daemon{[&] {
+    auto result = RunTcpServer(
+        server, options, [&stop] { return stop.load(); },
+        [&listening](int port) { listening.set_value(port); });
+    EXPECT_TRUE(result.ok());
+    returned.set_value();
+  }};
+  const int fd = ConnectLoopback(listening.get_future().get());
+  EXPECT_GE(fd, 0);
+  if (fd >= 0) {
+    // The full exchange proves the connection thread is up and waiting for
+    // the next header when the partial frame arrives.
+    const std::string body = R"({"endpoint": "summary"})";
+    EXPECT_EQ(Exchange(fd, body),
+              Server::DirectAnswer(MakeStore(), 1, {}, body));
+    const std::string frame = EncodeFrame(body);
+    EXPECT_LT(sent, frame.size());
+    EXPECT_EQ(::write(fd, frame.data(), sent), static_cast<ssize_t>(sent));
+    // Let the connection thread read the partial frame before the drain.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5 * kPollMillis));
+  }
+  auto drained = returned.get_future();
+  stop.store(true);
+  EXPECT_EQ(drained.wait_for(kDrainBound), std::future_status::ready)
+      << "drain still waiting on a client stalled after " << sent
+      << " bytes of a frame";
+  if (fd >= 0) {
+    EXPECT_EQ(::close(fd), 0);
+  }
+  daemon.join();
+}
+
+TEST(ServeTcp, DrainEndsAConnectionStalledMidHeader) {
+  static_assert(kFrameHeaderBytes > 5);
+  ExpectDrainDespiteStalledClient(5);
+}
+
+TEST(ServeTcp, DrainEndsAConnectionStalledMidBody) {
+  ExpectDrainDespiteStalledClient(kFrameHeaderBytes + 3);
 }
 
 TEST(ServeTcp, AcceptBacksOffWhenOutOfDescriptors) {

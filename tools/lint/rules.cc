@@ -291,9 +291,9 @@ struct Engine {
       }
       if (i + 1 >= toks.size() || !IsPunct(toks[i + 1], "(")) continue;
       Report("parsing.getenv", toks[i],
-             "raw " + toks[i].text + "() outside the blessed wrappers "
-             "(par::DefaultThreads, obs::EnvString); environment reads "
-             "must be centralized and validated");
+             "raw " + toks[i].text + "() outside the blessed wrapper "
+             "(par::DefaultThreads); environment reads must be centralized "
+             "and validated");
     }
   }
 
@@ -588,8 +588,7 @@ const std::vector<RuleMeta>& RuleCatalogue() {
       {"parsing.raw-parse", "parse",
        "No atoi/strtol/sto*/sscanf family; use the checked parsers."},
       {"parsing.getenv", "getenv",
-       "No raw getenv outside the blessed wrappers (par::DefaultThreads, "
-       "obs::EnvString)."},
+       "No raw getenv outside the blessed wrapper (par::DefaultThreads)."},
       {"silent-fallback.catch-all", "fallback",
        "catch (...) must rethrow or report (obs/stderr/exit)."},
       {"silent-fallback.empty-default", "default",

@@ -22,7 +22,7 @@
 //  checked parsers, bench ParseNumber). Raw parses must not come back.
 //    parsing.raw-parse            atoi/strtol/stoull/sscanf family.
 //                                 Suppress: lint: parse(...)
-//    parsing.getenv               raw getenv outside the blessed wrappers.
+//    parsing.getenv               raw getenv outside the blessed wrapper.
 //                                 Suppress: lint: getenv(...)
 //
 //  [silent-fallback] — errors are typed (io::Result) or logged, never
