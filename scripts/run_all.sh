@@ -142,12 +142,6 @@ build/tools/ipscope_cli serve-smoke --blocks 400 --clients 4 \
 # after a reload, and the smoke's summary/churn bodies provably differ
 # across its reload, so an aggregate carried over cannot pass it.
 
-# Snapshot the committed benchmarks before the bench loop overwrites the
-# reports with this run's numbers; the regression gates below diff the
-# fresh reports against these.
-cp BENCH_pipeline.json results/BENCH_baseline.json
-cp BENCH_serve.json results/BENCH_serve_baseline.json
-
 # The paper reproduction: one world, its stores and the BGP feed built once,
 # every experiment written to results/<id>.txt; stderr carries one
 # "id wall_s peak_rss_mb peak_rise_mb" row per experiment (the high-water
@@ -156,60 +150,73 @@ echo "== reproduce"
 build/tools/ipscope_cli reproduce --blocks "${IPSCOPE_BLOCKS:-4000}" \
   --out results/ 2>&1 | tee results/reproduce_times.txt
 
-# The bench harnesses: google-benchmark microbenchmarks (no world-scale
-# argument), then the bench-JSON stage-timing reports.
+# Microbenchmarks (google-benchmark; no world-scale argument).
 echo "== bench_micro"
 build/bench/bench_micro | tee results/bench_micro.txt
-for name in bench_pipeline bench_serve bench_ingest; do
-  echo "== $name"
-  "build/bench/$name" "${IPSCOPE_BLOCKS:-4000}" | tee "results/$name.txt"
+
+# Benchmark gate: ipscope_bench (BENCHMARK.json) is the one benchmark
+# stack, built from this checkout's src/ into its own tree. The smoke runs
+# every workload at 200 blocks for about a second, untraced and traced,
+# each in its own process, and fails on an output that diverges from its
+# oracle, a failed operation, an end-to-end or per-layer metric that
+# BENCHMARK.json names but a report lacks (a lost stage or run), or a
+# trace that does not parse. Its scratch files stay under build-bench/.
+echo "== ipscope_bench smoke"
+cmake -S ipscope_bench -B build-bench -G Ninja \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build build-bench --target ipscope_bench
+rm -rf build-bench/.bench_work/smoke
+(cd build-bench && ./ipscope_bench --workload all --smoke \
+  --benchmark ../BENCHMARK.json) | tee results/bench_smoke.txt
+
+# Prove `ipscope_bench compare` has teeth on every run, on copies of the
+# smoke reports: a report set against itself passes; a copy with one
+# end-to-end metric ten times worse must be rejected as `worse`; a copy
+# with one output fingerprint flipped must be rejected as a mismatch.
+rm -rf results/bench
+mkdir -p results/bench/A results/bench/worse results/bench/fingerprint
+cp build-bench/.bench_work/smoke/*.json results/bench/A/
+cp results/bench/A/*.json results/bench/worse/
+cp results/bench/A/*.json results/bench/fingerprint/
+python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["metrics"]["latency_p50_ms"]["value"] *= 10
+json.dump(doc, open(sys.argv[2], "w"))' \
+  results/bench/A/repro-trace0.json results/bench/worse/repro-trace0.json
+# Both repro reports carry the fingerprint; compare keeps one per workload
+# and seed, so the flip goes into both.
+for report in repro-trace0.json repro-trace1.json; do
+  python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+fp = doc["fingerprints"]["store_image"]
+doc["fingerprints"]["store_image"] = fp[:-1] + ("1" if fp[-1] == "0" else "0")
+json.dump(doc, open(sys.argv[2], "w"))' \
+    "results/bench/A/$report" "results/bench/fingerprint/$report"
 done
-
-# Benchmark-regression gate: diff this run's bench-JSON v2 report against
-# the committed baseline. On matching hardware + toolchain a stage that
-# slowed beyond the tolerance exits non-zero and fails the run (set -e); on
-# a different host the diff is advisory (benchdiff prints why) but lost
-# stages/runs still gate. Tune with IPSCOPE_BENCH_TOLERANCE_PCT.
-echo "== benchdiff gate"
-build/tools/ipscope_cli benchdiff results/BENCH_baseline.json \
-  BENCH_pipeline.json \
-  --tolerance-pct "${IPSCOPE_BENCH_TOLERANCE_PCT:-25}" \
-  | tee results/benchdiff.txt
-build/tools/ipscope_cli benchdiff results/BENCH_serve_baseline.json \
-  BENCH_serve.json \
-  --tolerance-pct "${IPSCOPE_BENCH_TOLERANCE_PCT:-25}" \
-  | tee results/benchdiff_serve.txt
-
-# Headline throughput delta for the store_build hot path: this run's MB/s
-# against the committed baseline (first run of each report — threads=1).
-# Advisory print only; the regression gate above is what fails the run.
-awk '
-  /"store_build"/ && match($0, /"mb_per_s": [0-9.eE+-]+/) {
-    v = substr($0, RSTART + 12, RLENGTH - 12) + 0
-    if (NR == FNR) { if (base == 0) base = v }
-    else if (cur == 0) cur = v
-  }
-  END {
-    if (base > 0 && cur > 0)
-      printf "store_build throughput: %.2f MB/s vs baseline %.2f MB/s (%.2fx)\n",
-             cur, base, cur / base
-    else
-      print "store_build throughput: baseline or current MB/s not found"
-  }' results/BENCH_baseline.json BENCH_pipeline.json \
-  | tee results/store_build_delta.txt
-
-# Prove the gate has teeth on every run: seed an obvious store_build
-# regression into a copy of the fresh report (same hardware fingerprint, so
-# it MUST gate) and require benchdiff to reject it.
-sed 's/"store_build": {"seconds": [0-9.eE+-]*/"store_build": {"seconds": 9999/' \
-  BENCH_pipeline.json > results/BENCH_seeded_regression.json
-grep -q '"seconds": 9999' results/BENCH_seeded_regression.json \
-  || { echo "FATAL: could not seed a regression into the report" >&2; exit 1; }
-if build/tools/ipscope_cli benchdiff BENCH_pipeline.json \
-    results/BENCH_seeded_regression.json >results/benchdiff_teeth.txt 2>&1; then
-  echo "FATAL: benchdiff accepted a seeded 9999s regression" >&2
+compare() {
+  build-bench/ipscope_bench compare "$@" --benchmark BENCHMARK.json
+}
+echo "== ipscope_bench compare teeth"
+compare results/bench/A results/bench/A | tee results/bench_compare_same.txt
+if compare results/bench/A results/bench/worse \
+    >results/bench_compare_worse.txt 2>&1; then
+  echo "FATAL: compare accepted a 10x repro latency_p50_ms" >&2
   exit 1
 fi
-echo "benchdiff gate: seeded regression correctly rejected"
+grep -Eq '^repro +latency_p50_ms .* worse$' results/bench_compare_worse.txt || {
+  echo "FATAL: compare did not call repro latency_p50_ms worse" >&2
+  exit 1
+}
+if compare results/bench/A results/bench/fingerprint \
+    >results/bench_compare_fingerprint.txt 2>&1; then
+  echo "FATAL: compare accepted a flipped repro fingerprint" >&2
+  exit 1
+fi
+grep -q '^FINGERPRINT MISMATCH repro seed 1 store_image' \
+    results/bench_compare_fingerprint.txt || {
+  echo "FATAL: compare did not report the flipped fingerprint" >&2
+  exit 1
+}
+echo "benchmark gate: seeded regression and fingerprint flip rejected"
 
 echo "All experiment outputs written to results/."

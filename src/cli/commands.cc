@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <charconv>
 #include <csignal>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -33,7 +32,6 @@
 #include "ingest/session.h"
 #include "io/store_io.h"
 #include "measurement/hitlist.h"
-#include "obs/benchdiff.h"
 #include "obs/registry.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
@@ -74,19 +72,6 @@ commands:
   describe [--blocks N] [--seed S]
       Inventory of the simulated world that the given parameters produce:
       AS types, assignment-policy mix, scheduled events.
-  profile [--blocks N] [--seed S] [--keep PATH]
-      Run a standard generate -> save -> load -> analyze pipeline and print
-      a per-stage wall-time table from the metrics registry, once serially
-      and once on the shared thread pool (the threads column tells the rows
-      apart), plus per-worker pool utilization, queue-wait, and IO
-      throughput (MB/s) tables for the pooled run. --keep saves the
-      intermediate dataset to PATH instead of a deleted temp file.
-  benchdiff BASELINE.json CURRENT.json [--tolerance-pct N]
-      Compare two bench-JSON v2 reports (as written by bench_pipeline)
-      stage by stage. Exits 1 when any stage slowed beyond the tolerance
-      (default 10%) on matching hardware, or lost coverage; reports from
-      different hardware/toolchains are diffed advisory-only. Exits 2 on
-      malformed or non-v2 input.
   chaos [--blocks N] [--seed S] [--fault-seed S] [--schedule SPEC]
         [--window DAYS]
       Run the generate -> save -> corrupt -> salvage -> analyze pipeline
@@ -469,196 +454,6 @@ int CmdDescribe(const CommandLine& cmd, std::ostream& out, std::ostream&) {
   return 0;
 }
 
-// Formats a seconds value for the stage table (ms below 1s).
-std::string FormatStageTime(double seconds) {
-  if (seconds < 1.0) return report::FormatDouble(seconds * 1e3, 3) + " ms";
-  return report::FormatDouble(seconds, 3) + " s";
-}
-
-int CmdProfile(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
-  sim::WorldConfig config;
-  config.target_client_blocks = cmd.IntFlag("blocks", 2000);
-  config.seed = cmd.Uint64Flag("seed", config.seed);
-
-  auto keep = cmd.Flag("keep");
-  std::string path =
-      keep && !keep->empty()
-          ? *keep
-          : (std::filesystem::temp_directory_path() /
-             ("ipscope_profile_" + std::to_string(::getpid()) + ".bin"))
-                .string();
-
-  auto run_pipeline = [&] {
-    // Every stage below is instrumented at the library layer; this scope
-    // only sequences the canonical pipeline.
-    obs::Span pipeline{"cli.profile.pipeline_seconds"};
-    sim::World world{config};
-    auto store = cdn::Observatory::Daily(world).BuildStore();
-    io::SaveStoreFile(store, path);
-    auto loaded = io::LoadStoreFile(path);
-
-    activity::ChurnAnalyzer churn{loaded};
-    churn.Churn(7);
-    int window = 28;
-    int num_windows = loaded.days() / window;
-    for (int p = 0; p + 1 < num_windows; ++p) {
-      activity::EventSizes(loaded, p * window, (p + 1) * window,
-                           (p + 1) * window, (p + 2) * window, true);
-    }
-    activity::ComputeBlockMetrics(loaded);
-  };
-
-  auto& registry = obs::GlobalRegistry();
-  auto snapshot = [&] {
-    std::map<std::string, obs::Histogram::Snapshot> snaps;
-    for (const auto& [name, snap] : registry.HistogramSnapshots()) {
-      snaps[name] = snap;
-    }
-    return snaps;
-  };
-  auto gauge_snapshot = [&] {
-    std::map<std::string, double> values;
-    for (const auto& [name, value] : registry.GaugeValues()) {
-      values[name] = value;
-    }
-    return values;
-  };
-
-  // The pipeline runs twice: serially, then on the pool at its configured
-  // size (--threads / $IPSCOPE_THREADS / hardware). The instruments are
-  // cumulative, so the parallel rows are deltas between the two snapshots
-  // (quantiles don't subtract; those cells stay blank).
-  int pool_threads = par::GlobalPool().threads();
-  par::GlobalPool().Resize(1);
-  run_pipeline();
-  auto serial_snaps = snapshot();
-  auto serial_gauges = gauge_snapshot();
-  if (pool_threads > 1) {
-    par::GlobalPool().Resize(pool_threads);
-    run_pipeline();
-  }
-  auto final_snaps = snapshot();
-  auto final_gauges = gauge_snapshot();
-  par::GlobalPool().Resize(pool_threads);
-  if (!keep) std::remove(path.c_str());
-
-  report::Table stages(
-      {"stage", "threads", "runs", "total", "p50", "p90", "p99"});
-  for (const auto& [name, snap] : serial_snaps) {
-    if (snap.count == 0) continue;
-    stages.AddRow({name, "1", std::to_string(snap.count),
-                   FormatStageTime(snap.sum), FormatStageTime(snap.p50),
-                   FormatStageTime(snap.p90), FormatStageTime(snap.p99)});
-    if (pool_threads <= 1) continue;
-    const obs::Histogram::Snapshot& after = final_snaps[name];
-    if (after.count <= snap.count) continue;
-    stages.AddRow({name, std::to_string(pool_threads),
-                   std::to_string(after.count - snap.count),
-                   FormatStageTime(after.sum - snap.sum), "-", "-", "-"});
-  }
-  out << "profile: " << config.target_client_blocks
-      << " client blocks, seed " << config.seed << "\n\n";
-  stages.Print(out);
-
-  // Per-worker pool accounting for the pooled run. The worker gauges are
-  // cumulative, so the serial/final delta isolates the second pipeline;
-  // slots are participant slots (dealt per region), not OS threads.
-  if (pool_threads > 1) {
-    report::Table pool({"pool worker", "busy", "idle", "util %"});
-    for (int slot = 0; slot < pool_threads; ++slot) {
-      std::string base = "par.pool.worker." + std::to_string(slot);
-      double busy = final_gauges[base + ".busy_seconds"] -
-                    serial_gauges[base + ".busy_seconds"];
-      double idle = final_gauges[base + ".idle_seconds"] -
-                    serial_gauges[base + ".idle_seconds"];
-      if (busy + idle <= 0) continue;
-      pool.AddRow({std::to_string(slot), FormatStageTime(busy),
-                   FormatStageTime(idle),
-                   report::FormatPercent(busy / (busy + idle))});
-    }
-    if (pool.rows() > 0) {
-      out << "\n";
-      pool.Print(out);
-    }
-    const obs::Histogram::Snapshot& wait_before =
-        serial_snaps["par.pool.queue_wait_seconds"];
-    const obs::Histogram::Snapshot& wait_after =
-        final_snaps["par.pool.queue_wait_seconds"];
-    if (wait_after.count > wait_before.count) {
-      double mean_wait = (wait_after.sum - wait_before.sum) /
-                         static_cast<double>(wait_after.count -
-                                             wait_before.count);
-      out << "pool: queue wait mean " << FormatStageTime(mean_wait)
-          << " over " << (wait_after.count - wait_before.count)
-          << " chunks; last-region imbalance ratio "
-          << report::FormatDouble(final_gauges["par.pool.imbalance_ratio"])
-          << "\n";
-    }
-  }
-
-  // IO and build throughput, from the most recent (pooled when available)
-  // run's rate gauges.
-  {
-    report::Table rates({"io stage", "throughput"});
-    auto rate = [&](const char* label, const char* gauge, const char* unit,
-                    double scale) {
-      auto it = final_gauges.find(gauge);
-      if (it == final_gauges.end() || it->second <= 0) return;
-      rates.AddRow({label,
-                    report::FormatDouble(it->second * scale) + " " + unit});
-    };
-    rate("store save", "io.store.save_mb_per_s", "MB/s", 1.0);
-    rate("store load", "io.store.load_mb_per_s", "MB/s", 1.0);
-    rate("observatory build", "cdn.observatory.build.bytes_per_s", "MB/s",
-         1e-6);
-    if (rates.rows() > 0) {
-      out << "\n";
-      rates.Print(out);
-    }
-  }
-
-  report::Table counters({"counter", "value"});
-  for (const auto& [name, value] : registry.CounterValues()) {
-    counters.AddRow({name, report::FormatCount(value)});
-  }
-  if (counters.rows() > 0) {
-    out << "\n";
-    counters.Print(out);
-  }
-  if (keep) {
-    err << "profile: kept dataset at " << path << "\n";
-  }
-  return 0;
-}
-
-int CmdBenchdiff(const CommandLine& cmd, std::ostream& out,
-                 std::ostream& err) {
-  if (cmd.positional.size() != 2) {
-    err << "benchdiff: usage: benchdiff BASELINE.json CURRENT.json "
-           "[--tolerance-pct N]\n";
-    return 2;
-  }
-  obs::benchdiff::DiffOptions options;
-  options.tolerance_pct =
-      cmd.DoubleFlag("tolerance-pct", options.tolerance_pct);
-  if (options.tolerance_pct < 0) {
-    throw FlagError("--tolerance-pct must be non-negative");
-  }
-  obs::benchdiff::Report baseline;
-  obs::benchdiff::Report current;
-  try {
-    baseline = obs::benchdiff::LoadReportFile(cmd.positional[0]);
-    current = obs::benchdiff::LoadReportFile(cmd.positional[1]);
-  } catch (const std::exception& e) {
-    err << e.what() << "\n";
-    return 2;
-  }
-  obs::benchdiff::DiffResult result =
-      obs::benchdiff::Diff(baseline, current, options);
-  obs::benchdiff::WriteDiff(out, result, options);
-  return result.regressed ? 1 : 0;
-}
-
 int CmdChaos(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   sim::WorldConfig config;
   config.target_client_blocks = cmd.IntFlag("blocks", 800);
@@ -912,13 +707,6 @@ std::uint64_t CommandLine::Uint64Flag(const std::string& name,
   return ParseNumberOrThrow<std::uint64_t>(name, *value);
 }
 
-double CommandLine::DoubleFlag(const std::string& name,
-                               double fallback) const {
-  auto value = Flag(name);
-  if (!value) return fallback;
-  return ParseNumberOrThrow<double>(name, *value);
-}
-
 std::optional<CommandLine> Parse(const std::vector<std::string>& args,
                                  std::ostream& err) {
   CommandLine cmd;
@@ -1055,8 +843,6 @@ const std::vector<CommandSpec>& Commands() {
       {"export", CmdExport, {"outdir"}},
       {"hitlist", CmdHitlist, {"strategy"}},
       {"describe", CmdDescribe, {"blocks", "seed"}},
-      {"profile", CmdProfile, {"blocks", "seed", "keep"}},
-      {"benchdiff", CmdBenchdiff, {"tolerance-pct"}},
       {"chaos",
        CmdChaos,
        {"blocks", "seed", "fault-seed", "schedule", "window"}},

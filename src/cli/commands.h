@@ -9,7 +9,7 @@
 //   ipscope_cli blocks daily.ipscope --top 20 --sort stu
 //   ipscope_cli render daily.ipscope --block 40.112.7.0/24
 //   ipscope_cli events daily.ipscope --window 28
-//   ipscope_cli profile --blocks 2000 --metrics-out m.json --trace-out t.json
+//   ipscope_cli generate --blocks 2000 --out d.ipscope --trace-out t.json
 //   ipscope_cli reproduce --only fig4_churn,fig9_traffic --out results/
 //
 // All command logic lives here (stream-parameterized) so it is unit-tested;
@@ -48,7 +48,6 @@ struct CommandLine {
   int IntFlag(const std::string& name, int fallback) const;
   std::uint64_t Uint64Flag(const std::string& name,
                            std::uint64_t fallback) const;
-  double DoubleFlag(const std::string& name, double fallback) const;
 };
 
 // Parses argv[1..]; returns nullopt (and writes a message to err) when the

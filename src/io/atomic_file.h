@@ -2,7 +2,7 @@
 // atomic rename, every return value checked.
 //
 // This is the one primitive every output path in the project goes through
-// (store files, metrics/trace dumps, bench-JSON reports, the ingest
+// (store files, metrics/trace dumps, ipscope_bench reports, the ingest
 // MANIFEST), so a killed process can never leave a truncated file under
 // the final name: readers either see the previous complete content or the
 // new complete content, nothing in between. The temp file lives in the

@@ -1,6 +1,6 @@
 // Minimal JSON support for the observability layer: the one string escaper
-// every obs serializer shares, and a small checked parser for the bench-JSON
-// documents `ipscope_cli benchdiff` consumes.
+// every obs serializer shares, and a small checked parser for the query
+// bodies the serve daemon reads and the reports ipscope_bench compares.
 //
 // The parser accepts full JSON (objects, arrays, strings with escapes,
 // numbers, true/false/null) and fails loudly — std::runtime_error with the

@@ -99,11 +99,8 @@ class Registry {
   Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
 
-  // Sorted (name, value) snapshots, for reports and tests.
-  std::vector<std::pair<std::string, std::uint64_t>> CounterValues() const;
+  // Sorted (name, value) gauge snapshot, for reports and tests.
   std::vector<std::pair<std::string, double>> GaugeValues() const;
-  std::vector<std::pair<std::string, Histogram::Snapshot>> HistogramSnapshots()
-      const;
 
   // Serializes every instrument as a single JSON object:
   //   {"counters": {...}, "gauges": {...},
@@ -125,6 +122,11 @@ class Registry {
   void WritePrometheusFile(const std::string& path) const;
 
  private:
+  // Sorted snapshots for the serializers above.
+  std::vector<std::pair<std::string, std::uint64_t>> CounterValues() const;
+  std::vector<std::pair<std::string, Histogram::Snapshot>> HistogramSnapshots()
+      const;
+
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;      // guards: mu_
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;          // guards: mu_

@@ -2,7 +2,7 @@
 //
 // A Server owns a SnapshotManager (reloadable store) and an optional
 // block→(AS, country) attribution table. The transport (serve/tcp.h,
-// tests, bench_serve) hands it one frame or one JSON body at a time;
+// tests, ipscope_bench) hands it one frame or one JSON body at a time;
 // everything here is thread-safe and deterministic: the same request
 // against the same snapshot renders byte-identical output, which is what
 // the oracle tests diff against direct ActivityStore/analysis calls.
@@ -88,7 +88,7 @@ class Server {
   std::string HandleRequest(std::string_view body);
 
   // The oracle path: parse + route + render against an explicit store, no
-  // memo, no snapshot pinning, no request metrics. Tests, bench_serve and
+  // memo, no snapshot pinning, no request metrics. Tests, ipscope_bench and
   // the TCP smoke diff HandleRequest against it byte-for-byte.
   static std::string DirectAnswer(const activity::ActivityStore& store,
                                   std::uint64_t snapshot_id,

@@ -55,15 +55,30 @@ bool ReadExactly(int fd, char* buf, std::size_t want,
   return true;
 }
 
-bool WriteAll(int fd, const std::string& bytes) {
+// Writes all of `bytes`. MSG_NOSIGNAL turns a write to a peer that has
+// reset the connection into EPIPE instead of a SIGPIPE that kills the
+// daemon. Sends never block: only when the socket buffer is full does it
+// poll for room, and once a drain is requested a poll tick that frees none
+// ends the connection, so a peer that stops reading cannot hold the drain
+// (the ReadExactly contract). Returns false on error or drain.
+bool WriteAll(int fd, const std::string& bytes,
+              const std::function<bool()>& should_stop, int poll_millis) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + sent, bytes.size() - sent);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
+    ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
     }
-    sent += static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    struct pollfd pfd = {};
+    pfd.fd = fd;
+    pfd.events = POLLOUT;
+    int ready = ::poll(&pfd, 1, poll_millis);
+    if (ready < 0 && errno != EINTR) return false;
+    if (ready <= 0 && should_stop()) return false;
   }
   return true;
 }
@@ -87,11 +102,12 @@ void ServeConnection(Server& server, int fd, std::size_t max_body,
                       header.error().kind != FrameError::Kind::kTruncated;
     if (header_bad) {
       reg.GetCounter("serve.frames.bad").Add();
-      WriteAll(fd, EncodeFrame(
-                       R"({"ok": false, "error": {"kind": "bad-frame", )"
-                       R"("message": ")" +
-                       obs::json::Escape(header.error().ToString()) +
-                       "\"}}"));
+      WriteAll(fd,
+               EncodeFrame(R"({"ok": false, "error": {"kind": "bad-frame", )"
+                           R"("message": ")" +
+                           obs::json::Escape(header.error().ToString()) +
+                           "\"}}"),
+               should_stop, poll_millis);
       break;
     }
     std::uint32_t body_len = 0;
@@ -106,7 +122,9 @@ void ServeConnection(Server& server, int fd, std::size_t max_body,
                      should_stop, poll_millis)) {
       break;  // peer died or stalled mid-frame
     }
-    if (!WriteAll(fd, server.HandleFrame(frame))) break;
+    if (!WriteAll(fd, server.HandleFrame(frame), should_stop, poll_millis)) {
+      break;  // peer gone, or stopped reading during a drain
+    }
   }
   CloseFd(fd);
 }

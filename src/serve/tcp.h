@@ -7,9 +7,11 @@
 // (serve/frame.h), answers through Server::HandleFrame, and writes the
 // response frame back; it exits on EOF, on any socket error, or once
 // draining starts at the next frame boundary or the first poll tick that
-// brings no byte, even mid-frame. A request already read always gets its
-// answer, and a stalled peer cannot hold the drain (the drain contract of
-// src/cli/signals.h).
+// brings no byte, even mid-frame. A request already read gets its answer
+// unless the peer stops reading it during a drain, and a stalled peer
+// cannot hold the drain (the drain contract of src/cli/signals.h). A peer
+// that resets the connection ends only that connection: sends never raise
+// SIGPIPE.
 //
 // This is deliberately not an async i/o engine: the query engine below it
 // is CPU-bound and already parallel (par::Pool), so a thread per

@@ -317,30 +317,32 @@ TEST(Cli, MalformedIntFlagFails) {
   EXPECT_NE(err2.str().find("--blocks"), std::string::npos);
 }
 
-TEST(Cli, ProfileRunsPipelineAndWritesMetrics) {
-  std::string metrics = ::testing::TempDir() + "/ipscope_cli_metrics." +
-                        std::to_string(getpid()) + ".json";
-  std::string trace = ::testing::TempDir() + "/ipscope_cli_trace." +
-                      std::to_string(getpid()) + ".json";
+TEST(Cli, GlobalFlagsWriteMetricsAndTrace) {
+  const std::string base = ::testing::TempDir() + "/ipscope_cli_obs." +
+                           std::to_string(getpid());
+  const std::string metrics = base + ".metrics.json";
+  const std::string trace = base + ".trace.json";
   std::ostringstream out, err;
-  ASSERT_EQ(Main({"profile", "--blocks", "150", "--metrics-out", metrics,
-                  "--trace-out", trace},
+  ASSERT_EQ(Main({"generate", "--blocks", "150", "--out", base + ".bin",
+                  "--metrics-out", metrics, "--trace-out", trace},
                  out, err),
             0)
       << err.str();
-  // The stage table names the canonical histograms.
-  for (const char* stage :
-       {"sim.world.build_seconds", "cdn.observatory.build_seconds",
-        "io.store.save_seconds", "io.store.load_seconds",
-        "activity.churn.compute_seconds", "p50", "p99"}) {
-    EXPECT_NE(out.str().find(stage), std::string::npos) << stage;
-  }
   std::ifstream mis{metrics};
   ASSERT_TRUE(mis.good());
   std::string mjson{std::istreambuf_iterator<char>(mis),
                     std::istreambuf_iterator<char>()};
   EXPECT_NE(mjson.find("\"histograms\""), std::string::npos);
   EXPECT_NE(mjson.find("\"p99\""), std::string::npos);
+  // The histograms of every layer `generate` passes through: world build,
+  // store build and save.
+  for (const char* histogram :
+       {"sim.world.build_seconds", "cdn.observatory.build_seconds",
+        "io.store.save_seconds"}) {
+    EXPECT_NE(mjson.find(std::string("\"") + histogram + "\": {\"count\": "),
+              std::string::npos)
+        << histogram;
+  }
   std::ifstream tis{trace};
   ASSERT_TRUE(tis.good());
   std::string tjson{std::istreambuf_iterator<char>(tis),

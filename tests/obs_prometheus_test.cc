@@ -127,7 +127,7 @@ TEST(PrometheusExposition, HelpTextEscapesOriginalName) {
   }
 }
 
-// --- obs::json, the parser the benchdiff gate trusts ----------------------
+// --- obs::json, the parser serve and ipscope_bench trust ------------------
 
 TEST(ObsJson, EscapeHandlesQuotesBackslashesAndControlChars) {
   EXPECT_EQ(json::Escape("plain"), "plain");

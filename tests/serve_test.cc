@@ -2,17 +2,21 @@
 // per-snapshot aggregate memo, snapshot isolation under concurrent reload,
 // a multi-threaded hammer that diffs every served response against direct
 // ActivityStore/analysis calls on the same snapshot, and the TCP accept
-// loop's thread reaping, bounded drain past stalled clients and
-// fd-exhaustion backoff.
+// loop's thread reaping, bounded drain past stalled and non-reading
+// clients, survival of peers that reset mid-write, and fd-exhaustion
+// backoff.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <optional>
@@ -689,6 +693,48 @@ TEST(ServeTcp, FinishedConnectionsAreReapedAndDrainJoinsLiveOnes) {
   EXPECT_EQ(ProcStatus("Threads"), threads_before);
 }
 
+// A daemon on an ephemeral port in a thread of this process, stopped and
+// joined by the destructor.
+class InProcessDaemon {
+ public:
+  explicit InProcessDaemon(int poll_millis) {
+    options_.poll_millis = poll_millis;
+    std::promise<int> listening;
+    auto port = listening.get_future();
+    thread_ = std::thread{[this, &listening] {
+      auto result = RunTcpServer(
+          server_, options_, [this] { return stop_.load(); },
+          [&listening](int p) { listening.set_value(p); });
+      EXPECT_TRUE(result.ok());
+      returned_.set_value();
+    }};
+    port_ = port.get();
+  }
+  ~InProcessDaemon() {
+    stop_.store(true);
+    thread_.join();
+  }
+  InProcessDaemon(const InProcessDaemon&) = delete;
+  InProcessDaemon& operator=(const InProcessDaemon&) = delete;
+
+  int port() const { return port_; }
+  // Requests the drain; returns whether RunTcpServer returned within
+  // `bound` (it is still joined by the destructor).
+  bool DrainWithin(std::chrono::milliseconds bound) {
+    stop_.store(true);
+    return returned_.get_future().wait_for(bound) ==
+           std::future_status::ready;
+  }
+
+ private:
+  Server server_{MakeStore()};
+  TcpOptions options_;
+  std::atomic<bool> stop_{false};
+  std::promise<void> returned_;
+  std::thread thread_;
+  int port_ = 0;
+};
+
 // A client sends the first `sent` bytes of a request frame, after one
 // full exchange, and then goes silent. Once stop is requested,
 // RunTcpServer must return within 50 poll ticks. When it does not, the
@@ -696,21 +742,8 @@ TEST(ServeTcp, FinishedConnectionsAreReapedAndDrainJoinsLiveOnes) {
 // hanging.
 void ExpectDrainDespiteStalledClient(std::size_t sent) {
   constexpr int kPollMillis = 20;
-  constexpr auto kDrainBound = std::chrono::milliseconds(50 * kPollMillis);
-  Server server{MakeStore()};
-  TcpOptions options;
-  options.poll_millis = kPollMillis;
-  std::atomic<bool> stop{false};
-  std::promise<int> listening;
-  std::promise<void> returned;
-  std::thread daemon{[&] {
-    auto result = RunTcpServer(
-        server, options, [&stop] { return stop.load(); },
-        [&listening](int port) { listening.set_value(port); });
-    EXPECT_TRUE(result.ok());
-    returned.set_value();
-  }};
-  const int fd = ConnectLoopback(listening.get_future().get());
+  InProcessDaemon daemon{kPollMillis};
+  const int fd = ConnectLoopback(daemon.port());
   EXPECT_GE(fd, 0);
   if (fd >= 0) {
     // The full exchange proves the connection thread is up and waiting for
@@ -724,15 +757,12 @@ void ExpectDrainDespiteStalledClient(std::size_t sent) {
     // Let the connection thread read the partial frame before the drain.
     std::this_thread::sleep_for(std::chrono::milliseconds(5 * kPollMillis));
   }
-  auto drained = returned.get_future();
-  stop.store(true);
-  EXPECT_EQ(drained.wait_for(kDrainBound), std::future_status::ready)
+  EXPECT_TRUE(daemon.DrainWithin(std::chrono::milliseconds(50 * kPollMillis)))
       << "drain still waiting on a client stalled after " << sent
       << " bytes of a frame";
   if (fd >= 0) {
     EXPECT_EQ(::close(fd), 0);
   }
-  daemon.join();
 }
 
 TEST(ServeTcp, DrainEndsAConnectionStalledMidHeader) {
@@ -742,6 +772,62 @@ TEST(ServeTcp, DrainEndsAConnectionStalledMidHeader) {
 
 TEST(ServeTcp, DrainEndsAConnectionStalledMidBody) {
   ExpectDrainDespiteStalledClient(kFrameHeaderBytes + 3);
+}
+
+// A client pipelines 200 requests in one write and closes without reading
+// the answers. Its kernel answers the responses with a reset, and the
+// daemon's next send on that connection fails; that must end the
+// connection, not raise SIGPIPE in the daemon's process.
+TEST(ServeTcp, PipelinedClientThatClosesEarlyLeavesTheDaemonServing) {
+  InProcessDaemon daemon{20};
+  const std::string body = R"({"endpoint": "summary"})";
+  std::string burst;
+  for (int i = 0; i < 200; ++i) burst += EncodeFrame(body);
+  for (int round = 0; round < 5; ++round) {
+    int fd = ConnectLoopback(daemon.port());
+    ASSERT_GE(fd, 0);
+    EXPECT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(burst.size()));
+    EXPECT_EQ(::close(fd), 0);
+  }
+  int fd = ConnectLoopback(daemon.port());
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(Exchange(fd, body), Server::DirectAnswer(MakeStore(), 1, {}, body));
+  EXPECT_EQ(::close(fd), 0);
+}
+
+// A client pipelines requests and never reads, until its own send buffer
+// is full: the daemon's connection thread then waits for room to send.
+// Once stop is requested, RunTcpServer must return within 50 poll ticks.
+// When it does not, the test closes the client, which lets the server go,
+// and fails instead of hanging.
+TEST(ServeTcp, DrainEndsAConnectionThatNeverReads) {
+  constexpr int kPollMillis = 20;
+  InProcessDaemon daemon{kPollMillis};
+  const int fd = ConnectLoopback(daemon.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK), 0);
+  const std::string frame = EncodeFrame(R"({"endpoint": "summary"})");
+  std::size_t sent = 0;
+  // Full once 10 poll ticks in a row bring no room; 256 MB is a backstop.
+  for (int idle = 0; idle < 10 && sent < (std::size_t{256} << 20);) {
+    ssize_t n = ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      idle = 0;
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      ADD_FAILURE() << "send: " << std::strerror(errno);
+      break;
+    } else {
+      ++idle;
+      std::this_thread::sleep_for(std::chrono::milliseconds(kPollMillis));
+    }
+  }
+  EXPECT_LT(sent, std::size_t{256} << 20) << "the send buffer never filled";
+  EXPECT_TRUE(daemon.DrainWithin(std::chrono::milliseconds(50 * kPollMillis)))
+      << "drain still waiting on a client that never reads (" << sent
+      << " request bytes sent)";
+  EXPECT_EQ(::close(fd), 0);
 }
 
 TEST(ServeTcp, AcceptBacksOffWhenOutOfDescriptors) {

@@ -2,9 +2,8 @@
 // can be unit-tested; this is only the process entry point.
 //
 // Every command accepts global --metrics-out/--trace-out flags (see the
-// README's "Observability" section); `ipscope_cli profile` exercises the
-// whole pipeline and prints the per-stage wall-time table, and
-// `ipscope_cli chaos` runs it under an injected fault schedule.
+// README's "Observability" section); `ipscope_cli chaos` runs the
+// pipeline under an injected fault schedule.
 #include <exception>
 #include <iostream>
 #include <string>
