@@ -6,7 +6,7 @@
 //     reputation is nearly meaningless (TTL ~ hours),
 //   * high-turnover dynamic pools -> TTL of a day,
 //   * long-lease pools -> TTL of a week or two,
-//   * stable static blocks -> TTL of a month or more,
+//   * stable static blocks -> TTL of a month,
 // and flags blocks whose assignment practice *changed* mid-period (the
 // paper's §5.2 change detector) for immediate reputation reset.
 //
@@ -24,8 +24,7 @@
 namespace {
 
 // Recommended reputation TTL in days for a block's activity pattern.
-double RecommendedTtlDays(ipscope::activity::BlockPattern pattern,
-                          const ipscope::activity::PatternFeatures& f) {
+double RecommendedTtlDays(ipscope::activity::BlockPattern pattern) {
   using ipscope::activity::BlockPattern;
   switch (pattern) {
     case BlockPattern::kFullyUtilized:
@@ -35,8 +34,7 @@ double RecommendedTtlDays(ipscope::activity::BlockPattern pattern,
     case BlockPattern::kDynamicLongLease:
       return 14.0;
     case BlockPattern::kStaticSparse:
-      // Stable set; expire on the observed customer-turnover timescale.
-      return f.turnover < 0.2 ? 60.0 : 30.0;
+      return 30.0;  // stable set
     default:
       return 7.0;
   }
@@ -61,7 +59,7 @@ int main() {
     auto features = activity::ComputeFeatures(m);
     if (features.filling_degree == 0) return;
     auto pattern = activity::ClassifyPattern(features);
-    double ttl = RecommendedTtlDays(pattern, features);
+    double ttl = RecommendedTtlDays(pattern);
     ++blocks;
     if (ttl < 1.0) {
       ++ttl_histogram["<1 day (shared gateways)"];

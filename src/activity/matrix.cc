@@ -109,6 +109,15 @@ std::array<std::uint16_t, 256> ActivityMatrix::HostActiveDayCounts() const {
   return counts;
 }
 
+bool PopCountHwAvailable() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("popcnt");
+#else
+  return false;
+#endif
+}
+
 bool ActivityMatrix::Empty() const {
   for (int d = 0; d < days_; ++d) {
     const DayBits& row = rows_[d];

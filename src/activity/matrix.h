@@ -26,7 +26,7 @@ using DayBits = std::array<std::uint64_t, 4>;
 // std::popcount compiles to a call into libgcc's __popcountdi2, so that
 // build sums the four words' per-byte counts and folds them with one
 // multiply instead. Lint rule perf.popcount keeps every other popcount in
-// the tree going through here.
+// the tree going through here or PopCountHw below.
 constexpr int PopCount(const DayBits& bits) {
 #if defined(__POPCNT__)
   return std::popcount(bits[0]) + std::popcount(bits[1]) +
@@ -49,6 +49,21 @@ constexpr int PopCount(const DayBits& bits) {
   return static_cast<int>((sum * 0x0001000100010001) >> 48);
 #endif
 }
+
+// Active hosts in a day slice through the CPU's popcount instruction.
+// Call it only from a function compiled for popcnt: one marked
+// [[gnu::target("popcnt")]] and run only when PopCountHwAvailable(), or
+// any function of a build whose target has popcnt. It is always inlined,
+// and inlined anywhere else it is four libgcc __popcountdi2 calls. It
+// carries no target attribute itself, so that it can be inlined through
+// the templates between it and such a function.
+[[gnu::always_inline]] inline int PopCountHw(const DayBits& bits) {
+  return __builtin_popcountll(bits[0]) + __builtin_popcountll(bits[1]) +
+         __builtin_popcountll(bits[2]) + __builtin_popcountll(bits[3]);
+}
+
+// True iff this CPU executes the popcnt instruction.
+bool PopCountHwAvailable();
 
 constexpr DayBits OrBits(const DayBits& a, const DayBits& b) {
   return {a[0] | b[0], a[1] | b[1], a[2] | b[2], a[3] | b[3]};

@@ -23,40 +23,23 @@ const char* PatternName(BlockPattern pattern) {
 }
 
 PatternFeatures ComputeFeatures(const ActivityMatrix& m) {
+  // One word-level sweep over the rows (per-host Get loops are a lint
+  // perf.row-loop finding). The integer totals are the ones FillingDegree
+  // and SpatioTemporalActivity would return, so every double below is the
+  // same division of the same integers.
+  const std::array<std::uint16_t, 256> host_days = m.HostActiveDayCounts();
   PatternFeatures f;
-  f.filling_degree = m.FillingDegree(0, m.days());
-  if (f.filling_degree == 0) return f;
-  f.stu = m.Stu(0, m.days());
-
   std::int64_t total_active_days = 0;
-  double jaccard_dist_sum = 0.0;
-  int jaccard_pairs = 0;
-  for (int d = 0; d < m.days(); ++d) {
-    total_active_days += m.ActiveOnDay(d);
-    if (d + 1 < m.days()) {
-      const DayBits& a = m.Row(d);
-      const DayBits& b = m.Row(d + 1);
-      int inter = PopCount(DayBits{a[0] & b[0], a[1] & b[1], a[2] & b[2],
-                                   a[3] & b[3]});
-      int uni = PopCount(OrBits(a, b));
-      if (uni > 0) {
-        jaccard_dist_sum += 1.0 - static_cast<double>(inter) / uni;
-        ++jaccard_pairs;
-      }
-    }
+  for (std::uint16_t days : host_days) {
+    total_active_days += days;
+    f.filling_degree += days > 0 ? 1 : 0;
   }
-  f.daily_fill = static_cast<double>(total_active_days) /
-                 (static_cast<double>(m.days()) * f.filling_degree);
-  f.turnover = jaccard_pairs > 0 ? jaccard_dist_sum / jaccard_pairs : 0.0;
+  if (f.filling_degree == 0) return f;
+  f.stu = static_cast<double>(total_active_days) / (256.0 * m.days());
   f.mean_host_days = static_cast<double>(total_active_days) /
                      static_cast<double>(f.filling_degree);
-
-  // One word-level sweep over the matrix's set bits replaces 256 per-bit
-  // column walks (per-host Get loops are a lint perf.row-loop finding).
-  const std::array<std::uint16_t, 256> host_days = m.HostActiveDayCounts();
   double sq_sum = 0.0;
-  for (int h = 0; h < 256; ++h) {
-    int days = host_days[static_cast<std::size_t>(h)];
+  for (std::uint16_t days : host_days) {
     if (days == 0) continue;
     double delta = static_cast<double>(days) - f.mean_host_days;
     sq_sum += delta * delta;

@@ -28,12 +28,12 @@ enum class BlockPattern {
 
 const char* PatternName(BlockPattern pattern);
 
+// Every feature is a reduction of the block's per-host active-day counts
+// (ActivityMatrix::HostActiveDayCounts), so ComputeFeatures makes one pass
+// over the rows.
 struct PatternFeatures {
   int filling_degree = 0;   // distinct active addresses
   double stu = 0.0;         // spatio-temporal utilization
-  double daily_fill = 0.0;  // mean active-per-day / FD: temporal density of
-                            // each address's own activity
-  double turnover = 0.0;    // mean day-to-day Jaccard distance of active sets
   double mean_host_days = 0.0;  // mean active days per active address
   // Coefficient of variation of per-host active-day counts — the key
   // lease-regime discriminator: a re-dealt short-lease pool gives every

@@ -95,6 +95,11 @@ int BlockFillingDegree(const activity::ActivityMatrix& m, int day_first,
   return fd;
 }
 
+// Canonical label order; must list every activity::BlockPattern name.
+constexpr const char* kPatternNames[] = {
+    "inactive",           "static-sparse", "dynamic-short-lease",
+    "dynamic-long-lease", "fully-utilized", "mixed"};
+
 }  // namespace
 
 std::vector<std::uint32_t> RefActiveAddresses(
@@ -387,65 +392,61 @@ std::vector<RefStuChange> RefMaxMonthlyStuChange(
   return out;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> RefPatternCounts(
-    const activity::ActivityStore& store) {
-  // Canonical label order; must list every activity::BlockPattern name.
-  const char* kNames[] = {"inactive",           "static-sparse",
-                          "dynamic-short-lease", "dynamic-long-lease",
-                          "fully-utilized",      "mixed"};
-  std::uint64_t counts[6] = {};
-
-  store.ForEach([&](net::BlockKey, const activity::ActivityMatrix& m) {
-    int days = m.days();
-    // Features, transcribed from the definitions in activity/pattern.h.
-    int fd = BlockFillingDegree(m, 0, days);
-    if (fd == 0) {
-      ++counts[0];  // inactive
-      return;
-    }
-    double stu = static_cast<double>(BlockActivePairs(m, 0, days)) /
-                 (256.0 * days);
-    std::int64_t total_active_days = 0;
-    int host_days[256] = {};
-    for (int h = 0; h < 256; ++h) {
-      for (int d = 0; d < days; ++d) {
-        if (m.Get(d, h)) {
-          ++host_days[h];
-          ++total_active_days;
-        }
+RefPatternFeatures RefBlockPatternFeatures(const activity::ActivityMatrix& m) {
+  // Features, transcribed from the definitions in activity/pattern.h.
+  RefPatternFeatures f;
+  int days = m.days();
+  f.filling_degree = BlockFillingDegree(m, 0, days);
+  if (f.filling_degree == 0) return f;
+  f.stu = static_cast<double>(BlockActivePairs(m, 0, days)) / (256.0 * days);
+  std::int64_t total_active_days = 0;
+  int host_days[256] = {};
+  for (int h = 0; h < 256; ++h) {
+    for (int d = 0; d < days; ++d) {
+      if (m.Get(d, h)) {
+        ++host_days[h];
+        ++total_active_days;
       }
     }
-    double mean_host_days =
-        static_cast<double>(total_active_days) / static_cast<double>(fd);
-    double sq_sum = 0.0;
-    for (int h = 0; h < 256; ++h) {
-      if (host_days[h] == 0) continue;
-      double delta = static_cast<double>(host_days[h]) - mean_host_days;
-      sq_sum += delta * delta;
-    }
-    double cv = mean_host_days > 0
-                    ? std::sqrt(sq_sum / static_cast<double>(fd)) /
-                          mean_host_days
-                    : 0.0;
+  }
+  f.mean_host_days = static_cast<double>(total_active_days) /
+                     static_cast<double>(f.filling_degree);
+  double sq_sum = 0.0;
+  for (int h = 0; h < 256; ++h) {
+    if (host_days[h] == 0) continue;
+    double delta = static_cast<double>(host_days[h]) - f.mean_host_days;
+    sq_sum += delta * delta;
+  }
+  f.host_days_cv =
+      f.mean_host_days > 0
+          ? std::sqrt(sq_sum / static_cast<double>(f.filling_degree)) /
+                f.mean_host_days
+          : 0.0;
+  return f;
+}
 
-    // Thresholds as documented for Fig 6 / Fig 8b classification.
-    std::size_t label;
-    if (stu > 0.97 && fd > 250) {
-      label = 4;  // fully-utilized
-    } else if (fd < 100) {
-      label = 1;  // static-sparse
-    } else if (cv < 0.25 && fd >= 200) {
-      label = 2;  // dynamic-short-lease
-    } else if (cv >= 0.25) {
-      label = 3;  // dynamic-long-lease
-    } else {
-      label = 5;  // mixed
-    }
-    ++counts[label];
-  });
+const char* RefPatternName(const RefPatternFeatures& f) {
+  // Thresholds as documented for Fig 6 / Fig 8b classification.
+  if (f.filling_degree == 0) return kPatternNames[0];  // inactive
+  if (f.stu > 0.97 && f.filling_degree > 250) {
+    return kPatternNames[4];  // fully-utilized
+  }
+  if (f.filling_degree < 100) return kPatternNames[1];  // static-sparse
+  if (f.host_days_cv < 0.25 && f.filling_degree >= 200) {
+    return kPatternNames[2];  // dynamic-short-lease
+  }
+  if (f.host_days_cv >= 0.25) return kPatternNames[3];  // dynamic-long-lease
+  return kPatternNames[5];                              // mixed
+}
 
+std::vector<std::pair<std::string, std::uint64_t>> RefPatternCounts(
+    const activity::ActivityStore& store) {
   std::vector<std::pair<std::string, std::uint64_t>> out;
-  for (std::size_t i = 0; i < 6; ++i) out.emplace_back(kNames[i], counts[i]);
+  for (const char* name : kPatternNames) out.emplace_back(name, 0);
+  store.ForEach([&](net::BlockKey, const activity::ActivityMatrix& m) {
+    const char* name = RefPatternName(RefBlockPatternFeatures(m));
+    for (auto& [label, count] : out) count += label == name ? 1 : 0;
+  });
   return out;
 }
 

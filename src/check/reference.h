@@ -135,6 +135,21 @@ std::vector<RefStuChange> RefMaxMonthlyStuChange(
 
 // --- Fig 6 pattern classification -----------------------------------------
 
+// One block's Fig 6 features (filling degree, STU, mean active days per
+// active address, and the coefficient of variation of the per-address
+// active-day counts), each transcribed from its definition with a per-bit
+// walk over the matrix. All zero for a block with no activity.
+struct RefPatternFeatures {
+  int filling_degree = 0;
+  double stu = 0.0;
+  double mean_host_days = 0.0;
+  double host_days_cv = 0.0;
+};
+RefPatternFeatures RefBlockPatternFeatures(const activity::ActivityMatrix& m);
+
+// The activity::PatternName label the documented thresholds give `f`.
+const char* RefPatternName(const RefPatternFeatures& f);
+
 // Per-pattern block counts keyed by activity::PatternName strings, computed
 // from an independent transcription of the feature formulas and the
 // documented thresholds. A threshold change on either side is a divergence.

@@ -361,14 +361,15 @@ PatternCounts ClassCounts(const activity::ActivityStore& store,
 }
 
 // The churn side of the aggregate sweep: per-block window counts for every
-// window size with at least one window pair (1..days / 2). The days / w
-// windows of size w take slots [first_slot[w], first_slot[w + 1]) of the
-// sweep's count vectors.
+// window size with at least one window pair (1..days / 2), and for window
+// 1 on any store, since its counts are the summary's per-day active
+// counts. The days / w windows of size w take slots
+// [first_slot[w], first_slot[w + 1]) of the sweep's count vectors.
 class ChurnWindows {
  public:
   explicit ChurnWindows(int days)
       : days_(days),
-        max_window_(days / 2),
+        max_window_(std::max(1, days / 2)),
         levels_(std::bit_width(static_cast<unsigned>(max_window_))),
         first_slot_(static_cast<std::size_t>(max_window_) + 2, 0) {
     for (int w = 1; w <= max_window_; ++w) {
@@ -381,15 +382,18 @@ class ChurnWindows {
   std::size_t slots() const { return first_slot_.back(); }
 
   // Adds |W_k| to window_active and |W_{k-1} & W_k| to shared_with_prev
-  // (0 for each size's first window) for every window of block `m`.
-  // `spans` is scratch: spans[j * days + d] is the union of days
-  // [d, d + 2^j), so the window [a, a + w) with 2^j <= w < 2^(j+1) is the
-  // union of the two overlapping spans at a and a + w - 2^j.
-  void AddBlock(const activity::ActivityMatrix& m,
-                std::vector<activity::DayBits>& spans,
-                std::vector<std::uint64_t>& window_active,
-                std::vector<std::uint64_t>& shared_with_prev) const {
-    if (levels_ == 0) return;
+  // (0 for each size's first window) for every window of block `m`,
+  // counting bits with Count. `spans` is scratch: spans[j * days + d] is
+  // the union of days [d, d + 2^j), so the window [a, a + w) with
+  // 2^j <= w < 2^(j+1) is the union of the two overlapping spans at a and
+  // a + w - 2^j. Always inlined, so that each popcount target's sweep
+  // compiles it with that target's instructions.
+  template <int (*Count)(const activity::DayBits&)>
+  [[gnu::always_inline]] void AddBlock(
+      const activity::ActivityMatrix& m,
+      std::vector<activity::DayBits>& spans,
+      std::vector<std::uint64_t>& window_active,
+      std::vector<std::uint64_t>& shared_with_prev) const {
     spans.resize(static_cast<std::size_t>(levels_ * days_));
     for (int d = 0; d < days_; ++d) {
       spans[static_cast<std::size_t>(d)] = m.Row(d);
@@ -411,13 +415,18 @@ class ChurnWindows {
       for (int day = 0; day + w <= days_; day += w, ++slot) {
         const activity::DayBits u =
             activity::OrBits(level[day], level[day + offset]);
-        window_active[slot] +=
-            static_cast<std::uint64_t>(activity::PopCount(u));
+        window_active[slot] += static_cast<std::uint64_t>(Count(u));
         shared_with_prev[slot] += static_cast<std::uint64_t>(
-            activity::PopCount(activity::AndBits(prev, u)));
+            Count(activity::AndBits(prev, u)));
         prev = u;
       }
     }
+  }
+
+  // Active addresses per day: window 1's slot sums over all blocks.
+  std::vector<std::int64_t> DayCounts(
+      const std::vector<std::uint64_t>& window_active) const {
+    return {window_active.begin(), window_active.begin() + days_};
   }
 
   // Window size w's pair totals from the slot sums over all blocks:
@@ -425,7 +434,7 @@ class ChurnWindows {
   activity::WindowPairCounts PairCounts(
       int w, const std::vector<std::uint64_t>& window_active,
       const std::vector<std::uint64_t>& shared_with_prev) const {
-    if (w > max_window_) return activity::WindowPairCounts{};
+    if (w > days_ / 2) return activity::WindowPairCounts{};
     const std::size_t base = first_slot_[static_cast<std::size_t>(w)];
     activity::WindowPairCounts counts{
         static_cast<std::size_t>(days_ / w - 1)};
@@ -456,15 +465,11 @@ class ChurnWindows {
 // Per-chunk sums of the aggregate sweep: integers only, merged in chunk
 // order, so the result is the same for any thread count.
 struct SweepAcc {
-  std::vector<std::int64_t> active_per_day;
   std::uint64_t unique_addresses = 0;
   std::vector<std::uint64_t> window_active;     // per ChurnWindows slot
   std::vector<std::uint64_t> shared_with_prev;  // per ChurnWindows slot
 
   void Merge(SweepAcc&& other) {
-    for (std::size_t d = 0; d < active_per_day.size(); ++d) {
-      active_per_day[d] += other.active_per_day[d];
-    }
     unique_addresses += other.unique_addresses;
     for (std::size_t s = 0; s < window_active.size(); ++s) {
       window_active[s] += other.window_active[s];
@@ -473,41 +478,78 @@ struct SweepAcc {
   }
 };
 
-// Every whole-snapshot aggregate from one pass over the blocks: per-day
-// active counts and unique addresses for summary, each block's pattern
-// class, and the churn window counts of every window size.
-Aggregates ComputeAggregates(const activity::ActivityStore& store) {
+// The sweep over store blocks [first, last): each block's pattern class
+// and unique addresses from its features, and its window counts. Compiled
+// once per popcount target below.
+template <int (*Count)(const activity::DayBits&)>
+[[gnu::always_inline]] inline void SweepChunk(
+    const activity::ActivityStore& store, const ChurnWindows& windows,
+    std::vector<activity::BlockPattern>& classes, SweepAcc& acc,
+    std::size_t first, std::size_t last) {
+  std::vector<activity::DayBits> spans;
+  for (std::size_t i = first; i < last; ++i) {
+    const activity::ActivityMatrix& m = store.MatrixAt(i);
+    const activity::PatternFeatures features = activity::ComputeFeatures(m);
+    classes[i] = activity::ClassifyPattern(features);
+    acc.unique_addresses +=
+        static_cast<std::uint64_t>(features.filling_degree);
+    if (features.filling_degree == 0) continue;  // adds 0 to every count
+    windows.AddBlock<Count>(m, spans, acc.window_active,
+                            acc.shared_with_prev);
+  }
+}
+
+using SweepChunkFn = void (*)(const activity::ActivityStore&,
+                              const ChurnWindows&,
+                              std::vector<activity::BlockPattern>&,
+                              SweepAcc&, std::size_t, std::size_t);
+
+void SweepChunkPortable(const activity::ActivityStore& store,
+                        const ChurnWindows& windows,
+                        std::vector<activity::BlockPattern>& classes,
+                        SweepAcc& acc, std::size_t first, std::size_t last) {
+  SweepChunk<activity::PopCount>(store, windows, classes, acc, first, last);
+}
+
+#if defined(__x86_64__)
+// The baseline x86-64 target lacks popcnt, so the portable body counts
+// with the SWAR fold; this clone counts with the instruction.
+[[gnu::target("popcnt")]] void SweepChunkPopcnt(
+    const activity::ActivityStore& store, const ChurnWindows& windows,
+    std::vector<activity::BlockPattern>& classes, SweepAcc& acc,
+    std::size_t first, std::size_t last) {
+  SweepChunk<activity::PopCountHw>(store, windows, classes, acc, first,
+                                   last);
+}
+#else
+constexpr SweepChunkFn SweepChunkPopcnt = SweepChunkPortable;
+#endif
+
+// Read once during static initialization, like the other kernel targets.
+const bool kPopcnt = activity::PopCountHwAvailable();
+
+// Every whole-snapshot aggregate from one pass over the blocks: unique
+// addresses and each block's pattern class from its features, and the
+// churn window counts of every window size, whose window-1 counts are
+// also the per-day active counts.
+Aggregates Sweep(const activity::ActivityStore& store, SweepChunkFn chunk) {
   obs::Span span{"serve.snapshot.aggregates_seconds", "serve"};
   const int days = store.days();
   const ChurnWindows windows{days};
   std::vector<activity::BlockPattern> classes(store.BlockCount());
   SweepAcc sums = par::ParallelReduce(
       std::size_t{0}, store.BlockCount(),
-      SweepAcc{std::vector<std::int64_t>(static_cast<std::size_t>(days), 0),
-               0, std::vector<std::uint64_t>(windows.slots(), 0),
+      SweepAcc{0, std::vector<std::uint64_t>(windows.slots(), 0),
                std::vector<std::uint64_t>(windows.slots(), 0)},
       [&](SweepAcc& acc, std::size_t first, std::size_t last) {
-        std::vector<activity::DayBits> spans;
-        for (std::size_t i = first; i < last; ++i) {
-          const activity::ActivityMatrix& m = store.MatrixAt(i);
-          classes[i] = activity::ClassifyPattern(m);
-          for (int d = 0; d < days; ++d) {
-            acc.active_per_day[static_cast<std::size_t>(d)] +=
-                m.ActiveOnDay(d);
-          }
-          const int unique = m.FillingDegree();
-          acc.unique_addresses += static_cast<std::uint64_t>(unique);
-          if (unique == 0) continue;  // adds 0 to every window count
-          windows.AddBlock(m, spans, acc.window_active,
-                           acc.shared_with_prev);
-        }
+        chunk(store, windows, classes, acc, first, last);
       },
       [](SweepAcc& into, SweepAcc&& from) { into.Merge(std::move(from)); },
       /*grain=*/64);
 
   Aggregates out;
-  out.summary =
-      RenderSummary(store, sums.unique_addresses, sums.active_per_day);
+  out.summary = RenderSummary(store, sums.unique_addresses,
+                              windows.DayCounts(sums.window_active));
   out.churn.reserve(static_cast<std::size_t>(std::max(1, days)));
   for (int w = 1; w <= std::max(1, days); ++w) {
     out.churn.push_back(RenderChurn(activity::ChurnSeriesFromCounts(
@@ -641,6 +683,19 @@ std::string Answer(const activity::ActivityStore& store,
 }
 
 }  // namespace
+
+Aggregates ComputeAggregates(const activity::ActivityStore& store) {
+  return kPopcnt ? ComputeAggregatesPopcnt(store)
+                 : ComputeAggregatesPortable(store);
+}
+
+Aggregates ComputeAggregatesPortable(const activity::ActivityStore& store) {
+  return Sweep(store, SweepChunkPortable);
+}
+
+Aggregates ComputeAggregatesPopcnt(const activity::ActivityStore& store) {
+  return Sweep(store, SweepChunkPopcnt);
+}
 
 std::string JsonNumber(double value) {
   char buf[32];

@@ -103,6 +103,20 @@ class Server {
   std::atomic<std::uint64_t> requests_{0};
 };
 
+// The one sweep that fills a snapshot's aggregates (serve/snapshot.h):
+// the summary, every churn window and the running pattern-class counts.
+// Its per-block body is built twice, counting bits with the portable
+// activity::PopCount and with the popcnt instruction; the popcnt clone
+// runs when the CPU has the instruction (activity::PopCountHwAvailable(),
+// read once at static initialization), the portable body otherwise.
+Aggregates ComputeAggregates(const activity::ActivityStore& store);
+
+// The targets behind ComputeAggregates, identical in result.
+// ComputeAggregatesPopcnt may only be called when
+// activity::PopCountHwAvailable() is true.
+Aggregates ComputeAggregatesPortable(const activity::ActivityStore& store);
+Aggregates ComputeAggregatesPopcnt(const activity::ActivityStore& store);
+
 // Renders a double exactly as the serve responses do (%.17g — enough
 // digits to round-trip). Exposed so oracle tests can construct expected
 // response text from direct analysis results.

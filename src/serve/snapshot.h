@@ -20,6 +20,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -34,24 +35,32 @@ namespace ipscope::serve {
 // One memo slot: the first Get runs `fill` and keeps its value; callers
 // that arrive while it runs block until it is done (single flight), and
 // every later Get returns the same value. A fill that throws leaves the
-// slot empty for the next caller.
+// slot empty for the next caller. Not std::call_once: ThreadSanitizer's
+// pthread_once never releases a flag whose routine threw, so there the
+// next caller would hang.
 template <typename T>
 class Memo {
  public:
   template <typename Fill>
   const T& Get(Fill&& fill) const {
-    std::call_once(once_, [&] {
-      value_ = fill();
-      obs::GlobalRegistry()
-          .GetCounter("serve.snapshot.aggregates_computed")
-          .Add();
-    });
+    if (!filled_.load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lock{mu_};
+      if (!filled_.load(std::memory_order_relaxed)) {
+        value_ = fill();
+        obs::GlobalRegistry()
+            .GetCounter("serve.snapshot.aggregates_computed")
+            .Add();
+        filled_.store(true, std::memory_order_release);
+      }
+    }
     return value_;
   }
 
  private:
-  mutable std::once_flag once_;
-  mutable T value_;  // written once inside call_once, read-only after
+  mutable std::mutex mu_;  // held by the one fill in flight
+  mutable std::atomic<bool> filled_{false};
+  mutable T value_;  // written once under mu_ before filled_ is set,
+                     // read-only after
 };
 
 // Block counts per activity::BlockPattern class, indexed by enumerator.

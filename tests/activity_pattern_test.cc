@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "cdn/observatory.h"
+#include "check/reference.h"
 #include "rng/rng.h"
+#include "sim/world.h"
 
 namespace ipscope::activity {
 namespace {
@@ -71,8 +76,6 @@ TEST(Pattern, GatewayFeatures) {
   auto f = ComputeFeatures(Gateway());
   EXPECT_EQ(f.filling_degree, 256);
   EXPECT_DOUBLE_EQ(f.stu, 1.0);
-  EXPECT_DOUBLE_EQ(f.daily_fill, 1.0);
-  EXPECT_DOUBLE_EQ(f.turnover, 0.0);
   EXPECT_EQ(ClassifyPattern(f), BlockPattern::kFullyUtilized);
 }
 
@@ -104,13 +107,66 @@ TEST(Pattern, FeatureRanges) {
     auto f = ComputeFeatures(m);
     EXPECT_GE(f.stu, 0.0);
     EXPECT_LE(f.stu, 1.0);
-    EXPECT_GE(f.daily_fill, 0.0);
-    EXPECT_LE(f.daily_fill, 1.0 + 1e-9);
-    EXPECT_GE(f.turnover, 0.0);
-    EXPECT_LE(f.turnover, 1.0);
     EXPECT_GE(f.mean_host_days, 0.0);
     EXPECT_LE(f.mean_host_days, kDays);
     EXPECT_GE(f.host_days_cv, 0.0);
+  }
+}
+
+// ComputeFeatures against check::reference's per-bit walk, double for
+// double, and ClassifyPattern against its transcribed thresholds.
+void ExpectMatchesReference(const ActivityMatrix& m, const std::string& what) {
+  const PatternFeatures f = ComputeFeatures(m);
+  const check::RefPatternFeatures ref = check::RefBlockPatternFeatures(m);
+  EXPECT_EQ(f.filling_degree, ref.filling_degree) << what;
+  EXPECT_EQ(f.stu, ref.stu) << what;
+  EXPECT_EQ(f.mean_host_days, ref.mean_host_days) << what;
+  EXPECT_EQ(f.host_days_cv, ref.host_days_cv) << what;
+  EXPECT_STREQ(PatternName(ClassifyPattern(f)), check::RefPatternName(ref))
+      << what;
+}
+
+TEST(Pattern, FeaturesEqualReferenceOnEveryWorldBlock) {
+  for (std::uint64_t seed : {1u, 2u}) {
+    sim::WorldConfig config;
+    config.seed = seed;
+    config.target_client_blocks = 400;
+    sim::World world{config};
+    const ActivityStore store = cdn::Observatory::Daily(world).BuildStore();
+    ASSERT_GE(store.BlockCount(), 300u);
+    for (std::size_t i = 0; i < store.BlockCount(); ++i) {
+      ExpectMatchesReference(store.MatrixAt(i),
+                             "seed " + std::to_string(seed) + " block " +
+                                 std::to_string(store.keys()[i]));
+    }
+  }
+}
+
+TEST(Pattern, FeaturesEqualReferenceOnEdgeMatrices) {
+  ExpectMatchesReference(ActivityMatrix{kDays}, "empty");
+  ExpectMatchesReference(Gateway(), "all ones");
+  for (int days : {1, 112, 600}) {
+    const std::string at = " over " + std::to_string(days) + " days";
+    ActivityMatrix one_host{days};
+    for (int d = 0; d < days; d += 3) one_host.Set(d, 200);
+    ExpectMatchesReference(one_host, "one host" + at);
+    ActivityMatrix one_day{days};
+    for (int h = 0; h < 256; h += 2) one_day.Set(days / 2, h);
+    ExpectMatchesReference(one_day, "one day" + at);
+    ActivityMatrix full{days};
+    for (int d = 0; d < days; ++d) SetBitRange(full.Row(d), 0, 256);
+    ExpectMatchesReference(full, "all ones" + at);
+    // Per-host activity rates from 0 to 1, so the counts span every
+    // bit-sliced counter plane and, at 600 days, two spills.
+    rng::Xoshiro256 g{static_cast<std::uint64_t>(days)};
+    ActivityMatrix mixed{days};
+    for (int h = 0; h < 256; ++h) {
+      const double p = h / 255.0;
+      for (int d = 0; d < days; ++d) {
+        if (g.NextBool(p)) mixed.Set(d, h);
+      }
+    }
+    ExpectMatchesReference(mixed, "mixed" + at);
   }
 }
 

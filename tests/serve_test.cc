@@ -1,6 +1,7 @@
 // Query-daemon tests: frame decoding, the DirectAnswer oracle, the
-// per-snapshot aggregate memo, snapshot isolation under concurrent reload,
-// a multi-threaded hammer that diffs every served response against direct
+// per-snapshot aggregate memo and each popcount target of the sweep that
+// fills it, snapshot isolation under concurrent reload, a multi-threaded
+// hammer that diffs every served response against direct
 // ActivityStore/analysis calls on the same snapshot, and the TCP accept
 // loop's thread reaping, bounded drain past stalled and non-reading
 // clients, survival of peers that reset mid-write, and fd-exhaustion
@@ -20,12 +21,15 @@
 #include <fstream>
 #include <future>
 #include <optional>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "activity/churn.h"
+#include "activity/pattern.h"
 #include "activity/store.h"
 #include "cdn/observatory.h"
 #include "geo/country.h"
@@ -422,30 +426,44 @@ TEST(ServeMemo, SmokeAggregatesDiscriminateSnapshots) {
   }
 }
 
-// A world store with day 0 and one mid-period 7-day window uncovered: the
-// one aggregate sweep must answer every churn window (including every
-// window too wide for a window pair, and window = days), summary, and
-// patterns over the whole store and under eight /8s exactly as the oracle
-// does.
-TEST(ServeMemo, EveryAggregateMatchesOracleOnGappedStore) {
+// The daily store of a 400-block world.
+activity::ActivityStore WorldStore() {
   sim::WorldConfig config;
   config.target_client_blocks = 400;
   sim::World world{config};
-  const activity::ActivityStore full =
-      cdn::Observatory::Daily(world).BuildStore();
-  activity::ActivityStore store = full;
-  const int days = store.days();
-  ASSERT_GE(days, 28);
-  const int gap = days / 2 / 7 * 7;  // window 7's boundary mid-period
+  return cdn::Observatory::Daily(world).BuildStore();
+}
+
+// `store` with day 0 and one mid-period 7-day window (on window 7's
+// boundary) uncovered.
+activity::ActivityStore GappedStore(activity::ActivityStore store) {
+  const int gap = store.days() / 2 / 7 * 7;
   store.SetDayCovered(0, false);
   for (int d = gap; d < gap + 7; ++d) store.SetDayCovered(d, false);
-  const std::string week = R"({"endpoint": "churn", "window": 7})";
-  ASSERT_NE(Server::DirectAnswer(store, 1, {}, week),
-            Server::DirectAnswer(full, 1, {}, week));
+  return store;
+}
 
+// The first `days` days of `full`, block for block.
+activity::ActivityStore FirstDays(const activity::ActivityStore& full,
+                                  int days) {
+  activity::ActivityStore out{days};
+  std::size_t cursor = 0;
+  for (std::size_t i = 0; i < full.BlockCount(); ++i) {
+    activity::ActivityMatrix& m = out.GetOrCreateFrom(&cursor, full.KeyAt(i));
+    for (int d = 0; d < days; ++d) m.Row(d) = full.MatrixAt(i).Row(d);
+  }
+  return out;
+}
+
+// Every aggregate body of `store`: summary, patterns over the whole store
+// and under eight /8s holding its blocks (10.0.0.0/8 when it has none),
+// and churn at every window including every window too wide for a window
+// pair and window = days.
+std::vector<std::string> EveryAggregateBody(
+    const activity::ActivityStore& store) {
   std::vector<std::string> bodies = {R"({"endpoint": "summary"})",
                                      R"({"endpoint": "patterns"})"};
-  for (int w = 1; w <= days; ++w) {
+  for (int w = 1; w <= store.days(); ++w) {
     bodies.push_back(R"({"endpoint": "churn", "window": )" +
                      std::to_string(w) + "}");
   }
@@ -454,19 +472,145 @@ TEST(ServeMemo, EveryAggregateMatchesOracleOnGappedStore) {
     std::uint32_t octet = key >> 16;
     if (octets.empty() || octets.back() != octet) octets.push_back(octet);
   }
-  ASSERT_GE(octets.size(), 8u);
-  for (std::size_t k = 0; k < 8; ++k) {
+  if (octets.empty()) octets.push_back(10);
+  for (std::size_t k = 0; k < std::min<std::size_t>(8, octets.size()); ++k) {
     bodies.push_back(R"({"endpoint": "patterns", "prefix": ")" +
                      std::to_string(octets[k * octets.size() / 8]) +
                      ".0.0.0/8\"}");
   }
+  return bodies;
+}
 
-  Server server{store};
-  for (const std::string& body : bodies) {
-    EXPECT_EQ(server.HandleRequest(body),
-              Server::DirectAnswer(store, 1, {}, body))
-        << body;
+// The one aggregate sweep must answer every aggregate body exactly as the
+// oracle does: on a world store with gaps, and on stores of 1, 2, 3 and 7
+// days (a 1-day store has no window pair, yet its summary still carries
+// its per-day counts) and one with no blocks, at pool sizes 1, 2 and 7.
+TEST(ServeMemo, EveryAggregateMatchesOracleOnGappedStore) {
+  const activity::ActivityStore full = WorldStore();
+  const activity::ActivityStore gapped = GappedStore(full);
+  ASSERT_GE(gapped.days(), 28);
+  std::set<std::uint32_t> slash8s;
+  for (net::BlockKey key : gapped.keys()) slash8s.insert(key >> 16);
+  ASSERT_GE(slash8s.size(), 8u);
+  const std::string week = R"({"endpoint": "churn", "window": 7})";
+  ASSERT_NE(Server::DirectAnswer(gapped, 1, {}, week),
+            Server::DirectAnswer(full, 1, {}, week));
+
+  std::vector<std::pair<std::string, activity::ActivityStore>> stores;
+  stores.emplace_back("gapped world", gapped);
+  for (int days : {1, 2, 3, 7}) {
+    stores.emplace_back(std::to_string(days) + " days",
+                        FirstDays(full, days));
   }
+  stores.back().second.SetDayCovered(3, false);
+  stores.emplace_back("no blocks", activity::ActivityStore{7});
+  ASSERT_EQ(Server::DirectAnswer(stores[1].second, 1, {},
+                                 R"({"endpoint": "summary"})")
+                .find(R"("active_per_day": [0])"),
+            std::string::npos)
+      << "the 1-day store must have activity on its day";
+
+  const int pool_threads = par::GlobalPool().threads();
+  for (int threads : {1, 2, 7}) {
+    par::GlobalPool().Resize(threads);
+    for (const auto& [name, store] : stores) {
+      Server server{store};
+      for (const std::string& body : EveryAggregateBody(store)) {
+        EXPECT_EQ(server.HandleRequest(body),
+                  Server::DirectAnswer(store, 1, {}, body))
+            << name << " at " << threads << " threads: " << body;
+      }
+    }
+  }
+  par::GlobalPool().Resize(pool_threads);
+}
+
+// The sweep target by target on the gapped world store: each must equal
+// the portable sweep in the summary, every churn window and every running
+// pattern count, render the oracle's summary and churn bytes, and step
+// its running counts by each block's own class. On a CPU without popcnt
+// that target is skipped.
+class ServeSweepTarget : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (GetParam() && !activity::PopCountHwAvailable()) {
+      GTEST_SKIP() << "this CPU lacks popcnt; the popcnt clone of the "
+                      "aggregate sweep is not checked here";
+    }
+  }
+
+  Aggregates Run(const activity::ActivityStore& store) const {
+    return GetParam() ? ComputeAggregatesPopcnt(store)
+                      : ComputeAggregatesPortable(store);
+  }
+};
+
+// A DirectAnswer response around one rendered aggregate "result".
+std::string Response(const std::string& endpoint, const std::string& result) {
+  return R"({"ok": true, "endpoint": ")" + endpoint +
+         R"(", "snapshot": 1, )" + result + "}";
+}
+
+TEST_P(ServeSweepTarget, MatchesPortableAndOracleOnGappedStore) {
+  const activity::ActivityStore store = GappedStore(WorldStore());
+  const Aggregates got = Run(store);
+  const Aggregates want = ComputeAggregatesPortable(store);
+  EXPECT_EQ(got.summary, want.summary);
+  EXPECT_EQ(Response("summary", got.summary),
+            Server::DirectAnswer(store, 1, {}, R"({"endpoint": "summary"})"));
+  ASSERT_EQ(got.churn.size(), static_cast<std::size_t>(store.days()));
+  ASSERT_EQ(want.churn.size(), got.churn.size());
+  for (int w = 1; w <= store.days(); ++w) {
+    const auto i = static_cast<std::size_t>(w - 1);
+    EXPECT_EQ(got.churn[i], want.churn[i]) << "window " << w;
+    EXPECT_EQ(Response("churn", got.churn[i]),
+              Server::DirectAnswer(store, 1, {},
+                                   R"({"endpoint": "churn", "window": )" +
+                                       std::to_string(w) + "}"))
+        << "window " << w;
+  }
+  ASSERT_EQ(got.patterns.size(), store.BlockCount() + 1);
+  ASSERT_EQ(want.patterns.size(), got.patterns.size());
+  for (std::size_t i = 0; i < got.patterns.size(); ++i) {
+    ASSERT_EQ(got.patterns[i], want.patterns[i]) << "blocks [0, " << i << ")";
+    if (i == 0) continue;
+    PatternCounts step{};
+    for (std::size_t p = 0; p < step.size(); ++p) {
+      step[p] = got.patterns[i][p] - got.patterns[i - 1][p];
+    }
+    PatternCounts own{};
+    ++own[static_cast<std::size_t>(
+        activity::ClassifyPattern(store.MatrixAt(i - 1)))];
+    ASSERT_EQ(step, own) << "block " << i - 1;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServeSweep, ServeSweepTarget, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return std::string(info.param ? "popcnt" : "portable");
+    });
+
+TEST(ServeSweep, DispatchMatchesThePortableSweep) {
+  const activity::ActivityStore store = GappedStore(WorldStore());
+  const Aggregates got = ComputeAggregates(store);
+  const Aggregates want = ComputeAggregatesPortable(store);
+  EXPECT_EQ(got.summary, want.summary);
+  EXPECT_EQ(got.churn, want.churn);
+  EXPECT_EQ(got.patterns, want.patterns);
+}
+
+TEST(ServeMemo, FillThatThrowsLeavesTheSlotForTheNextCaller) {
+  auto& computed =
+      obs::GlobalRegistry().GetCounter("serve.snapshot.aggregates_computed");
+  const std::uint64_t before = computed.value();
+  Memo<int> memo;
+  EXPECT_THROW(memo.Get([]() -> int { throw std::runtime_error{"failed"}; }),
+               std::runtime_error);
+  EXPECT_EQ(computed.value(), before);
+  EXPECT_EQ(memo.Get([] { return 7; }), 7);
+  EXPECT_EQ(memo.Get([] { return 8; }), 7);
+  EXPECT_EQ(computed.value() - before, 1u);
 }
 
 TEST(ServeMemo, ConcurrentFirstTouchComputesOnce) {

@@ -408,22 +408,26 @@ struct Engine {
     }
   }
 
-  // Direct popcounts outside activity::PopCount. The baseline x86-64
+  // Direct popcounts outside src/activity/matrix.h. The baseline x86-64
   // target has no popcnt instruction, so std::popcount and the
   // __builtin_popcount family compile to a call into libgcc's
-  // __popcountdi2 per word; PopCount is the one call-free kernel.
+  // __popcountdi2 per word, and the _mm_popcnt intrinsics need a popcnt
+  // target. PopCount is the call-free kernel for any function, PopCountHw
+  // the instruction for a function compiled for popcnt.
   void RulePopcount() {
     if (info.popcount_home) return;
     for (std::size_t i = 0; i < toks.size(); ++i) {
       const Token& t = toks[i];
       if (t.kind != TokKind::kIdent) continue;
       bool direct = (t.text == "popcount" && StdQualified(toks, i)) ||
-                    StartsWith(t.text, "__builtin_popcount");
+                    StartsWith(t.text, "__builtin_popcount") ||
+                    StartsWith(t.text, "_mm_popcnt");
       if (!direct) continue;
       Report("perf.popcount", t,
-             "'" + t.text + "' compiles to a libgcc __popcountdi2 call in "
-             "the baseline (no popcnt) build; use activity::PopCount, "
-             "which is call-free on every target");
+             "'" + t.text + "' is a popcount outside activity/matrix.h; "
+             "use activity::PopCount, which is call-free on every target, "
+             "or activity::PopCountHw inside a function compiled for "
+             "popcnt");
     }
   }
 
@@ -603,9 +607,10 @@ const std::vector<RuleMeta>& RuleCatalogue() {
        "No per-host Get(day, host) loops in src/activity implementation "
        "files; use the Row(day) word kernels."},
       {"perf.popcount", "popcount",
-       "No std::popcount or __builtin_popcount* outside "
+       "No std::popcount, __builtin_popcount* or _mm_popcnt* outside "
        "src/activity/matrix.h; the baseline build compiles them to libgcc "
-       "calls. Use activity::PopCount."},
+       "calls. Use activity::PopCount, or activity::PopCountHw in a "
+       "function compiled for popcnt."},
       {"design.one-kernel", "kernel",
        "No GenerateStep calls in src/ outside src/sim/policy.{h,cc}; "
        "production code generates with sim::GenerateBlock."},

@@ -52,10 +52,13 @@
 //    perf.row-loop                advisory: member call to Get(...) inside
 //                                 a for-loop body in src/activity/*.cc.
 //                                 Suppress: lint: rowloop(...)
-//    perf.popcount                std::popcount / __builtin_popcount*
-//                                 anywhere but src/activity/matrix.h: the
-//                                 baseline build compiles each to a libgcc
-//                                 call; activity::PopCount is call-free.
+//    perf.popcount                std::popcount / __builtin_popcount* /
+//                                 _mm_popcnt* anywhere but
+//                                 src/activity/matrix.h: the baseline
+//                                 build compiles each to a libgcc call;
+//                                 activity::PopCount is call-free, and
+//                                 activity::PopCountHw is the instruction
+//                                 in a function compiled for popcnt.
 //                                 Suppress: lint: popcount(...)
 //
 //  [design]
