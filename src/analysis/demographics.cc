@@ -10,10 +10,10 @@
 namespace ipscope::analysis {
 
 DemographicsResult RunDemographics(const sim::World& world,
-                                   const cdn::Observatory& daily) {
+                                   const activity::ActivityStore& daily_store,
+                                   const cdn::BlockHitTable& daily_hits) {
   DemographicsResult out;
-  const int days = daily.steps();
-  const int month_first = days - 28;
+  const int days = daily_hits.steps;
   cdn::UserAgentSampler sampler{world.config().ua_sample_rate};
 
   struct BlockFeatures {
@@ -23,31 +23,20 @@ DemographicsResult RunDemographics(const sim::World& world,
     int rir;  // -1 when unknown
   };
   std::vector<BlockFeatures> features;
-
-  daily.ForEachBlockHits([&](const sim::BlockPlan& plan,
-                             const activity::ActivityMatrix& m,
-                             std::span<const std::uint32_t> hits) {
+  for (std::size_t i = 0; i < daily_hits.plans.size(); ++i) {
+    const sim::BlockPlan& plan = *daily_hits.plans[i];
     BlockFeatures f;
-    f.stu = m.Stu(0, days);
-    if (f.stu <= 0) return;
-    std::uint64_t total = 0, month = 0;
-    for (int d = 0; d < days; ++d) {
-      for (int h = 0; h < 256; ++h) {
-        std::uint64_t v = hits[static_cast<std::size_t>(d) * 256 +
-                               static_cast<std::size_t>(h)];
-        total += v;
-        if (d >= month_first) month += v;
-      }
-    }
-    f.traffic = static_cast<double>(total);
-    f.hosts = static_cast<double>(sampler.Sample(plan, month).unique_uas);
+    f.stu = daily_store.MatrixAt(i).Stu(0, days);
+    f.traffic = static_cast<double>(daily_hits.Sum(i, 0, days));
+    f.hosts = static_cast<double>(
+        sampler.Sample(plan, daily_hits.Sum(i, days - 28, days)).unique_uas);
     f.rir = plan.country >= 0
                 ? static_cast<int>(
                       geo::Countries()[static_cast<std::size_t>(plan.country)]
                           .rir)
                 : -1;
     features.push_back(f);
-  });
+  }
 
   double max_traffic = 0, max_hosts = 0;
   for (const auto& f : features) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <iosfwd>
 
+#include "activity/store.h"
 #include "cdn/observatory.h"
 #include "geo/country.h"
 #include "stats/binning.h"
@@ -32,8 +33,11 @@ struct DemographicsResult {
   std::array<double, geo::kRirCount> gateway_corner{};
 };
 
+// `daily_store` and `daily_hits` come from one daily observatory, so row i
+// of each is the same block.
 DemographicsResult RunDemographics(const sim::World& world,
-                                   const cdn::Observatory& daily);
+                                   const activity::ActivityStore& daily_store,
+                                   const cdn::BlockHitTable& daily_hits);
 
 void PrintDemographics(const DemographicsResult& result, std::ostream& os);
 

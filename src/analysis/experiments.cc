@@ -53,6 +53,7 @@ Inputs::Inputs(const sim::WorldConfig& world_config)
       weekly(cdn::Observatory::Weekly(world)),
       daily_store(daily.BuildStore()),
       weekly_store(weekly.BuildStore()),
+      daily_hits(daily.BuildHitTable()),
       feed(world) {}
 
 void PrintWorldBanner(const sim::World& world, std::ostream& os) {
@@ -141,14 +142,15 @@ void Fig9Traffic(const Inputs& in, std::ostream& os) {
 // classification and its ground-truth validation.
 void Fig10Useragents(const Inputs& in, std::ostream& os) {
   PrintWorldBanner(in.world, os);
-  PrintFig10(RunFig10(in.world, in.daily), os);
+  PrintFig10(RunFig10(in.world, in.daily_hits), os);
 }
 
 // Fig 11: the 10x10x10 demographics cube over (STU, traffic, relative host
 // count) per active /24, with its largest cells.
 void Fig11Demographics(const Inputs& in, std::ostream& os) {
   PrintWorldBanner(in.world, os);
-  DemographicsResult result = RunDemographics(in.world, in.daily);
+  DemographicsResult result =
+      RunDemographics(in.world, in.daily_store, in.daily_hits);
 
   os << "=== Fig 11: demographics cube ===\n";
   os << "blocks: " << result.blocks << "\n";
@@ -184,7 +186,8 @@ void Fig11Demographics(const Inputs& in, std::ostream& os) {
 // each region's share of low-, high-utilization and gateway-corner blocks.
 void Fig12Rirs(const Inputs& in, std::ostream& os) {
   PrintWorldBanner(in.world, os);
-  DemographicsResult result = RunDemographics(in.world, in.daily);
+  DemographicsResult result =
+      RunDemographics(in.world, in.daily_store, in.daily_hits);
   PrintDemographics(result, os);
 
   os << "\n=== Regional utilization summary ===\n";
@@ -482,27 +485,8 @@ double SpearmanRank(std::vector<double> x, std::vector<double> y) {
 // the true UA pool sizes and (b) gateway-region detection quality.
 void AblationUaSampling(const Inputs& in, std::ostream& os) {
   PrintWorldBanner(in.world, os);
-  const int days = in.daily.steps();
-  const int month_first = days - 28;
-
-  // Collect per-block month hits + truth once.
-  struct BlockInfo {
-    const sim::BlockPlan* plan;
-    std::uint64_t month_hits;
-  };
-  std::vector<BlockInfo> blocks;
-  in.daily.ForEachBlockHits([&](const sim::BlockPlan& plan,
-                                const activity::ActivityMatrix&,
-                                std::span<const std::uint32_t> hits) {
-    std::uint64_t month = 0;
-    for (int d = month_first; d < days; ++d) {
-      for (int h = 0; h < 256; ++h) {
-        month += hits[static_cast<std::size_t>(d) * 256 +
-                      static_cast<std::size_t>(h)];
-      }
-    }
-    blocks.push_back({&plan, month});
-  });
+  const cdn::BlockHitTable& hits = in.daily_hits;
+  const int days = hits.steps;
 
   os << "=== UA sampling-rate sensitivity (paper: 1/4096) ===\n\n";
   report::Table t({"rate", "blocks sampled", "rank corr. vs true hosts",
@@ -511,19 +495,16 @@ void AblationUaSampling(const Inputs& in, std::ostream& os) {
     cdn::UserAgentSampler sampler{1.0 / interval};
     std::vector<double> sampled, truth;
     std::uint64_t gw_tagged = 0, gw_correct = 0, gw_truth = 0;
-    for (const BlockInfo& info : blocks) {
-      auto sample = sampler.Sample(*info.plan, info.month_hits);
-      bool truly_gateway =
-          info.plan->base.kind == sim::PolicyKind::kCgnGateway;
+    for (std::size_t i = 0; i < hits.plans.size(); ++i) {
+      const sim::BlockPlan& plan = *hits.plans[i];
+      auto sample = sampler.Sample(plan, hits.Sum(i, days - 28, days));
+      bool truly_gateway = plan.base.kind == sim::PolicyKind::kCgnGateway;
       if (truly_gateway) ++gw_truth;
       if (sample.samples == 0) continue;
       sampled.push_back(static_cast<double>(sample.unique_uas));
-      truth.push_back(static_cast<double>(
-          cdn::UserAgentSampler::UaPoolSize(*info.plan)));
-      bool flagged = sample.samples >= 500.0 * 4096.0 / interval &&
-                     sample.unique_uas >=
-                         0.3 * static_cast<double>(sample.samples);
-      if (flagged) {
+      truth.push_back(
+          static_cast<double>(cdn::UserAgentSampler::UaPoolSize(plan)));
+      if (IsGatewaySample(sample, 500.0 * 4096.0 / interval)) {
         ++gw_tagged;
         if (truly_gateway) ++gw_correct;
       }

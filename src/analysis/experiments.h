@@ -23,10 +23,11 @@
 namespace ipscope::analysis {
 
 // What the experiments share, built once per run from one WorldConfig: the
-// world, its daily and weekly observatories and activity stores, and the
-// BGP feed. The observatories hold a reference to `world`, so Inputs is
-// neither copied nor moved. Experiments that need a different world
-// (another seed or deactivation rate) build it from `config`.
+// world, its daily and weekly observatories and activity stores, the daily
+// hit table, and the BGP feed. The observatories and the table hold
+// references into `world`, so Inputs is neither copied nor moved.
+// Experiments that need a different world (another seed or deactivation
+// rate) build it from `config`.
 struct Inputs {
   explicit Inputs(const sim::WorldConfig& world_config);
   Inputs(const Inputs&) = delete;
@@ -38,6 +39,7 @@ struct Inputs {
   cdn::Observatory weekly;
   activity::ActivityStore daily_store;
   activity::ActivityStore weekly_store;
+  cdn::BlockHitTable daily_hits;  // rows aligned with daily_store's
   bgp::RoutingFeed feed;
 };
 

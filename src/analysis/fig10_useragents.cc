@@ -21,36 +21,33 @@ UaRegion ClassifyRegion(const cdn::BlockUaSample& s) {
   if (samples >= 100 && unique <= std::max(4.0, samples / 50.0)) {
     return UaRegion::kBots;
   }
-  if (samples >= 500 && unique >= 0.3 * samples) {
-    return UaRegion::kGateways;
-  }
+  if (IsGatewaySample(s, 500)) return UaRegion::kGateways;
   return UaRegion::kResidential;
 }
 
 }  // namespace
 
-Fig10Result RunFig10(const sim::World& world, const cdn::Observatory& daily) {
+bool IsGatewaySample(const cdn::BlockUaSample& sample, double min_samples) {
+  const auto samples = static_cast<double>(sample.samples);
+  return samples >= min_samples &&
+         static_cast<double>(sample.unique_uas) >= 0.3 * samples;
+}
+
+Fig10Result RunFig10(const sim::World& world,
+                     const cdn::BlockHitTable& daily_hits) {
   Fig10Result out;
-  const int days = daily.steps();
-  const int month_first = days - 28;  // last month of the period (paper §6.3)
+  const int days = daily_hits.steps;
   cdn::UserAgentSampler sampler{world.config().ua_sample_rate};
   whois::WhoisDirectory directory{world};
 
   std::uint64_t gateway_cgn = 0, gateway_apnic = 0, bots_crawler = 0;
   std::uint64_t whois_cellular = 0, whois_apnic = 0;
 
-  daily.ForEachBlockHits([&](const sim::BlockPlan& plan,
-                             const activity::ActivityMatrix&,
-                             std::span<const std::uint32_t> hits) {
-    std::uint64_t month_hits = 0;
-    for (int d = month_first; d < days; ++d) {
-      for (int h = 0; h < 256; ++h) {
-        month_hits += hits[static_cast<std::size_t>(d) * 256 +
-                           static_cast<std::size_t>(h)];
-      }
-    }
-    cdn::BlockUaSample sample = sampler.Sample(plan, month_hits);
-    if (sample.samples == 0) return;
+  for (std::size_t i = 0; i < daily_hits.plans.size(); ++i) {
+    const sim::BlockPlan& plan = *daily_hits.plans[i];
+    cdn::BlockUaSample sample =
+        sampler.Sample(plan, daily_hits.Sum(i, days - 28, days));
+    if (sample.samples == 0) continue;
     out.grid.Add(static_cast<double>(sample.samples),
                  static_cast<double>(sample.unique_uas));
     switch (ClassifyRegion(sample)) {
@@ -83,7 +80,7 @@ Fig10Result RunFig10(const sim::World& world, const cdn::Observatory& daily) {
       }
     }
     out.samples.push_back(sample);
-  });
+  }
 
   if (out.region_gateways > 0) {
     out.gateway_cgn_precision = static_cast<double>(gateway_cgn) /

@@ -35,7 +35,13 @@ struct Fig10Result {
   double bots_crawler_precision = 0.0;
 };
 
-Fig10Result RunFig10(const sim::World& world, const cdn::Observatory& daily);
+// The gateway region: >= min_samples samples (500 at the paper's 1/4096
+// rate), >= 30% of them unique strings.
+bool IsGatewaySample(const cdn::BlockUaSample& sample, double min_samples);
+
+// Samples each block's UA stream over the last 28 steps (paper §6.3).
+Fig10Result RunFig10(const sim::World& world,
+                     const cdn::BlockHitTable& daily_hits);
 
 void PrintFig10(const Fig10Result& result, std::ostream& os);
 

@@ -115,20 +115,22 @@ activity::ActivityStore Observatory::BuildStore(int threads) const {
   return store;
 }
 
-std::vector<std::uint64_t> Observatory::TotalHitsPerStep() const {
-  std::vector<std::uint64_t> totals(static_cast<std::size_t>(spec_.steps), 0);
-  ForEachBlockHits([&](const sim::BlockPlan&, const activity::ActivityMatrix&,
-                       std::span<const std::uint32_t> hits) {
-    for (int s = 0; s < spec_.steps; ++s) {
-      std::uint64_t sum = 0;
-      for (int h = 0; h < 256; ++h) {
-        sum += hits[static_cast<std::size_t>(s) * 256 +
-                    static_cast<std::size_t>(h)];
-      }
-      totals[static_cast<std::size_t>(s)] += sum;
-    }
-  });
-  return totals;
+BlockHitTable Observatory::BuildHitTable() const {
+  BlockHitTable table{spec_.steps, {}, {}};
+  ForEachBlockHits(
+      [](const sim::BlockPlan&, const activity::ActivityMatrix& m,
+         std::span<const std::uint32_t> hits) {
+        std::vector<std::uint64_t> sums(static_cast<std::size_t>(m.days()));
+        for (std::size_t i = 0; i < hits.size(); ++i) sums[i / 256] += hits[i];
+        return sums;
+      },
+      [&table](const sim::BlockPlan& plan, const activity::ActivityMatrix&,
+               std::span<const std::uint32_t>,
+               std::vector<std::uint64_t>& sums) {
+        table.plans.push_back(&plan);
+        table.hits.insert(table.hits.end(), sums.begin(), sums.end());
+      });
+  return table;
 }
 
 }  // namespace ipscope::cdn

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -27,6 +28,25 @@
 #include "timeutil/date.h"
 
 namespace ipscope::cdn {
+
+// The per-step hit totals (256 hosts summed) of every CDN-visible block of
+// one observatory, in BlockKey order: the blocks, and the order, of its
+// BuildStore. Built by Observatory::BuildHitTable; read-only afterwards.
+struct BlockHitTable {
+  int steps = 0;
+  std::vector<const sim::BlockPlan*> plans;  // one per row
+  std::vector<std::uint64_t> hits;           // hits[row * steps + step]
+
+  // Hits of `row` over steps [first_step, last_step), clamped to the
+  // period [0, steps).
+  std::uint64_t Sum(std::size_t row, int first_step, int last_step) const {
+    const std::uint64_t* r =
+        hits.data() + row * static_cast<std::size_t>(steps);
+    const int first = std::clamp(first_step, 0, steps);
+    return std::accumulate(r + first, r + std::clamp(last_step, first, steps),
+                           std::uint64_t{0});
+  }
+};
 
 class Observatory {
  public:
@@ -172,8 +192,9 @@ class Observatory {
               bool&) { fn(plan, m, hits); });
   }
 
-  // Total hits per step across all blocks (one streaming pass).
-  std::vector<std::uint64_t> TotalHitsPerStep() const;
+  // The per-step hit totals of every visible block, from one
+  // ForEachBlockHits pass (the host sums run in its pool-side map).
+  BlockHitTable BuildHitTable() const;
 
  private:
   const sim::World& world_;

@@ -11,12 +11,9 @@
 #include "activity/eventsize.h"
 #include "activity/metrics.h"
 #include "activity/pattern.h"
-#include "analysis/experiments.h"
 #include "analysis/fig10_useragents.h"
 #include "analysis/fig9_traffic.h"
 #include "analysis/visibility.h"
-#include "bgp/table.h"
-#include "cdn/observatory.h"
 #include "io/crc32c.h"
 #include "obs/registry.h"
 #include "report/csv.h"
@@ -74,12 +71,10 @@ void SortByName(std::vector<GoldenFile>& files) {
 
 }  // namespace
 
-std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config) {
-  sim::WorldConfig wc;
-  wc.target_client_blocks = config.blocks;
-  wc.seed = config.seed;
-  sim::World world{wc};
-  activity::ActivityStore store = cdn::Observatory::Daily(world).BuildStore();
+std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config,
+                                      const analysis::Inputs& inputs) {
+  const sim::World& world = inputs.world;
+  const activity::ActivityStore& store = inputs.daily_store;
   activity::ChurnAnalyzer churn{store};
   const int days = store.days();
 
@@ -214,12 +209,11 @@ std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config) {
   });
 
   // The hit-count figures: Fig 2 (CDN vs ICMP, the ICMP scan generator),
-  // Fig 9 and Fig 10 (the ForEachBlockHits stream).
+  // Fig 9 (the ForEachBlockHits stream) and Fig 10 (the daily hit table).
   render("fig2.csv", {"granularity", "cdn_only", "both", "icmp_only"},
          [&](report::CsvWriter& csv) {
-           bgp::RoutingFeed feed{world};
            analysis::VisibilityResult r =
-               analysis::RunVisibility(world, store, feed);
+               analysis::RunVisibility(world, store, inputs.feed);
            auto add = [&csv](const char* name,
                              const analysis::VisibilitySplit& s) {
              csv.AddRow({name, Fmt(s.cdn_only), Fmt(s.both), Fmt(s.icmp_only)});
@@ -241,8 +235,7 @@ std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config) {
           "p95"},
          [&](report::CsvWriter& csv) {
            analysis::Fig9Result r =
-               analysis::RunFig9(cdn::Observatory::Daily(world),
-                                 cdn::Observatory::Weekly(world));
+               analysis::RunFig9(inputs.daily, inputs.weekly);
            for (std::size_t d = 0; d < r.bins.size(); ++d) {
              const auto& b = r.bins[d];
              csv.AddRow({"days_active", Fmt(std::uint64_t{d + 1}), Fmt(b.ips),
@@ -268,7 +261,7 @@ std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config) {
   render("fig10.csv", {"block", "samples", "unique_uas"},
          [&](report::CsvWriter& csv) {
            analysis::Fig10Result r =
-               analysis::RunFig10(world, cdn::Observatory::Daily(world));
+               analysis::RunFig10(world, inputs.daily_hits);
            for (const cdn::BlockUaSample& s : r.samples) {
              csv.AddRow({Fmt(std::uint64_t{s.key}), Fmt(s.samples),
                          Fmt(s.unique_uas)});
@@ -286,11 +279,11 @@ std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config) {
 }
 
 std::vector<GoldenFile> RenderAllGoldens(const GoldenConfig& config) {
-  std::vector<GoldenFile> files = RenderGoldens(config);
   sim::WorldConfig wc;
   wc.target_client_blocks = config.blocks;
   wc.seed = config.seed;
   const analysis::Inputs inputs{wc};
+  std::vector<GoldenFile> files = RenderGoldens(config, inputs);
   for (const analysis::Experiment& e : analysis::Experiments()) {
     std::ostringstream os;
     e.run(inputs, os);

@@ -39,6 +39,8 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/experiments.h"
+
 namespace ipscope::check {
 
 struct GoldenConfig {
@@ -54,12 +56,14 @@ struct GoldenFile {
   std::string contents;  // full file text
 };
 
-// Renders the figure-series CSVs (manifest excluded), sorted by name.
-std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config);
+// Renders the figure-series CSVs (manifest excluded), sorted by name, from
+// `inputs`, built at `config`'s seed and scale.
+std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config,
+                                      const analysis::Inputs& inputs);
 
 // Everything the golden directory holds, sorted by name: the series CSVs
-// plus experiments/<id>.txt for every registered experiment, all run on
-// one shared analysis::Inputs built at the config's seed and scale.
+// plus experiments/<id>.txt for every registered experiment, all rendered
+// from one shared analysis::Inputs built at the config's seed and scale.
 std::vector<GoldenFile> RenderAllGoldens(const GoldenConfig& config);
 
 // "file,crc32c" manifest over the rendered files, one row per file.

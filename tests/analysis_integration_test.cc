@@ -36,8 +36,10 @@ class AnalysisIntegration : public ::testing::Test {
     daily_ = new activity::ActivityStore{daily_obs_->BuildStore()};
     weekly_ = new activity::ActivityStore{
         cdn::Observatory::Weekly(*world_).BuildStore()};
+    daily_hits_ = new cdn::BlockHitTable{daily_obs_->BuildHitTable()};
   }
   static void TearDownTestSuite() {
+    delete daily_hits_;
     delete weekly_;
     delete daily_;
     delete daily_obs_;
@@ -50,6 +52,7 @@ class AnalysisIntegration : public ::testing::Test {
   static cdn::Observatory* daily_obs_;
   static activity::ActivityStore* daily_;
   static activity::ActivityStore* weekly_;
+  static cdn::BlockHitTable* daily_hits_;
 };
 
 sim::World* AnalysisIntegration::world_ = nullptr;
@@ -57,6 +60,7 @@ bgp::RoutingFeed* AnalysisIntegration::feed_ = nullptr;
 cdn::Observatory* AnalysisIntegration::daily_obs_ = nullptr;
 activity::ActivityStore* AnalysisIntegration::daily_ = nullptr;
 activity::ActivityStore* AnalysisIntegration::weekly_ = nullptr;
+cdn::BlockHitTable* AnalysisIntegration::daily_hits_ = nullptr;
 
 TEST_F(AnalysisIntegration, Fig1GrowthStagnates) {
   auto result = RunFig1(world_->config().seed);
@@ -230,7 +234,7 @@ TEST_F(AnalysisIntegration, Fig9TrafficShape) {
 }
 
 TEST_F(AnalysisIntegration, Fig10UserAgentRegions) {
-  auto result = RunFig10(*world_, *daily_obs_);
+  auto result = RunFig10(*world_, *daily_hits_);
   EXPECT_GT(result.samples.size(), 200u);
   // All three regions populated; residential dominates.
   EXPECT_GT(result.region_residential, result.region_gateways);
@@ -243,7 +247,7 @@ TEST_F(AnalysisIntegration, Fig10UserAgentRegions) {
 }
 
 TEST_F(AnalysisIntegration, Fig11Fig12DemographicsShape) {
-  auto result = RunDemographics(*world_, *daily_obs_);
+  auto result = RunDemographics(*world_, *daily_, *daily_hits_);
   EXPECT_GT(result.blocks, 500u);
   // Bimodal STU split (paper observation (i)).
   EXPECT_GT(result.low_stu_cluster + result.high_stu_cluster, 0.45);

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "analysis/fig10_useragents.h"
 #include "analysis/fig1_growth.h"
 #include "analysis/fig9_traffic.h"
 #include "analysis/visibility.h"
@@ -130,6 +131,38 @@ TEST(Fig9, LongDailyObservatoryMatchesNaivePerAddressBins) {
   // The regression needs addresses active on more than 512 days.
   EXPECT_GT(long_lived, 0u);
   EXPECT_EQ(result.traffic_gini, stats::Gini(totals));
+}
+
+// A daily observatory shorter than Fig 10's 28-step window: every block is
+// sampled over all 7 steps' hits. The window once started 21 steps before
+// the period, reading outside each block's hits.
+TEST(Fig10, ShortObservatorySamplesTheWholePeriod) {
+  sim::WorldConfig config;
+  config.target_client_blocks = 300;
+  const sim::World world{config};
+  sim::StepSpec spec = cdn::Observatory::Daily(world).spec();
+  spec.steps = 7;
+  const cdn::Observatory daily{world, spec};
+  const Fig10Result result = RunFig10(world, daily.BuildHitTable());
+
+  const cdn::UserAgentSampler sampler{config.ua_sample_rate};
+  std::vector<cdn::BlockUaSample> expected;
+  daily.ForEachBlockHits([&](const sim::BlockPlan& plan,
+                             const activity::ActivityMatrix&,
+                             std::span<const std::uint32_t> hits) {
+    std::uint64_t total = 0;
+    for (std::uint32_t v : hits) total += v;
+    const cdn::BlockUaSample sample = sampler.Sample(plan, total);
+    if (sample.samples > 0) expected.push_back(sample);
+  });
+  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(result.samples.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(result.samples[i].key, expected[i].key) << "block " << i;
+    EXPECT_EQ(result.samples[i].samples, expected[i].samples) << "block " << i;
+    EXPECT_EQ(result.samples[i].unique_uas, expected[i].unique_uas)
+        << "block " << i;
+  }
 }
 
 }  // namespace

@@ -112,8 +112,13 @@ TEST(Observatory, OnlyCdnVisiblePoliciesAppear) {
 }
 
 TEST(Observatory, TotalHitsPerStepPositiveAndWeekdayShaped) {
-  Observatory daily = Observatory::Daily(SmallWorld());
-  auto totals = daily.TotalHitsPerStep();
+  const BlockHitTable table = Observatory::Daily(SmallWorld()).BuildHitTable();
+  std::vector<std::uint64_t> totals(static_cast<std::size_t>(table.steps));
+  for (std::size_t i = 0; i < table.plans.size(); ++i) {
+    for (int s = 0; s < table.steps; ++s) {
+      totals[static_cast<std::size_t>(s)] += table.Sum(i, s, s + 1);
+    }
+  }
   ASSERT_EQ(totals.size(), 112u);
   for (auto v : totals) EXPECT_GT(v, 0u);
 }
@@ -201,6 +206,50 @@ TEST(Observatory, ForEachBlockHitsSameSequenceAtPoolSizes1And4) {
     EXPECT_TRUE(serial == parallel) << "steps " << obs.steps();
     for (std::size_t i = 1; i < serial.size(); ++i) {
       ASSERT_LT(serial[i - 1].key, serial[i].key) << "not in key order";
+    }
+  }
+}
+
+TEST(Observatory, HitTableMatchesPerStepSumsAtPoolSizes1And4) {
+  // The table against the host sums of a plain ForEachBlockHits walk, on a
+  // world whose visible block count leaves a partial last batch.
+  const Observatory daily = Observatory::Daily(SmallWorld());
+  const activity::ActivityStore store = daily.BuildStore();
+  ASSERT_NE(store.BlockCount() % Observatory::kHitsBatchBlocks, 0u);
+  std::vector<net::BlockKey> keys;
+  std::vector<std::uint64_t> sums;
+  daily.ForEachBlockHits([&](const sim::BlockPlan& plan,
+                             const activity::ActivityMatrix&,
+                             std::span<const std::uint32_t> hits) {
+    keys.push_back(net::BlockKeyOf(plan.block));
+    for (int s = 0; s < daily.steps(); ++s) {
+      std::uint64_t sum = 0;
+      for (int h = 0; h < 256; ++h) sum += hits[s * 256 + h];
+      sums.push_back(sum);
+    }
+  });
+  ASSERT_EQ(keys.size(), store.BlockCount());
+  for (int threads : {1, 4}) {
+    PoolSize pool{threads};
+    const BlockHitTable table = daily.BuildHitTable();
+    ASSERT_EQ(table.steps, daily.steps());
+    ASSERT_EQ(table.plans.size(), store.BlockCount()) << threads << " threads";
+    for (std::size_t i = 0; i < table.plans.size(); ++i) {
+      const net::BlockKey key = net::BlockKeyOf(table.plans[i]->block);
+      ASSERT_EQ(key, store.KeyAt(i)) << threads << " threads";
+      ASSERT_EQ(key, keys[i]) << threads << " threads";
+      std::uint64_t total = 0;
+      for (int s = 0; s < daily.steps(); ++s) {
+        const std::uint64_t expected =
+            sums[i * static_cast<std::size_t>(daily.steps()) +
+                 static_cast<std::size_t>(s)];
+        ASSERT_EQ(table.Sum(i, s, s + 1), expected)
+            << key << " step " << s << ", " << threads << " threads";
+        total += expected;
+      }
+      // Windows clamp to the period.
+      EXPECT_EQ(table.Sum(i, -5, daily.steps() + 5), total);
+      EXPECT_EQ(table.Sum(i, daily.steps(), daily.steps() + 5), 0u);
     }
   }
 }

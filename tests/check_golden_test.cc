@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/experiments.h"
 #include "check/golden.h"
 
 namespace ipscope {
@@ -22,6 +23,14 @@ check::GoldenConfig TestConfig() {
   config.seed = 9;
   config.blocks = 80;
   return config;
+}
+
+// The series set of `config`'s world.
+std::vector<check::GoldenFile> Render(const check::GoldenConfig& config) {
+  sim::WorldConfig world;
+  world.target_client_blocks = config.blocks;
+  world.seed = config.seed;
+  return check::RenderGoldens(config, analysis::Inputs{world});
 }
 
 class GoldenTest : public ::testing::Test {
@@ -46,10 +55,10 @@ class GoldenTest : public ::testing::Test {
 
   // The series set written from / verified against `config`'s world.
   void Write(const check::GoldenConfig& config) {
-    check::WriteGoldens(dir_.string(), check::RenderGoldens(config));
+    check::WriteGoldens(dir_.string(), Render(config));
   }
   std::vector<check::GoldenIssue> Verify(const check::GoldenConfig& config) {
-    return check::VerifyGoldens(dir_.string(), check::RenderGoldens(config));
+    return check::VerifyGoldens(dir_.string(), Render(config));
   }
 
   void WriteFile(const std::string& name, const std::string& contents) {
@@ -61,8 +70,8 @@ class GoldenTest : public ::testing::Test {
 };
 
 TEST_F(GoldenTest, RenderIsDeterministic) {
-  auto a = check::RenderGoldens(TestConfig());
-  auto b = check::RenderGoldens(TestConfig());
+  auto a = Render(TestConfig());
+  auto b = Render(TestConfig());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].name, b[i].name);
