@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -36,20 +37,20 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-// Reads a whole file with one read sized from its length; returns false
-// on any open/read failure. A file that shrinks meanwhile reads short,
-// which the callers' size and checksum checks report.
+// Reads a whole file into `*out`, reusing its capacity, with one read
+// sized from the file's length; returns false on any open/read failure
+// (`*out` is then unspecified). A file that shrinks meanwhile reads
+// short, which the callers' size and checksum checks report.
 bool ReadFile(const fs::path& path, std::string* out) {
   std::ifstream is{path, std::ios::binary};
   if (!is) return false;
   std::error_code ec;
   const std::uintmax_t size = fs::file_size(path, ec);
   if (ec) return false;
-  std::string bytes(static_cast<std::size_t>(size), '\0');
-  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out->resize(static_cast<std::size_t>(size));
+  is.read(out->data(), static_cast<std::streamsize>(out->size()));
   if (is.bad()) return false;
-  bytes.resize(static_cast<std::size_t>(is.gcount()));
-  *out = std::move(bytes);
+  out->resize(static_cast<std::size_t>(is.gcount()));
   return true;
 }
 
@@ -71,28 +72,29 @@ bool Quarantine(const fs::path& dir, const std::string& name,
   return true;
 }
 
-// Verifies a committed shard's bytes against its manifest entry and
-// returns the raw bytes (the caller parses them when composing).
-Result<std::string, io::StoreError> ReadShard(const fs::path& dir,
-                                              const ShardEntry& entry) {
-  std::string bytes;
-  if (!ReadFile(dir / entry.file, &bytes)) {
+// Reads a committed shard into `*bytes` (one buffer reused across the
+// shards of a pass) and verifies it against its manifest entry; the
+// caller parses the bytes when composing.
+std::optional<io::StoreError> ReadShard(const fs::path& dir,
+                                        const ShardEntry& entry,
+                                        std::string* bytes) {
+  if (!ReadFile(dir / entry.file, bytes)) {
     return io::StoreError{io::StoreErrorKind::kOpenFailed, 0,
                           "committed shard missing or unreadable: " +
                               entry.file};
   }
-  if (bytes.size() != entry.bytes) {
+  if (bytes->size() != entry.bytes) {
     return io::StoreError{
-        io::StoreErrorKind::kTruncated, bytes.size(),
-        "shard " + entry.file + " is " + std::to_string(bytes.size()) +
+        io::StoreErrorKind::kTruncated, bytes->size(),
+        "shard " + entry.file + " is " + std::to_string(bytes->size()) +
             " bytes, manifest committed " + std::to_string(entry.bytes)};
   }
-  if (io::Crc32c(bytes.data(), bytes.size()) != entry.crc32c) {
+  if (io::Crc32c(bytes->data(), bytes->size()) != entry.crc32c) {
     return io::StoreError{io::StoreErrorKind::kChecksumMismatch, 0,
                           "shard " + entry.file +
                               " does not match its manifest checksum"};
   }
-  return bytes;
+  return std::nullopt;
 }
 
 // Day range + validity of a delta store's coverage mask.
@@ -184,9 +186,9 @@ Result<Session, io::StoreError> Session::Open(const std::string& dir,
       Quarantine(dir, name, &recovery);
     }
   }
+  std::string bytes;
   for (const ShardEntry& entry : manifest.shards) {
-    auto bytes = ReadShard(dir, entry);
-    if (!bytes.ok()) return bytes.error();
+    if (auto error = ReadShard(dir, entry, &bytes)) return *error;
   }
 
   return Session{dir, std::move(manifest), std::move(recovery)};
@@ -295,11 +297,10 @@ Result<activity::ActivityStore, io::StoreError> Session::Load() const {
 
   // Each shard is decoded straight into `combined` (coverage union, rows
   // ORed in manifest order), so no per-shard store is ever built.
+  std::string bytes;
   for (const ShardEntry& entry : manifest_.shards) {
-    auto bytes = ReadShard(dir_, entry);
-    if (!bytes.ok()) return bytes.error();
-    std::istringstream is{std::move(bytes).value(), std::ios::binary};
-    auto merged = io::TryMergeStore(is, combined);
+    if (auto error = ReadShard(dir_, entry, &bytes)) return *error;
+    auto merged = io::TryMergeStore(bytes, combined);
     if (!merged.ok()) {
       io::StoreError error = merged.error();
       error.message = entry.file + ": " + error.message;

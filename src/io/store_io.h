@@ -30,18 +30,21 @@
 // first truncated/corrupt record instead of failing outright.
 //
 // Codec. Fields are little-endian words copied with memcpy (a byte loop
-// on big-endian hosts, chosen at compile time), through one reused
-// per-record buffer in each direction. There is one decoder: it streams
-// from the istream a record at a time, verifies the header, block and
+// on big-endian hosts, chosen at compile time). There is one decoder,
+// written once over a byte source. It verifies the header, block and
 // stream CRCs, the key range and order, the day range and order, that
 // every recorded day is covered, and the footer magic and block-count
-// echo, and only then hands a record to a sink. Two sinks use it:
-// TryLoadStore builds a new store, and TryMergeStore ORs the stream into
-// an existing one (how ingest::Session::Load composes shards without a
-// store per shard). No allocation is sized from the header's block
-// count, so a forged header fails as a typed error at the first missing
-// byte. The encoder refuses a non-empty row on an uncovered day — the
-// decoder would reject the stream it wrote.
+// echo, and only then hands a record to a sink. TryLoadStore reads an
+// istream a record at a time through one reused record buffer and
+// builds a new store. TryMergeStore reads bytes already in memory in
+// place, computes the stream CRC in one pass at the footer, and ORs the
+// image into an existing store (how ingest::Session::Load composes the
+// shards it has read and checked without a store per shard). Both report
+// the same error, kind and offset for the same bytes. No allocation is
+// sized from the header's block count, so a forged header fails as a
+// typed error at the first missing byte. The encoder writes through one
+// reused record buffer and refuses a non-empty row on an uncovered day —
+// the decoder would reject the stream it wrote.
 //
 // Error handling comes in two flavors:
 //   * TryLoadStore/TryMergeStore/TrySaveStore return
@@ -56,6 +59,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "activity/store.h"
 #include "io/result.h"
@@ -101,16 +105,17 @@ void SaveStore(const activity::ActivityStore& store, std::ostream& os);
 [[nodiscard]] Result<LoadResult, StoreError> TryLoadStore(
     std::istream& is, const LoadOptions& options = {});
 
-// Decodes one stream into `target`: its coverage becomes the union of
-// both, its rows are ORed with the stream's, and every key the stream
-// names exists in it afterwards (also a record with no non-empty day).
-// Strict (no salvage), with the same checks and errors as TryLoadStore,
-// plus kMalformed when the stream's day count differs from
-// target.days(). On error `target` holds a partial merge and should be
+// Decodes one store image held in memory into `target`: its coverage
+// becomes the union of both, its rows are ORed with the image's, and
+// every key the image names exists in it afterwards (also a record with
+// no non-empty day). Strict (no salvage), with the same checks and
+// errors as TryLoadStore on the same bytes, plus kMalformed when the
+// image's day count differs from target.days(). Reads nothing outside
+// `bytes`. On error `target` holds a partial merge and should be
 // discarded. Of the load metrics it records only the shared block-loop
 // span (io.store.load.blocks_seconds); the caller owns the rest.
 [[nodiscard]] Result<LoadStats, StoreError> TryMergeStore(
-    std::istream& is, activity::ActivityStore& target);
+    std::string_view bytes, activity::ActivityStore& target);
 
 // Throwing load (strict: salvage disabled). The runtime_error message is
 // StoreError::ToString(), i.e. includes kind and absolute byte offset.

@@ -1,5 +1,7 @@
 #include "serve/snapshot.h"
 
+#include "obs/timer.h"
+
 namespace ipscope::serve {
 
 // Member-initializer list, not assignment: no other thread can hold a
@@ -32,6 +34,10 @@ std::uint64_t SnapshotManager::Install(activity::ActivityStore store) {
   auto& reg = obs::GlobalRegistry();
   reg.GetGauge("serve.snapshot.id").Set(static_cast<double>(id));
   reg.GetCounter("serve.snapshot.reloads").Add();
+  // `next` now holds the replaced snapshot; when no reader pins it, this
+  // drops the last reference and frees its store on this thread.
+  obs::Span release{"serve.snapshot.release_seconds", "serve"};
+  next.reset();
   return id;
 }
 

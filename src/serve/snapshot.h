@@ -98,7 +98,8 @@ class SnapshotManager {
 
   // Atomically replaces the current snapshot; returns the new id. Readers
   // pinned to the old snapshot are unaffected; its storage is freed when
-  // the last pin drops.
+  // the last pin drops, by Install itself when no reader pins it (span
+  // serve.snapshot.release_seconds, which is most of a reload's time).
   std::uint64_t Install(activity::ActivityStore store);
 
   std::uint64_t current_id() const;

@@ -4,8 +4,11 @@
 // find them. Here every mutation re-seals the block and stream CRCs, so
 // only the decoder's structural checks (key range and order, day range,
 // order and coverage, footer echo) stand between a forged stream and a
-// silently wrong store. Run under the ASan+UBSan pass these also prove
-// the hand-written parser never reads or allocates out of bounds.
+// silently wrong store. The decoder reads from an istream (TryLoadStore)
+// or from bytes in memory (TryMergeStore); every truncation, byte flip
+// and sealed mutation here must get the same verdict from both. Run
+// under the ASan+UBSan pass these also prove the hand-written parser
+// never reads or allocates out of bounds.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -75,8 +78,7 @@ TEST(IoDecode, ForgedHugeHeaderFailsTypedWithoutAllocating) {
   }
 
   activity::ActivityStore target{4096};
-  std::stringstream is{bytes};
-  auto merged = TryMergeStore(is, target);
+  auto merged = TryMergeStore(bytes, target);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.error().kind, StoreErrorKind::kTruncated);
   EXPECT_EQ(merged.error().offset, bytes.size());
@@ -87,8 +89,7 @@ TEST(IoDecode, MergeRejectsADifferentDayCount) {
   shard.GetOrCreate(3).Set(1, 1);
   const std::string bytes = Image(shard);
   activity::ActivityStore target{7};
-  std::stringstream is{bytes};
-  auto merged = TryMergeStore(is, target);
+  auto merged = TryMergeStore(bytes, target);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.error().kind, StoreErrorKind::kMalformed);
   EXPECT_EQ(merged.error().offset, 8u);
@@ -136,7 +137,10 @@ void Reseal(std::string& bytes, const Fields& f) {
   PutLE(bytes, stream_at, Crc32c(bytes.data(), stream_at), 4);
 }
 
-TEST(IoDecode, CrcSealedStructuralMutationsAreRejectedOrFaithful) {
+// 12 days, two of them uncovered, and eight blocks across the keyspace:
+// one with no non-empty day, the rest with a random half of the covered
+// days set.
+activity::ActivityStore MixedStore() {
   activity::ActivityStore store{12};
   rng::Xoshiro256 g{77};
   for (std::uint32_t key : {5u, 6u, 900u, 4096u, 70000u, 1u << 20,
@@ -150,6 +154,52 @@ TEST(IoDecode, CrcSealedStructuralMutationsAreRejectedOrFaithful) {
   store.GetOrCreate(3000);  // a record with no non-empty day
   store.SetDayCovered(4, false);
   store.SetDayCovered(9, false);
+  return store;
+}
+
+// The span source (TryMergeStore into an empty store) and the stream
+// source (strict TryLoadStore) decode `bytes` alike: the same error kind,
+// offset and message, or the same store.
+void ExpectSameDecode(const std::string& bytes, int days,
+                      const std::string& what) {
+  std::stringstream is{bytes};
+  auto loaded = TryLoadStore(is);
+  activity::ActivityStore target{days};
+  for (int d = 0; d < days; ++d) target.SetDayCovered(d, false);
+  auto merged = TryMergeStore(bytes, target);
+  ASSERT_EQ(merged.ok(), loaded.ok()) << what;
+  if (!loaded.ok()) {
+    EXPECT_EQ(merged.error().kind, loaded.error().kind) << what;
+    EXPECT_EQ(merged.error().offset, loaded.error().offset) << what;
+    EXPECT_EQ(merged.error().message, loaded.error().message) << what;
+    return;
+  }
+  EXPECT_EQ(merged.value().blocks_loaded, loaded.value().stats.blocks_loaded)
+      << what;
+  EXPECT_EQ(Image(target), Image(loaded.value().store)) << what;
+}
+
+TEST(IoDecode, SpanAndStreamSourcesAgreeOnEveryTruncationAndFlip) {
+  const activity::ActivityStore store = MixedStore();
+  const std::string original = Image(store);
+  ExpectSameDecode(original, store.days(), "intact");
+  for (std::size_t len = 0; len < original.size(); ++len) {
+    ExpectSameDecode(original.substr(0, len), store.days(),
+                     "truncated to " + std::to_string(len));
+  }
+  for (std::size_t at = 0; at < original.size(); ++at) {
+    for (unsigned char mask : {0x01, 0x80, 0xFF}) {
+      std::string bytes = original;
+      bytes[at] = static_cast<char>(bytes[at] ^ static_cast<char>(mask));
+      ExpectSameDecode(bytes, store.days(),
+                       "byte " + std::to_string(at) + " ^ " +
+                           std::to_string(mask));
+    }
+  }
+}
+
+TEST(IoDecode, CrcSealedStructuralMutationsAreRejectedOrFaithful) {
+  const activity::ActivityStore store = MixedStore();
   const std::string original = Image(store);
   const Fields fields = FieldsOf(store);
   ASSERT_EQ(fields.footer + 16, original.size());
@@ -209,6 +259,7 @@ TEST(IoDecode, CrcSealedStructuralMutationsAreRejectedOrFaithful) {
     Reseal(bytes, fields);
     if (bytes == original) continue;
 
+    ExpectSameDecode(bytes, store.days(), "case " + std::to_string(i));
     std::stringstream is{bytes};
     auto result = TryLoadStore(is);
     if (!result.ok()) {

@@ -241,6 +241,22 @@ TEST(LintRules, PopcountFiresOutsideMatrixHeaderOnly) {
                        "perf.popcount"));
 }
 
+TEST(LintRules, Crc32cFiresOutsideCrcSourceOnly) {
+  std::string intrinsic = "auto c = _mm_crc32_u64(crc, word);\n";
+  std::string builtin = "auto c = __builtin_ia32_crc32di(crc, word);\n";
+  for (const char* path : {"src/io/store_io.cc", "src/ingest/session.cc",
+                           "tests/x_test.cc", "bench/bench_micro.cc"}) {
+    EXPECT_TRUE(HasRule(Analyze(path, intrinsic), "perf.crc32c")) << path;
+    EXPECT_TRUE(HasRule(Analyze(path, builtin), "perf.crc32c")) << path;
+  }
+  EXPECT_FALSE(HasRule(Analyze("src/io/crc32c.cc", intrinsic + builtin),
+                       "perf.crc32c"));
+  // The dispatched entry points are not instructions.
+  EXPECT_FALSE(HasRule(Analyze("src/io/x.cc",
+                               "auto c = Crc32cExtend(0, p, n);\n"),
+                       "perf.crc32c"));
+}
+
 TEST(LintRules, OneKernelFiresInSrcOutsidePolicyOnly) {
   std::string call = "void F() { GenerateStep(plan, spec, 0, bits); }\n";
   for (const char* path : {"src/security/reputation.cc", "src/cdn/rawlog.h",

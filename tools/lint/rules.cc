@@ -431,6 +431,25 @@ struct Engine {
     }
   }
 
+  // Direct CRC32C instructions outside src/io/crc32c.cc. A spelled-out
+  // `crc32` chain needs an SSE4.2 target and a CPU check, and runs at a
+  // third of the instruction's throughput; io::Crc32cExtend has both the
+  // dispatch and the three-chain kernel.
+  void RuleCrc32c() {
+    if (info.crc32c_home) return;
+    for (const Token& t : toks) {
+      if (t.kind != TokKind::kIdent) continue;
+      if (!StartsWith(t.text, "_mm_crc32_") &&
+          !StartsWith(t.text, "__builtin_ia32_crc32")) {
+        continue;
+      }
+      Report("perf.crc32c", t,
+             "'" + t.text + "' is a CRC32C instruction outside "
+             "io/crc32c.cc; use io::Crc32c / io::Crc32cExtend, which "
+             "dispatch on the CPU and interleave long buffers");
+    }
+  }
+
   // --- [design] ------------------------------------------------------------
 
   // GenerateStep calls in library code. GenerateBlock is the one production
@@ -572,6 +591,7 @@ FileInfo ClassifyPath(std::string rel_path) {
       StartsWith(rel_path, "src/") || StartsWith(rel_path, "tools/");
   info.activity_impl = StartsWith(rel_path, "src/activity/") && !info.header;
   info.popcount_home = rel_path == "src/activity/matrix.h";
+  info.crc32c_home = rel_path == "src/io/crc32c.cc";
   info.kernel_scope = StartsWith(rel_path, "src/") &&
                       rel_path != "src/sim/policy.h" &&
                       rel_path != "src/sim/policy.cc";
@@ -611,6 +631,10 @@ const std::vector<RuleMeta>& RuleCatalogue() {
        "src/activity/matrix.h; the baseline build compiles them to libgcc "
        "calls. Use activity::PopCount, or activity::PopCountHw in a "
        "function compiled for popcnt."},
+      {"perf.crc32c", "crc32c",
+       "No _mm_crc32_* or __builtin_ia32_crc32* outside src/io/crc32c.cc; "
+       "checksums go through io::Crc32cExtend, the one dispatched "
+       "kernel."},
       {"design.one-kernel", "kernel",
        "No GenerateStep calls in src/ outside src/sim/policy.{h,cc}; "
        "production code generates with sim::GenerateBlock."},
@@ -658,6 +682,7 @@ FileAnalysis AnalyzeFile(const FileInfo& info, std::string_view source) {
   engine.RuleUncheckedClose();
   engine.RuleRowLoop();
   engine.RulePopcount();
+  engine.RuleCrc32c();
   engine.RuleOneKernel();
 
   // Resolve where each suppression applies: a comment sharing a line with

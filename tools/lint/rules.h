@@ -60,6 +60,12 @@
 //                                 activity::PopCountHw is the instruction
 //                                 in a function compiled for popcnt.
 //                                 Suppress: lint: popcount(...)
+//    perf.crc32c                  _mm_crc32_* / __builtin_ia32_crc32*
+//                                 anywhere but src/io/crc32c.cc: every
+//                                 checksum goes through io::Crc32cExtend,
+//                                 which dispatches on the CPU and runs
+//                                 long buffers on three interleaved
+//                                 chains. Suppress: lint: crc32c(...)
 //
 //  [design]
 //    design.one-kernel            a GenerateStep call in src/ outside
@@ -109,6 +115,7 @@ struct FileInfo {
   bool default_scope = false;// src/** or tools/** (silent-fallback.empty-default)
   bool activity_impl = false;// src/activity/** non-header (perf.row-loop)
   bool popcount_home = false;// src/activity/matrix.h (perf.popcount)
+  bool crc32c_home = false;  // src/io/crc32c.cc (perf.crc32c)
   bool kernel_scope = false; // src/** minus src/sim/policy.{h,cc}
                              // (design.one-kernel)
 };
