@@ -135,6 +135,40 @@ void BM_GenerateBlockHits(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateBlockHits);
 
+// One block's whole 112-day window, bits only, over the world's blocks
+// whose base policy is the arg's kind (labelled): the store-build kernel
+// per policy. Time per iteration is per block; items are host-steps.
+void BM_GenerateBlockBits(benchmark::State& state) {
+  const sim::World& world = SharedWorld();
+  const auto kind = static_cast<sim::PolicyKind>(state.range(0));
+  std::vector<const sim::BlockPlan*> plans;
+  for (const sim::BlockPlan& plan : world.blocks()) {
+    if (plan.base.kind == kind) plans.push_back(&plan);
+  }
+  state.SetLabel(sim::PolicyKindName(kind));
+  if (plans.empty()) {
+    state.SkipWithError("no block of this kind in the world");
+    return;
+  }
+  sim::StepSpec spec;
+  spec.start_day = 228;
+  spec.step_days = 1;
+  spec.steps = 112;
+  spec.world_seed = world.config().seed;
+  spec.gateway_growth = world.config().gateway_traffic_growth;
+  std::vector<activity::DayBits> rows(112);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    sim::GenerateBlock(*plans[i++ % plans.size()], spec, rows.data());
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 112 * 256);
+}
+BENCHMARK(BM_GenerateBlockBits)
+    ->DenseRange(static_cast<int>(sim::PolicyKind::kStatic),
+                 static_cast<int>(sim::PolicyKind::kServerFarm));
+
 // One step's worth of hit draws (256 subscriber-like lanes: mu 2..10.2,
 // sigma 0.5..1.3, daily cap), evaluated by the scalar libm formula
 // (arg 0) or by one target of the certified kernel (args 1..3, labelled).

@@ -73,8 +73,8 @@ bool Quarantine(const fs::path& dir, const std::string& name,
 }
 
 // Reads a committed shard into `*bytes` (one buffer reused across the
-// shards of a pass) and verifies it against its manifest entry; the
-// caller parses the bytes when composing.
+// shards of a pass) and checks its size against its manifest entry; the
+// caller checks its CRC.
 std::optional<io::StoreError> ReadShard(const fs::path& dir,
                                         const ShardEntry& entry,
                                         std::string* bytes) {
@@ -89,12 +89,13 @@ std::optional<io::StoreError> ReadShard(const fs::path& dir,
         "shard " + entry.file + " is " + std::to_string(bytes->size()) +
             " bytes, manifest committed " + std::to_string(entry.bytes)};
   }
-  if (io::Crc32c(bytes->data(), bytes->size()) != entry.crc32c) {
-    return io::StoreError{io::StoreErrorKind::kChecksumMismatch, 0,
-                          "shard " + entry.file +
-                              " does not match its manifest checksum"};
-  }
   return std::nullopt;
+}
+
+io::StoreError ManifestChecksumMismatch(const ShardEntry& entry) {
+  return io::StoreError{io::StoreErrorKind::kChecksumMismatch, 0,
+                        "shard " + entry.file +
+                            " does not match its manifest checksum"};
 }
 
 // Day range + validity of a delta store's coverage mask.
@@ -189,6 +190,9 @@ Result<Session, io::StoreError> Session::Open(const std::string& dir,
   std::string bytes;
   for (const ShardEntry& entry : manifest.shards) {
     if (auto error = ReadShard(dir, entry, &bytes)) return *error;
+    if (io::Crc32c(bytes.data(), bytes.size()) != entry.crc32c) {
+      return ManifestChecksumMismatch(entry);
+    }
   }
 
   return Session{dir, std::move(manifest), std::move(recovery)};
@@ -296,15 +300,26 @@ Result<activity::ActivityStore, io::StoreError> Session::Load() const {
   for (int d = 0; d < manifest_.days; ++d) combined.SetDayCovered(d, false);
 
   // Each shard is decoded straight into `combined` (coverage union, rows
-  // ORed in manifest order), so no per-shard store is ever built.
+  // ORed in manifest order), so no per-shard store is ever built. The
+  // decoder's stream CRC, extended over the 4 bytes that store it, is the
+  // shard's CRC, so the manifest check costs no pass of its own. A shard
+  // that fails to decode is reported as a manifest mismatch when its
+  // whole-file CRC differs, as if that check had come first.
   std::string bytes;
   for (const ShardEntry& entry : manifest_.shards) {
     if (auto error = ReadShard(dir_, entry, &bytes)) return *error;
     auto merged = io::TryMergeStore(bytes, combined);
     if (!merged.ok()) {
+      if (io::Crc32c(bytes.data(), bytes.size()) != entry.crc32c) {
+        return ManifestChecksumMismatch(entry);
+      }
       io::StoreError error = merged.error();
       error.message = entry.file + ": " + error.message;
       return error;
+    }
+    if (io::Crc32cExtend(merged.value().stream_crc,
+                         bytes.data() + bytes.size() - 4, 4) != entry.crc32c) {
+      return ManifestChecksumMismatch(entry);
     }
     registry.GetCounter("ingest.shards_loaded").Add(1);
   }

@@ -378,6 +378,7 @@ std::optional<StoreError> Decode(Source& r, Begin&& begin, LoadStats& stats,
     return StoreError{StoreErrorKind::kChecksumMismatch, r.offset - 4,
                       "stream checksum mismatch"};
   }
+  stats.stream_crc = stream_crc;
   return std::nullopt;
 }
 

@@ -83,6 +83,10 @@ struct LoadStats {
   bool complete = true;
   // The error salvage stopped at (set iff !complete).
   std::optional<StoreError> error;
+  // The whole-stream CRC the decoder verified: over every byte but the
+  // trailing 4 that store it, so Crc32cExtend(stream_crc, last 4 bytes)
+  // is the whole image's CRC. Set on a complete decode.
+  std::uint32_t stream_crc = 0;
 };
 
 struct LoadResult {

@@ -6,6 +6,10 @@
 #include <cstdlib>
 #include <exception>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "obs/registry.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
@@ -37,6 +41,24 @@ struct ChunkStat {
   std::int64_t start_us = 0;    // trace timestamp (only when tracing is on)
   std::uint32_t slot = 0;       // executing participant slot
 };
+
+#if defined(__GLIBC__)
+// Process heap policy, set before main in every program that links the
+// pool. A pass over a 4000-block world allocates and frees tens of MB at a
+// time (a store arena, its serialized image, the decoded copy). glibc's
+// adaptive thresholds make whether such a free is returned to the kernel a
+// matter of the heap's layout at that moment, so the same pass alternated
+// between 0 and ~9000 page faults (~37 MB, ~25 ms) from pass to pass and
+// from process to process. Fixed thresholds make it steady: blocks up to
+// 32 MB (glibc's own ceiling for the adaptive threshold) come from the
+// heap, and the heap returns memory only past 64 MB of free top, so each
+// pass reuses what the one before it freed.
+[[maybe_unused]] const bool kHeapPolicy = [] {
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+  return true;
+}();
+#endif
 
 }  // namespace
 

@@ -25,6 +25,10 @@
 // resizes it at startup. A pool of size 1 executes everything inline on the
 // caller — the serial path and the parallel path share all code.
 //
+// Heap: a program that links the pool gets fixed glibc malloc thresholds
+// before main (pool.cc says why), so passes that free and reallocate
+// multi-MB stores reuse the heap instead of faulting pages in again.
+//
 // Nesting: a parallel region submitted from inside another region's body
 // runs inline on the submitting thread (no deadlock, no oversubscription).
 // Exceptions thrown by a chunk cancel the remaining chunks (best effort)

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -112,6 +115,16 @@ std::uint32_t DrawHits(rng::Xoshiro256& hit_gen, double mu,
 }
 
 }  // namespace
+
+std::uint64_t UnitThreshold(double p) {
+  if (!(p > 0.0)) return 0;  // also NaN: HashUnit(h) < NaN never holds
+  if (p >= 1.0) return std::uint64_t{1} << 53;  // every h >> 11 is below
+  // ceil(ldexp(p, 53)) without the libm calls: scaling by 2^53 is exact,
+  // and x < 2^53 converts to its floor exactly.
+  const double x = p * 0x1.0p53;
+  const auto floor = static_cast<std::uint64_t>(x);
+  return floor + (static_cast<double>(floor) < x ? 1u : 0u);
+}
 
 const char* PolicyKindName(PolicyKind kind) {
   switch (kind) {
@@ -372,12 +385,13 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
 // per (slot, step) decision, per-bit emission. The kernels below produce
 // bit-identical activity by transposing the loop nest to slot-major — legal
 // because every rng::Substream draw is a pure function of (seed, tags...),
-// so evaluating the same draws in a different order, or skipping draws
-// whose results never influence a bit, cannot change any result. Per-slot
-// quantities (tenure epoch schedule, occupant identity, propensity, the
-// multi-day activity-run decision) are then hoisted out of the step sweep
-// and the per-step hash collapses to one SplitMix64 round via
-// rng::SubstreamTail.
+// so evaluating the same draws in a different order, drawing one whose
+// result never influences a bit, or skipping one, cannot change any result.
+// Per-slot quantities (tenure epoch schedule, occupant identity, propensity,
+// the multi-day activity-run decision) are then hoisted out of the step
+// sweep and the per-step hash collapses to one SplitMix64 round via
+// rng::SubstreamTail. No per-step coin flip is a branch: each compares
+// h >> 11 against UnitThreshold(p), and its outcome is ORed in as data.
 
 namespace {
 
@@ -385,17 +399,42 @@ constexpr std::int32_t MidOf(const StepSpec& spec, int step) {
   return spec.start_day + step * spec.step_days + spec.step_days / 2;
 }
 
+// Buffers reused by every RenderPolicy call of one GenerateBlock.
+struct KernelScratch {
+  std::vector<std::uint64_t> below;       // per-step coin-flip thresholds
+  std::vector<rng::SubstreamTail> tails;  // one row word's slot tails
+  std::vector<int> weekend_steps;         // the interval's weekend steps
+  std::vector<std::uint8_t> active;       // one slot's per-step activity
+};
+
 // Shared kernel for the two epoch-occupant policies. kStatic derives the
 // per-slot epoch period from the tenure hash and scatters slots through
 // host_perm; kDynamicLong uses the fixed lease length and identity mapping.
+// Each slot's steps split into occupant epochs, visited in order, and an
+// occupied epoch into activity runs of `run` steps: one draw per run, its
+// index advanced by one per run (only the occupant's first step divides).
+// Each draw's outcome is stored as a byte per step, the weekend draw of
+// each weekend step ANDed in, and the bytes ORed into the rows as the
+// host's bit. The only branch on a draw left is the occupancy, once per
+// epoch.
 void EpochKernel(const BlockPlan& plan, const StepSpec& spec,
                  const PolicyParams& pp, bool is_static,
                  const activity::DayBits& mask, int s0, int s1,
-                 const std::uint8_t* weekend, activity::DayBits* rows) {
+                 const std::uint8_t* weekend, KernelScratch& scratch,
+                 activity::DayBits* rows) {
   const int pool = std::min<int>(pp.pool_size, 256);
   const bool daily = spec.step_days == 1;
-  const bool weekend_gated = pp.weekend_factor < 1.0f;
-  const double weekend_adj = double{pp.weekend_factor};
+  const std::uint64_t occupied_below = UnitThreshold(double{pp.occupancy});
+  const std::uint64_t weekend_below = UnitThreshold(double{pp.weekend_factor});
+  std::vector<int>& weekend_steps = scratch.weekend_steps;
+  scratch.active.resize(static_cast<std::size_t>(s1) + 3);
+  std::uint8_t* active = scratch.active.data();
+  weekend_steps.clear();
+  if (pp.weekend_factor < 1.0f) {
+    for (int s = s0; s < s1; ++s) {
+      if (weekend[s] != 0) weekend_steps.push_back(s);
+    }
+  }
   for (int slot = 0; slot < pool; ++slot) {
     const int host =
         is_static ? plan.host_perm[static_cast<std::size_t>(slot)] : slot;
@@ -415,85 +454,58 @@ void EpochKernel(const BlockPlan& plan, const StepSpec& spec,
     }
     const rng::SubstreamTail occ_tail{plan.block_seed, kTagOccupant, slot};
     const rng::SubstreamTail act_tail{plan.block_seed, kTagActive, slot};
-    const rng::SubstreamTail wk_tail{plan.block_seed, kTagWeekend, slot};
-    constexpr std::int32_t kNever = std::numeric_limits<std::int32_t>::min();
-    std::int32_t epoch_end = kNever;  // first mid-day of the next epoch
-    bool occupied = false;
-    double p_step = 0.0;
-    int run = 1;
-    int run_phase = 0;
-    std::int32_t run_end = kNever;  // first step of the next activity run
-    bool active = false;
-    for (int s = s0; s < s1; ++s) {
+    // Epochs are visited in order: one division finds the first, and each
+    // later one starts at the first step whose mid-day reaches its start.
+    int epoch = (MidOf(spec, s0) + phase) / period;
+    for (int s = s0; s < s1; ++epoch) {
       const std::int32_t mid = MidOf(spec, s);
-      if (mid >= epoch_end) {
-        const int epoch = (mid + phase) / period;
-        epoch_end = (epoch + 1) * period - phase;
-        const std::uint64_t occ =
-            occ_tail.At(static_cast<std::uint64_t>(epoch));
-        occupied = HashUnit(occ) < pp.occupancy;
-        if (occupied) {
-          const double p_day = SubscriberPropensity(occ);
-          p_step = StepProbability(std::min(0.98, p_day), spec.step_days);
-          run = 1;
-          run_phase = 0;
-          if (daily) {
-            run = 1 + static_cast<int>((occ >> 33) & 3u);
-            run_phase = static_cast<int>((occ >> 40) %
-                                         static_cast<unsigned>(run));
-          }
-          run_end = kNever;  // new occupant: stale run decision
+      const std::int32_t epoch_end = (epoch + 1) * period - phase;
+      if (mid >= epoch_end) continue;  // a step longer than the epoch
+      const int e = std::min(
+          s1, s + (daily ? epoch_end - mid
+                         : (epoch_end - mid + spec.step_days - 1) /
+                               spec.step_days));
+      const std::uint64_t occ = occ_tail.At(static_cast<std::uint64_t>(epoch));
+      if ((occ >> 11) < occupied_below) {
+        const double p_day = SubscriberPropensity(occ);
+        const std::uint64_t active_below = UnitThreshold(
+            StepProbability(std::min(0.98, p_day), spec.step_days));
+        int run = 1;
+        int run_phase = 0;
+        if (daily) {
+          run = 1 + static_cast<int>((occ >> 33) & 3u);
+          run_phase = static_cast<int>(
+              static_cast<std::uint32_t>(occ >> 40) %
+              static_cast<std::uint32_t>(run));
         }
-      }
-      if (!occupied) continue;
-      if (daily) {
-        if (s >= run_end) {
-          const int index = (s + run_phase) / run;
-          run_end = (index + 1) * run - run_phase;
-          active =
-              HashUnit(act_tail.At(static_cast<std::uint64_t>(index))) <
-              p_step;
+        int index = (s + run_phase) / run;
+        int run_end = (index + 1) * run - run_phase;  // first step of next run
+        // A run is at most 4 steps: each draw fills 4 bytes, and the next
+        // run (or epoch) overwrites whatever lies past this run's end.
+        for (int t = s; t < e; t = run_end, run_end += run, ++index) {
+          const std::uint32_t fill =
+              ((act_tail.At(static_cast<std::uint64_t>(index)) >> 11) <
+                       active_below
+                   ? 0x01010101u
+                   : 0u);
+          std::memcpy(active + t, &fill, sizeof fill);
         }
       } else {
-        active = HashUnit(act_tail.At(static_cast<std::uint64_t>(s))) < p_step;
+        std::fill(active + s, active + e, std::uint8_t{0});
       }
-      if (!active) continue;
-      if (weekend_gated && weekend[s] != 0 &&
-          !(HashUnit(wk_tail.At(static_cast<std::uint64_t>(s))) <
-            weekend_adj)) {
-        continue;
-      }
-      activity::SetBit(rows[s], host);
+      s = e;
     }
-  }
-}
-
-// kDynamicShort, dense variant: one hash per (slot, step) is inherent, but
-// the fill thresholds are per-step constants shared by all slots, so they
-// are precomputed once and the inner sweep is a single SubstreamTail round
-// plus a compare.
-void DenseShortKernel(const BlockPlan& plan, const StepSpec& spec,
-                      const PolicyParams& pp, const activity::DayBits& mask,
-                      int s0, int s1, const std::uint8_t* weekend,
-                      std::vector<double>& fill, activity::DayBits* rows) {
-  const int pool = std::min<int>(pp.pool_size, 256);
-  fill.resize(static_cast<std::size_t>(s1));
-  for (int s = s0; s < s1; ++s) {
-    const double weekend_adj = weekend[s] != 0 ? double{pp.weekend_factor}
-                                               : 1.0;
-    const double p_day = std::min(0.98, double{pp.daily_p} * weekend_adj);
-    const double p_step = StepProbability(p_day, spec.step_days);
-    fill[static_cast<std::size_t>(s)] =
-        std::min(0.95, static_cast<double>(pp.subscribers) * p_step / pool);
-  }
-  for (int slot = 0; slot < pool; ++slot) {
-    if (!activity::TestBit(mask, slot)) continue;
-    const rng::SubstreamTail dense_tail{plan.block_seed, kTagDense, slot};
-    for (int s = s0; s < s1; ++s) {
-      if (HashUnit(dense_tail.At(static_cast<std::uint64_t>(s))) <
-          fill[static_cast<std::size_t>(s)]) {
-        activity::SetBit(rows[s], slot);
+    if (!weekend_steps.empty()) {
+      const rng::SubstreamTail wk_tail{plan.block_seed, kTagWeekend, slot};
+      for (const int s : weekend_steps) {
+        active[s] &= static_cast<std::uint8_t>(
+            (wk_tail.At(static_cast<std::uint64_t>(s)) >> 11) < weekend_below);
       }
+    }
+    const auto w = static_cast<std::size_t>(host >> 6);
+    const std::uint64_t host_bit = std::uint64_t{1} << (host & 63);
+    for (int s = s0; s < s1; ++s) {
+      rows[s][w] |= host_bit & (std::uint64_t{0} - active[s]);
     }
   }
 }
@@ -534,18 +546,37 @@ void RotatingShortKernel(const BlockPlan& plan, const StepSpec& spec,
   }
 }
 
-// kCgnGateway / kCrawlerBots / kServerFarm: independent per-(slot, step)
-// coin flips against one constant threshold.
-void FlatKernel(std::uint64_t block_seed, std::uint64_t tag, double p_on,
-                int pool, const activity::DayBits& mask, int s0, int s1,
-                activity::DayBits* rows) {
-  for (int slot = 0; slot < pool; ++slot) {
-    if (!activity::TestBit(mask, slot)) continue;
-    const rng::SubstreamTail tail{block_seed, tag, slot};
+// Dense kDynamicShort, kCgnGateway, kCrawlerBots, kServerFarm: independent
+// per-(slot, step) coin flips, slot active at step s iff
+// (Substream(block_seed, tag, slot, s) >> 11) < below[s]. Each row word is
+// built in a register from the SubstreamTails of its live slots (the pool
+// under the policy mask), 64 slots at a time, and ORed in under that mask.
+void CoinFlipKernel(std::uint64_t block_seed, std::uint64_t tag, int pool,
+                    const activity::DayBits& mask, int s0, int s1,
+                    KernelScratch& scratch, activity::DayBits* rows) {
+  const std::uint64_t* below = scratch.below.data();
+  std::vector<rng::SubstreamTail>& tails = scratch.tails;
+  for (int w = 0; w < 4 && 64 * w < pool; ++w) {
+    std::uint64_t live = mask[static_cast<std::size_t>(w)];
+    if (pool - 64 * w < 64) live &= (std::uint64_t{1} << (pool - 64 * w)) - 1;
+    if (live == 0) continue;
+    const int lo = std::countr_zero(live);
+    const int hi = 64 - std::countl_zero(live);
+    tails.clear();
+    for (int b = lo; b < hi; ++b) {
+      tails.emplace_back(block_seed, tag, 64 * w + b);
+    }
     for (int s = s0; s < s1; ++s) {
-      if (HashUnit(tail.At(static_cast<std::uint64_t>(s))) < p_on) {
-        activity::SetBit(rows[s], slot);
+      const auto step = static_cast<std::uint64_t>(s);
+      // Shifted in from the top slot down, so a flip costs a shift-add
+      // and no variable shift.
+      std::uint64_t word = 0;
+      for (int b = hi - 1; b >= lo; --b) {
+        word = 2 * word +
+               ((tails[static_cast<std::size_t>(b - lo)].At(step) >> 11) <
+                below[s]);
       }
+      rows[s][static_cast<std::size_t>(w)] |= (word << lo) & live;
     }
   }
 }
@@ -555,10 +586,14 @@ void FlatKernel(std::uint64_t block_seed, std::uint64_t tag, double p_on,
 void RenderPolicy(const BlockPlan& plan, const StepSpec& spec,
                   const PolicyParams& pp, const activity::DayBits& mask,
                   int s0, int s1, const std::uint8_t* weekend,
-                  std::vector<double>& fill_scratch,
-                  activity::DayBits* rows) {
+                  KernelScratch& scratch, activity::DayBits* rows) {
   const int pool = std::min<int>(pp.pool_size, 256);
   if (pool == 0) return;
+  // A coin-flip policy with one threshold for every step.
+  auto flat = [&](std::uint64_t tag, double p_on) {
+    scratch.below.assign(static_cast<std::size_t>(s1), UnitThreshold(p_on));
+    CoinFlipKernel(plan.block_seed, tag, pool, mask, s0, s1, scratch, rows);
+  };
   switch (pp.kind) {
     case PolicyKind::kUnused:
     case PolicyKind::kRouterInfra:
@@ -566,34 +601,38 @@ void RenderPolicy(const BlockPlan& plan, const StepSpec& spec,
       return;
     case PolicyKind::kStatic:
       EpochKernel(plan, spec, pp, /*is_static=*/true, mask, s0, s1, weekend,
-                  rows);
+                  scratch, rows);
       return;
     case PolicyKind::kDynamicLong:
       EpochKernel(plan, spec, pp, /*is_static=*/false, mask, s0, s1, weekend,
-                  rows);
+                  scratch, rows);
       return;
     case PolicyKind::kDynamicShort:
       if (pp.rotating) {
         RotatingShortKernel(plan, spec, pp, mask, s0, s1, weekend, rows);
-      } else {
-        DenseShortKernel(plan, spec, pp, mask, s0, s1, weekend, fill_scratch,
-                         rows);
+        return;
       }
+      // The fill rate depends on the step only through the weekend factor.
+      scratch.below.resize(static_cast<std::size_t>(s1));
+      for (int s = s0; s < s1; ++s) {
+        const double weekend_adj =
+            weekend[s] != 0 ? double{pp.weekend_factor} : 1.0;
+        const double p_day = std::min(0.98, double{pp.daily_p} * weekend_adj);
+        const double p_step = StepProbability(p_day, spec.step_days);
+        scratch.below[static_cast<std::size_t>(s)] = UnitThreshold(std::min(
+            0.95, static_cast<double>(pp.subscribers) * p_step / pool));
+      }
+      CoinFlipKernel(plan.block_seed, kTagDense, pool, mask, s0, s1, scratch,
+                     rows);
       return;
     case PolicyKind::kCgnGateway:
-      FlatKernel(plan.block_seed, kTagAlwaysOn,
-                 StepProbability(0.999, spec.step_days), pool, mask, s0, s1,
-                 rows);
+      flat(kTagAlwaysOn, StepProbability(0.999, spec.step_days));
       return;
     case PolicyKind::kCrawlerBots:
-      FlatKernel(plan.block_seed, kTagAlwaysOn,
-                 StepProbability(0.98, spec.step_days), pool, mask, s0, s1,
-                 rows);
+      flat(kTagAlwaysOn, StepProbability(0.98, spec.step_days));
       return;
     case PolicyKind::kServerFarm:
-      FlatKernel(plan.block_seed, kTagServer,
-                 StepProbability(double{pp.daily_p}, spec.step_days), pool,
-                 mask, s0, s1, rows);
+      flat(kTagServer, StepProbability(double{pp.daily_p}, spec.step_days));
       return;
   }
 }
@@ -1055,8 +1094,9 @@ void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
   // bounds[0] == s_lo is minimal by construction; order the event entries.
   if (nb == 3 && bounds[1] > bounds[2]) std::swap(bounds[1], bounds[2]);
 
-  std::vector<double> fill_scratch;  // sized lazily by the dense kernel
-  HitQueue queue;
+  KernelScratch scratch;
+  std::optional<HitQueue> queue;  // ~16 KB of lanes, built only for hits
+  if (hits != nullptr) queue.emplace();
   for (int b = 0; b < nb; ++b) {
     const int i0 = bounds[b];
     const int i1 = b + 1 < nb ? bounds[b + 1] : s_hi;
@@ -1089,10 +1129,10 @@ void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
     }
     for (int k = 0; k < np; ++k) {
       RenderPolicy(plan, spec, *params[k], masks[k], i0, i1, weekend.data(),
-                   fill_scratch, rows);
+                   scratch, rows);
     }
     if (hits != nullptr) {
-      HitsPass(plan, spec, owner, i0, i1, weekend.data(), rows, queue, hits);
+      HitsPass(plan, spec, owner, i0, i1, weekend.data(), rows, *queue, hits);
     }
     if (occupants != nullptr) {
       OccupantsPass(plan, spec, owner, i0, i1, rows, occupants);
@@ -1104,8 +1144,8 @@ void GenerateBlock(const BlockPlan& plan, const StepSpec& spec,
         obs::GlobalRegistry().GetCounter("sim.hits.draws");
     static obs::Counter& fallbacks =
         obs::GlobalRegistry().GetCounter("sim.hits.exact_fallbacks");
-    draws.Add(queue.draws());
-    fallbacks.Add(queue.fallbacks());
+    draws.Add(queue->draws());
+    fallbacks.Add(queue->fallbacks());
   }
 }
 

@@ -113,6 +113,13 @@ struct StepSpec {
   double gateway_growth = 0.0;  // ln-units of gateway traffic growth / year
 };
 
+// The integer form of every coin flip: a uniform hash h passes with
+// probability p when HashUnit(h) = (h >> 11) · 2^-53 is below p, and
+// (h >> 11) < UnitThreshold(p) holds for exactly the same h. ldexp(p, 53)
+// is exact and h >> 11 is an integer, so m · 2^-53 < p ⇔ m < ceil(p · 2^53);
+// p ≤ 0 or NaN gives 0 (no h passes), p ≥ 1 gives 2^53 (every h passes).
+std::uint64_t UnitThreshold(double p);
+
 // Generates the activity bits for one (block, step). If `hits256` is
 // non-null it receives per-address request counts for the step (zero for
 // inactive addresses). If `occupants256` is non-null it receives the
@@ -141,6 +148,14 @@ inline void GenerateStep(const BlockPlan& plan, const StepSpec& spec,
 // build, the ICMP scans, the hits stream and the occupant producers
 // (reputation replay, login traces, raw logs) all call it; GenerateStep
 // stays as its reference.
+//
+// No per-step coin flip is a branch: each compares h >> 11 against
+// UnitThreshold(p) and its outcome is stored as data. The coin-flip
+// policies (dense kDynamicShort, kCgnGateway, kCrawlerBots, kServerFarm)
+// build each row word in a register, 64 slots at a time; the epoch
+// policies (kStatic, kDynamicLong) make one draw per activity run and AND
+// in the weekend draw of each weekend step. A bits-only call does not
+// build the hits pass's ~16 KB lane queue.
 //
 // If `hits` is non-null it receives spec.steps × 256 per-address request
 // counts (hits[step * 256 + host], zero where inactive), bit-identical to

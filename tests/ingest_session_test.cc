@@ -228,5 +228,56 @@ TEST(IngestSession, AppendRejectsActivityOnAnUncoveredDayBeforeWriting) {
   fs::remove_all(dir);
 }
 
+// Load checks each shard against its manifest CRC by extending the
+// decoder's stream CRC over the shard's last 4 bytes. A shard changed
+// after Open must fail Load with the manifest mismatch a whole-file check
+// reports, whichever check of the decoder's would also reject it: a
+// flipped payload byte (the block CRC) or a flipped stream-CRC byte (the
+// stream CRC).
+TEST(IngestSession, LoadReportsAShardChangedAfterOpenAsAManifestMismatch) {
+  const std::string dir = FreshDir("changed");
+  {
+    auto opened = Session::Open(dir, kDays);
+    ASSERT_TRUE(opened.ok()) << opened.error().ToString();
+    auto first = Delta({0, 1});
+    first.GetOrCreate(10).Set(0, 1);
+    first.GetOrCreate(20).Set(1, 2);
+    ASSERT_TRUE(opened.value().Append(first, "first").ok());
+    auto second = Delta({3});
+    second.GetOrCreate(30).Set(3, 4);
+    ASSERT_TRUE(opened.value().Append(second, "second").ok());
+  }
+  auto opened = Session::Open(dir, 0);
+  ASSERT_TRUE(opened.ok()) << opened.error().ToString();
+  const Session& session = opened.value();
+  const ShardEntry& entry = session.manifest().shards.back();
+  const fs::path shard = fs::path(dir) / entry.file;
+  const std::string original = FileBytes(shard);
+
+  // The last shard holds one block record: a 26-byte header (magic, day
+  // count, block count, 2 coverage bytes, CRC), then the record's key and
+  // day count, one day index and the day's 32-byte row.
+  const std::size_t payload_byte = 26 + 8 + 2 + 5;
+  ASSERT_LT(payload_byte, original.size() - 24);
+  auto flipped = [&](std::size_t at) {
+    std::string bytes = original;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x10);
+    return bytes;
+  };
+  for (const std::string& changed :
+       {flipped(payload_byte), flipped(original.size() - 1)}) {
+    std::ofstream{shard, std::ios::binary | std::ios::trunc} << changed;
+    auto loaded = session.Load();
+    ASSERT_FALSE(loaded.ok()) << "Load accepted a shard changed after Open";
+    EXPECT_EQ(loaded.error().kind, io::StoreErrorKind::kChecksumMismatch);
+    EXPECT_EQ(loaded.error().message,
+              "shard " + entry.file + " does not match its manifest checksum");
+  }
+  std::ofstream{shard, std::ios::binary | std::ios::trunc} << original;
+  auto loaded = session.Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace ipscope::ingest

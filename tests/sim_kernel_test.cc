@@ -215,6 +215,73 @@ TEST(GenerateBlock, MatchesPerStepForWeekendAndPoolVariants) {
       }
     }
   }
+  // The coin-flip policies build each row word from the pool's slots under
+  // the policy mask: pools that end inside, at and just past a word
+  // boundary, under a partial event that takes hosts 40..140 (across the
+  // first two word boundaries) from day 280 on.
+  for (PolicyKind kind : {PolicyKind::kDynamicShort, PolicyKind::kCgnGateway,
+                          PolicyKind::kCrawlerBots, PolicyKind::kServerFarm}) {
+    for (int pool : {1, 63, 64, 65, 200, 256}) {
+      BlockPlan plan = MakePlan(kind);
+      plan.base.weekend_factor = 0.5f;
+      plan.base.pool_size = static_cast<std::uint16_t>(pool);
+      plan.base.subscribers = static_cast<std::uint16_t>(pool * 3 / 4 + 1);
+      plan.events[0] = BlockEvent{280, MakePlan(PolicyKind::kStatic).base,
+                                  40, 140};
+      Shuffle(plan);
+      const std::string label = std::string{PolicyKindName(kind)} + "/pool" +
+                                std::to_string(pool);
+      ExpectBlockMatchesSteps(plan, DailySpec(), label);
+      ExpectBlockMatchesSteps(plan, WeeklySpec(), label + "/weekly");
+    }
+  }
+}
+
+TEST(UnitThreshold, EqualsTheHashUnitCompareAtTheThreshold) {
+  // Every kernel coin flip is (h >> 11) < UnitThreshold(p); GenerateStep's
+  // is HashUnit(h) < p. Check both sides of the integer threshold k, with
+  // the 11 bits the shift drops all clear and all set.
+  auto hash_unit = [](std::uint64_t h) {
+    return static_cast<double>(h >> 11) * 0x1.0p-53;
+  };
+  const double exact = 0x1.0p-53 * 3377699720527873.0;  // p · 2^53 integral
+  ASSERT_EQ(std::ldexp(exact, 53), 3377699720527873.0);
+  for (double p : {0.0, 0x1.0p-53, 0.3, 0.95, 0.98, 0.999, 1.0, exact}) {
+    const std::uint64_t k = UnitThreshold(p);
+    EXPECT_EQ(k, static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53))))
+        << p;
+    for (std::uint64_t m : {k - 1, k, k + 1}) {
+      if (m >= (std::uint64_t{1} << 53)) continue;  // k - 1 wrapped, or > 1
+      for (std::uint64_t low : {std::uint64_t{0}, std::uint64_t{0x7ff}}) {
+        const std::uint64_t h = (m << 11) | low;
+        EXPECT_EQ((h >> 11) < k, hash_unit(h) < p)
+            << "p " << p << " h >> 11 " << m << " low " << low;
+      }
+    }
+  }
+  EXPECT_EQ(UnitThreshold(-0.5), 0u);
+  EXPECT_EQ(UnitThreshold(std::nan("")), 0u);
+  EXPECT_EQ(UnitThreshold(1.5), std::uint64_t{1} << 53);
+}
+
+TEST(GenerateBlock, ADrawEqualToItsThresholdIsInactive) {
+  // At block seed 69253 the server-farm draw of slot 0 at step 93 has
+  // HashUnit(h) == 0.36433002352714539 exactly, a float: with that daily_p
+  // GenerateStep's strict < leaves the slot inactive there, and so must
+  // the word kernel's integer compare.
+  BlockPlan plan = MakePlan(PolicyKind::kServerFarm);
+  plan.block_seed = 69253;
+  plan.base.pool_size = 64;
+  plan.base.daily_p = 0.36433002352714539f;
+  BlockPlan above = plan;
+  above.base.daily_p = std::nextafter(plan.base.daily_p, 1.0f);
+  activity::DayBits at_p;
+  activity::DayBits above_p;
+  GenerateStep(plan, DailySpec(), 93, at_p, nullptr);
+  GenerateStep(above, DailySpec(), 93, above_p, nullptr);
+  ASSERT_FALSE(activity::TestBit(at_p, 0));
+  ASSERT_TRUE(activity::TestBit(above_p, 0)) << "the draw is not at p";
+  ExpectBlockMatchesSteps(plan, DailySpec(), "draw at its threshold");
 }
 
 TEST(GenerateBlock, MatchesPerStepAcrossEventShapes) {
