@@ -13,6 +13,7 @@
 #include "netbase/ip_set.h"
 #include "scan/zmap_order.h"
 #include "netbase/prefix_trie.h"
+#include "rng/flip_words.h"
 #include "rng/lognormal_batch.h"
 #include "rng/rng.h"
 #include "sim/world.h"
@@ -221,6 +222,57 @@ void BM_HitDraws(benchmark::State& state) {
                           static_cast<std::int64_t>(kLanes));
 }
 BENCHMARK(BM_HitDraws)->DenseRange(0, 3);
+
+// One 112-step sweep of a 64-slot row word's coin flips (the store
+// build's CoinFlipKernel loop, random per-step thresholds), evaluated by
+// the scalar SubstreamTail::At compare (arg 0) or by one rng::FlipWord
+// target (args 1..2, labelled). Items are flips, so the reported time per
+// item is ns per flip.
+void BM_FlipWords(benchmark::State& state) {
+  constexpr int kSlots = 64;
+  constexpr int kSteps = 112;
+  rng::Xoshiro256 g{9};
+  std::vector<rng::SubstreamTail> tails;
+  std::vector<std::uint64_t> keys;
+  for (int b = 0; b < kSlots; ++b) {
+    tails.emplace_back(g(), 0x7e05, b);
+    keys.push_back(tails.back().key());
+  }
+  std::vector<std::uint64_t> below(kSteps);
+  for (std::uint64_t& t : below) t = g() >> 11;
+  std::vector<std::uint64_t> words(kSteps);
+  using Kernel = std::uint64_t (*)(const std::uint64_t*, int, std::uint64_t,
+                                   std::uint64_t);
+  constexpr Kernel kKernels[] = {nullptr, rng::FlipWordPortable,
+                                 rng::FlipWordAvx512};
+  constexpr const char* kLabels[] = {"scalar", "portable", "avx512"};
+  const auto target = static_cast<std::size_t>(state.range(0));
+  if (target == 2 && !rng::FlipWordAvx512Available()) {
+    state.SkipWithError("target not supported by this CPU");
+    return;
+  }
+  const Kernel kernel = kKernels[target];
+  for (auto _ : state) {
+    for (std::size_t s = 0; s < kSteps; ++s) {
+      if (kernel != nullptr) {
+        words[s] = kernel(keys.data(), kSlots, s, below[s]);
+        continue;
+      }
+      std::uint64_t word = 0;
+      for (int b = 0; b < kSlots; ++b) {
+        const bool flip =
+            (tails[static_cast<std::size_t>(b)].At(s) >> 11) < below[s];
+        word |= std::uint64_t{flip} << b;
+      }
+      words[s] = word;
+    }
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(kLabels[target]);
+  state.SetItemsProcessed(state.iterations() * kSlots * kSteps);
+}
+BENCHMARK(BM_FlipWords)->DenseRange(0, 2);
 
 void BM_IsolatingMask(benchmark::State& state) {
   rng::Xoshiro256 g{11};

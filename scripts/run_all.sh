@@ -39,12 +39,13 @@ fi
 # (Activity*, DayBits*) and the serve aggregate sweep (Serve*) are checked
 # on that branch too, and so are the hit-draw kernels and the hits pass
 # built into the tuned sim/policy.cc: every kernel and lane-loop target
-# (LogNormalBatch*, SubscriberHitsMu*), the lane-derived mu against
-# GenerateStep (GenerateBlock*, Observatory*) and Fig 9 on top of them.
+# (LogNormalBatch*, SubscriberHitsMu*, FlipWords*), the lane-derived mu
+# and coin-flip words against GenerateStep (GenerateBlock*, Observatory*)
+# and Fig 9 on top of them.
 cmake -B build-native -G Ninja -DIPSCOPE_NATIVE=ON
 cmake --build build-native --target ipscope_tests ipscope_serve_tests
 ctest --test-dir build-native -j"$(nproc)" \
-  -R '^(Activity|DayBits|Serve|LogNormalBatch|SubscriberHitsMu|GenerateBlock|Observatory|Fig9)'
+  -R '^(Activity|DayBits|Serve|LogNormalBatch|SubscriberHitsMu|FlipWords|GenerateBlock|Observatory|Fig9)'
 
 mkdir -p results
 

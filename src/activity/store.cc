@@ -35,8 +35,20 @@ ActivityMatrix& ActivityStore::GetOrCreateFrom(std::size_t* cursor,
   return matrices_[idx];
 }
 
+ActivityStore::ActivityStore(const ActivityStore& other)
+    : days_(other.days_),
+      covered_(other.covered_),
+      keys_(other.keys_),
+      matrices_(other.matrices_) {}
+
+ActivityStore& ActivityStore::operator=(const ActivityStore& other) {
+  if (this != &other) *this = ActivityStore(other);
+  return *this;
+}
+
 void ActivityStore::AdoptArena(std::vector<net::BlockKey> keys,
-                               std::vector<DayBits> arena,
+                               std::unique_ptr<DayBits[]> arena,
+                               [[maybe_unused]] std::size_t arena_rows,
                                const std::vector<std::size_t>& offsets) {
   assert(keys_.empty() && matrices_.empty());
   assert(keys.size() == offsets.size());
@@ -45,8 +57,8 @@ void ActivityStore::AdoptArena(std::vector<net::BlockKey> keys,
   keys_ = std::move(keys);
   matrices_.reserve(keys_.size());
   for (std::size_t off : offsets) {
-    assert(off + static_cast<std::size_t>(days_) <= arena_.size());
-    matrices_.emplace_back(days_, arena_.data() + off);
+    assert(off + static_cast<std::size_t>(days_) <= arena_rows);
+    matrices_.emplace_back(days_, arena_.get() + off);
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "activity/matrix.h"
@@ -32,6 +33,14 @@ class ActivityStore {
   // `days` is the shared observation-period length of all matrices.
   explicit ActivityStore(int days)
       : days_(days), covered_(static_cast<std::size_t>(days), true) {}
+
+  // A copy owns its rows: every matrix, arena view or not, deep-copies
+  // (see ActivityMatrix), so the copy carries no arena. Moves keep the
+  // arena and the views into it.
+  ActivityStore(const ActivityStore& other);
+  ActivityStore& operator=(const ActivityStore& other);
+  ActivityStore(ActivityStore&&) noexcept = default;
+  ActivityStore& operator=(ActivityStore&&) noexcept = default;
 
   int days() const { return days_; }
   std::size_t BlockCount() const { return keys_.size(); }
@@ -63,13 +72,16 @@ class ActivityStore {
   ActivityMatrix& GetOrCreateFrom(std::size_t* cursor, net::BlockKey key);
 
   // One-shot bulk adoption for builders that generate every block's rows
-  // into a single contiguous arena (day-major per block): the store takes
-  // ownership of `arena` and installs each keys[i] as a view over days()
-  // rows starting at arena[offsets[i]] — O(blocks) pointer work, no row
-  // copies. Requires an empty, fully covered store and strictly ascending
-  // keys. Later GetOrCreate insertions still work; they simply own their
-  // rows (mixed storage modes are fine, see DESIGN.md §4.13).
-  void AdoptArena(std::vector<net::BlockKey> keys, std::vector<DayBits> arena,
+  // into a single contiguous arena of `arena_rows` rows (day-major per
+  // block): the store takes ownership of `arena` and installs each keys[i]
+  // as a view over days() rows starting at arena[offsets[i]] — O(blocks)
+  // pointer work, no row copies. Rows no view covers are never read, so
+  // they may be uninitialized. Requires an empty, fully covered store and
+  // strictly ascending keys. Later GetOrCreate insertions still work; they
+  // simply own their rows (mixed storage modes are fine, see DESIGN.md
+  // §4.13).
+  void AdoptArena(std::vector<net::BlockKey> keys,
+                  std::unique_ptr<DayBits[]> arena, std::size_t arena_rows,
                   const std::vector<std::size_t>& offsets);
 
   // Returns nullptr if the block was never observed.
@@ -115,10 +127,10 @@ class ActivityStore {
   std::vector<bool> covered_;             // per day; see DayCovered
   std::vector<net::BlockKey> keys_;       // ascending
   std::vector<ActivityMatrix> matrices_;  // parallel to keys_
-  // Backing rows for arena-adopted matrices (empty unless AdoptArena ran).
-  // Must outlive matrices_ views; vector moves keep the buffer stable, so
-  // the implicit move of the whole store is safe.
-  std::vector<DayBits> arena_;
+  // Backing rows for arena-adopted matrices (null unless AdoptArena ran).
+  // A move hands over the same buffer, so the views stay valid; a view
+  // does not touch its rows when destroyed.
+  std::unique_ptr<DayBits[]> arena_;
 };
 
 }  // namespace ipscope::activity

@@ -1,6 +1,7 @@
 #include "cdn/observatory.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "obs/timer.h"
 #include "par/pool.h"
@@ -44,13 +45,16 @@ activity::ActivityStore Observatory::BuildStore(int threads) const {
   obs::Span span{"cdn.observatory.build_seconds"};
   // Generate each block's matrix independently (concurrently on the shared
   // pool) straight into one contiguous day-major-per-block arena — a single
-  // allocation for the whole build instead of one per block. Results are
+  // allocation for the whole build instead of one per block, left
+  // uninitialized because GenerateBlock writes every row of its block,
+  // empty blocks included, so no thread zero-fills it first. Results are
   // bit-identical for any thread count: blocks never share generator state
   // and each writes only its own arena slice. Block cost varies wildly by
   // policy kind (a CGN block fills 256 hosts daily, a sparse static block a
   // few), so the pool's dynamic chunk stealing does the load balancing.
   const auto steps = static_cast<std::size_t>(spec_.steps);
-  std::vector<activity::DayBits> arena(order_.size() * steps);
+  const std::size_t arena_rows = order_.size() * steps;
+  auto arena = std::make_unique_for_overwrite<activity::DayBits[]>(arena_rows);
   std::vector<char> non_empty(order_.size(), 0);
 
   // Non-empty row counts fold through the reduce's per-chunk accumulators —
@@ -61,7 +65,7 @@ activity::ActivityStore Observatory::BuildStore(int threads) const {
       [&](std::uint64_t& rows, std::size_t first, std::size_t last) {
         for (std::size_t i = first; i < last; ++i) {
           const sim::BlockPlan& plan = world_.blocks()[order_[i]];
-          activity::DayBits* block_rows = arena.data() + i * steps;
+          activity::DayBits* block_rows = arena.get() + i * steps;
           sim::GenerateBlock(plan, spec_, block_rows);
           bool any = false;
           for (std::size_t s = 0; s < steps; ++s) {
@@ -94,7 +98,7 @@ activity::ActivityStore Observatory::BuildStore(int threads) const {
     keys.push_back(net::BlockKeyOf(world_.blocks()[order_[i]].block));
     offsets.push_back(i * steps);
   }
-  store.AdoptArena(std::move(keys), std::move(arena), offsets);
+  store.AdoptArena(std::move(keys), std::move(arena), arena_rows, offsets);
   insert_span.Stop();
 
   std::uint64_t bytes_emitted = rows_emitted * sizeof(activity::DayBits);

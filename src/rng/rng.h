@@ -57,6 +57,10 @@ class SubstreamTail {
     return SplitMix64Next(state);
   }
 
+  // The folded prefix At mixes each final tag into: what rng::FlipWord
+  // (rng/flip_words.h) takes to evaluate many tails' draws at once.
+  constexpr std::uint64_t key() const { return z_; }
+
  private:
   std::uint64_t z_ = 0;
 };

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/registry.h"
+#include "rng/flip_words.h"
 #include "rng/lognormal_batch.h"
 #include "rng/rng.h"
 #include "sim/behavior.h"
@@ -392,6 +393,8 @@ void GenerateStep(const BlockPlan& plan, const StepSpec& spec, int step,
 // sweep and the per-step hash collapses to one SplitMix64 round via
 // rng::SubstreamTail. No per-step coin flip is a branch: each compares
 // h >> 11 against UnitThreshold(p), and its outcome is ORed in as data.
+// The coin-flip policies evaluate a whole row word of such compares per
+// rng::FlipWord call, so this file holds no ISA intrinsics.
 
 namespace {
 
@@ -401,10 +404,9 @@ constexpr std::int32_t MidOf(const StepSpec& spec, int step) {
 
 // Buffers reused by every RenderPolicy call of one GenerateBlock.
 struct KernelScratch {
-  std::vector<std::uint64_t> below;       // per-step coin-flip thresholds
-  std::vector<rng::SubstreamTail> tails;  // one row word's slot tails
-  std::vector<int> weekend_steps;         // the interval's weekend steps
-  std::vector<std::uint8_t> active;       // one slot's per-step activity
+  std::vector<std::uint64_t> below;  // per-step coin-flip thresholds
+  std::vector<int> weekend_steps;    // the interval's weekend steps
+  std::vector<std::uint8_t> active;  // one slot's per-step activity
 };
 
 // Shared kernel for the two epoch-occupant policies. kStatic derives the
@@ -548,34 +550,27 @@ void RotatingShortKernel(const BlockPlan& plan, const StepSpec& spec,
 
 // Dense kDynamicShort, kCgnGateway, kCrawlerBots, kServerFarm: independent
 // per-(slot, step) coin flips, slot active at step s iff
-// (Substream(block_seed, tag, slot, s) >> 11) < below[s]. Each row word is
-// built in a register from the SubstreamTails of its live slots (the pool
-// under the policy mask), 64 slots at a time, and ORed in under that mask.
+// (Substream(block_seed, tag, slot, s) >> 11) < below[s]. Each row word
+// comes from one rng::FlipWord call over the folded SubstreamTail keys of
+// its live slots' span (the pool under the policy mask), eight slots per
+// instruction on AVX-512, and is ORed in under that mask.
 void CoinFlipKernel(std::uint64_t block_seed, std::uint64_t tag, int pool,
                     const activity::DayBits& mask, int s0, int s1,
-                    KernelScratch& scratch, activity::DayBits* rows) {
-  const std::uint64_t* below = scratch.below.data();
-  std::vector<rng::SubstreamTail>& tails = scratch.tails;
+                    const std::uint64_t* below, activity::DayBits* rows) {
+  std::array<std::uint64_t, 64> keys{};
   for (int w = 0; w < 4 && 64 * w < pool; ++w) {
     std::uint64_t live = mask[static_cast<std::size_t>(w)];
     if (pool - 64 * w < 64) live &= (std::uint64_t{1} << (pool - 64 * w)) - 1;
     if (live == 0) continue;
     const int lo = std::countr_zero(live);
     const int hi = 64 - std::countl_zero(live);
-    tails.clear();
     for (int b = lo; b < hi; ++b) {
-      tails.emplace_back(block_seed, tag, 64 * w + b);
+      keys[static_cast<std::size_t>(b - lo)] =
+          rng::SubstreamTail{block_seed, tag, 64 * w + b}.key();
     }
     for (int s = s0; s < s1; ++s) {
-      const auto step = static_cast<std::uint64_t>(s);
-      // Shifted in from the top slot down, so a flip costs a shift-add
-      // and no variable shift.
-      std::uint64_t word = 0;
-      for (int b = hi - 1; b >= lo; --b) {
-        word = 2 * word +
-               ((tails[static_cast<std::size_t>(b - lo)].At(step) >> 11) <
-                below[s]);
-      }
+      const std::uint64_t word = rng::FlipWord(
+          keys.data(), hi - lo, static_cast<std::uint64_t>(s), below[s]);
       rows[s][static_cast<std::size_t>(w)] |= (word << lo) & live;
     }
   }
@@ -592,7 +587,8 @@ void RenderPolicy(const BlockPlan& plan, const StepSpec& spec,
   // A coin-flip policy with one threshold for every step.
   auto flat = [&](std::uint64_t tag, double p_on) {
     scratch.below.assign(static_cast<std::size_t>(s1), UnitThreshold(p_on));
-    CoinFlipKernel(plan.block_seed, tag, pool, mask, s0, s1, scratch, rows);
+    CoinFlipKernel(plan.block_seed, tag, pool, mask, s0, s1,
+                   scratch.below.data(), rows);
   };
   switch (pp.kind) {
     case PolicyKind::kUnused:
@@ -622,8 +618,8 @@ void RenderPolicy(const BlockPlan& plan, const StepSpec& spec,
         scratch.below[static_cast<std::size_t>(s)] = UnitThreshold(std::min(
             0.95, static_cast<double>(pp.subscribers) * p_step / pool));
       }
-      CoinFlipKernel(plan.block_seed, kTagDense, pool, mask, s0, s1, scratch,
-                     rows);
+      CoinFlipKernel(plan.block_seed, kTagDense, pool, mask, s0, s1,
+                     scratch.below.data(), rows);
       return;
     case PolicyKind::kCgnGateway:
       flat(kTagAlwaysOn, StepProbability(0.999, spec.step_days));

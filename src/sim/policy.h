@@ -152,7 +152,8 @@ inline void GenerateStep(const BlockPlan& plan, const StepSpec& spec,
 // No per-step coin flip is a branch: each compares h >> 11 against
 // UnitThreshold(p) and its outcome is stored as data. The coin-flip
 // policies (dense kDynamicShort, kCgnGateway, kCrawlerBots, kServerFarm)
-// build each row word in a register, 64 slots at a time; the epoch
+// get each row word, 64 slots at a time, from one rng::FlipWord call
+// (eight slots per instruction on AVX-512); the epoch
 // policies (kStatic, kDynamicLong) make one draw per activity run and AND
 // in the weekend draw of each weekend step. A bits-only call does not
 // build the hits pass's ~16 KB lane queue.

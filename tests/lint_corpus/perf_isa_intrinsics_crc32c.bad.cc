@@ -1,7 +1,7 @@
 // lint-corpus-as: src/ingest/corpus.cc
-// Violation corpus: CRC32C instructions spelled out beside the one
-// dispatched kernel in io/crc32c.cc, even inside a function compiled for
-// SSE4.2.
+// Violation corpus (perf.isa-intrinsics): CRC32C instructions spelled out
+// beside the one dispatched kernel in io/crc32c.cc, even inside a function
+// compiled for SSE4.2.
 #include <nmmintrin.h>
 
 #include <cstdint>

@@ -1,7 +1,8 @@
 // lint-corpus-as: src/io/crc32c.cc
-// Clean twin: io/crc32c.cc is the one home of the CRC32C instruction,
-// behind the CPU dispatch. A plain identifier named crc32 and the
-// intrinsic's name in strings or comments (_mm_crc32_u64) are not calls.
+// Clean twin (perf.isa-intrinsics): io/crc32c.cc is the home of the CRC32C
+// instruction, behind the CPU dispatch. A plain identifier named crc32 and
+// the intrinsic's name in strings or comments (_mm_crc32_u64) are not
+// calls.
 #include <nmmintrin.h>
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // lint-corpus-as: src/serve/corpus.cc
 // Violation corpus: popcounts spelled out in a serve file, even inside a
-// function compiled for popcnt. Every spelling of popcount stays in
-// activity/matrix.h.
+// function compiled for popcnt: the builtin is a perf.popcount finding,
+// the intrinsic a perf.isa-intrinsics one.
 #include <nmmintrin.h>
 
 #include <cstdint>

@@ -246,15 +246,54 @@ TEST(LintRules, Crc32cFiresOutsideCrcSourceOnly) {
   std::string builtin = "auto c = __builtin_ia32_crc32di(crc, word);\n";
   for (const char* path : {"src/io/store_io.cc", "src/ingest/session.cc",
                            "tests/x_test.cc", "bench/bench_micro.cc"}) {
-    EXPECT_TRUE(HasRule(Analyze(path, intrinsic), "perf.crc32c")) << path;
-    EXPECT_TRUE(HasRule(Analyze(path, builtin), "perf.crc32c")) << path;
+    EXPECT_TRUE(HasRule(Analyze(path, intrinsic), "perf.isa-intrinsics"))
+        << path;
+    EXPECT_TRUE(HasRule(Analyze(path, builtin), "perf.isa-intrinsics"))
+        << path;
   }
   EXPECT_FALSE(HasRule(Analyze("src/io/crc32c.cc", intrinsic + builtin),
-                       "perf.crc32c"));
+                       "perf.isa-intrinsics"));
   // The dispatched entry points are not instructions.
   EXPECT_FALSE(HasRule(Analyze("src/io/x.cc",
                                "auto c = Crc32cExtend(0, p, n);\n"),
-                       "perf.crc32c"));
+                       "perf.isa-intrinsics"));
+}
+
+TEST(LintRules, IsaIntrinsicsFireOutsideTheirTwoHomesOnly) {
+  const std::string spellings[] = {
+      "auto z = _mm512_mullo_epi64(a, b);\n",
+      "auto m = _mm512_cmplt_epu64_mask(a, b);\n",
+      "auto v = _mm256_add_epi64(a, b);\n",
+      "auto n = _mm_popcnt_u64(word);\n",
+      "auto c = __builtin_ia32_crc32di(crc, word);\n",
+  };
+  for (const std::string& src : spellings) {
+    for (const char* path :
+         {"src/sim/policy.cc", "src/rng/lognormal_batch.cc",
+          "src/activity/matrix.h", "src/serve/server.cc", "tests/x_test.cc",
+          "bench/bench_micro.cc", "tools/lint/x.cc"}) {
+      EXPECT_TRUE(HasRule(Analyze(path, src), "perf.isa-intrinsics"))
+          << path << ": " << src;
+    }
+    for (const char* home : {"src/io/crc32c.cc", "src/rng/flip_words.cc"}) {
+      EXPECT_FALSE(HasRule(Analyze(home, src), "perf.isa-intrinsics"))
+          << home << ": " << src;
+    }
+  }
+  // The header of the coin-flip kernel is not a home, vector types are
+  // not intrinsics, and neither are the dispatched entry points.
+  EXPECT_TRUE(HasRule(Analyze("src/rng/flip_words.h",
+                              "#pragma once\n"
+                              "auto z = _mm512_set1_epi64(1);\n"),
+                      "perf.isa-intrinsics"));
+  EXPECT_FALSE(HasRule(Analyze("src/sim/policy.cc",
+                               "__m512i z; int _mm = 0;\n"
+                               "auto w = rng::FlipWord(k, 64, s, t);\n"),
+                       "perf.isa-intrinsics"));
+  // A popcount intrinsic is one finding, not one per rule.
+  EXPECT_FALSE(HasRule(Analyze("src/serve/server.cc",
+                               "auto n = _mm_popcnt_u64(word);\n"),
+                       "perf.popcount"));
 }
 
 TEST(LintRules, OneKernelFiresInSrcOutsidePolicyOnly) {

@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,9 +22,12 @@
 #include "rng/rng.h"
 #include "sim/behavior.h"
 #include "sim/world.h"
+#include "splitmix_inverse.h"
 
 namespace ipscope::sim {
 namespace {
+
+using testing_support::UnmixSplitMix64;
 
 BlockPlan MakePlan(PolicyKind kind) {
   BlockPlan plan;
@@ -467,23 +471,35 @@ TEST(ArenaStore, CopiedViewMatrixOwnsItsRows) {
   ASSERT_EQ(copy.Row(0), first_row);
 }
 
-// SplitMix64's output mix is a bijection of 64-bit words; this is its
-// inverse, so a test can choose the first output of SplitMix64Next and
-// solve for the state that produces it.
-std::uint64_t UnmixSplitMix64(std::uint64_t z) {
-  auto unshift = [](std::uint64_t y, int s) {
-    std::uint64_t x = y;
-    for (int k = s; k < 64; k += s) x ^= y >> k;
-    return x;
-  };
-  auto inverse = [](std::uint64_t c) {  // c odd: Newton on 2^64
-    std::uint64_t inv = c;
-    for (int i = 0; i < 6; ++i) inv *= 2 - c * inv;
-    return inv;
-  };
-  z = unshift(z, 31) * inverse(0x94d049bb133111ebULL);
-  z = unshift(z, 27) * inverse(0xbf58476d1ce4e5b9ULL);
-  return unshift(z, 30);
+TEST(ArenaStore, CopiedStoreOwnsItsRows) {
+  // Copy-constructing or copy-assigning an arena store deep-copies every
+  // matrix, so both copies stay equal to a fresh build after the original
+  // store and its arena die.
+  sim::World world{[] {
+    sim::WorldConfig config;
+    config.target_client_blocks = 50;
+    return config;
+  }()};
+  cdn::Observatory daily = cdn::Observatory::Daily(world);
+  const activity::ActivityStore fresh = daily.BuildStore();
+  std::optional<activity::ActivityStore> constructed;
+  activity::ActivityStore assigned{1};
+  {
+    const activity::ActivityStore store = daily.BuildStore();
+    constructed.emplace(store);
+    assigned = store;
+  }
+  for (const activity::ActivityStore* copy : {&*constructed, &assigned}) {
+    ASSERT_EQ(copy->BlockCount(), fresh.BlockCount());
+    ASSERT_EQ(copy->days(), fresh.days());
+    for (std::size_t i = 0; i < fresh.BlockCount(); ++i) {
+      ASSERT_EQ(copy->KeyAt(i), fresh.KeyAt(i)) << "block " << i;
+      for (int d = 0; d < fresh.days(); ++d) {
+        ASSERT_EQ(copy->MatrixAt(i).Row(d), fresh.MatrixAt(i).Row(d))
+            << "block " << i << " day " << d;
+      }
+    }
+  }
 }
 
 // An identity whose SubscriberPropensity draws u = n * 2^-53.

@@ -411,17 +411,16 @@ struct Engine {
   // Direct popcounts outside src/activity/matrix.h. The baseline x86-64
   // target has no popcnt instruction, so std::popcount and the
   // __builtin_popcount family compile to a call into libgcc's
-  // __popcountdi2 per word, and the _mm_popcnt intrinsics need a popcnt
-  // target. PopCount is the call-free kernel for any function, PopCountHw
-  // the instruction for a function compiled for popcnt.
+  // __popcountdi2 per word. PopCount is the call-free kernel for any
+  // function, PopCountHw the instruction for a function compiled for
+  // popcnt. (The _mm_popcnt intrinsics are perf.isa-intrinsics findings.)
   void RulePopcount() {
     if (info.popcount_home) return;
     for (std::size_t i = 0; i < toks.size(); ++i) {
       const Token& t = toks[i];
       if (t.kind != TokKind::kIdent) continue;
       bool direct = (t.text == "popcount" && StdQualified(toks, i)) ||
-                    StartsWith(t.text, "__builtin_popcount") ||
-                    StartsWith(t.text, "_mm_popcnt");
+                    StartsWith(t.text, "__builtin_popcount");
       if (!direct) continue;
       Report("perf.popcount", t,
              "'" + t.text + "' is a popcount outside activity/matrix.h; "
@@ -431,22 +430,26 @@ struct Engine {
     }
   }
 
-  // Direct CRC32C instructions outside src/io/crc32c.cc. A spelled-out
-  // `crc32` chain needs an SSE4.2 target and a CPU check, and runs at a
-  // third of the instruction's throughput; io::Crc32cExtend has both the
-  // dispatch and the three-chain kernel.
-  void RuleCrc32c() {
-    if (info.crc32c_home) return;
+  // x86 intrinsics and machine builtins outside the two kernel files. An
+  // intrinsic only compiles inside a function built for its instruction
+  // set and only runs on a CPU that has it; src/io/crc32c.cc (SSE4.2
+  // CRC32C) and src/rng/flip_words.cc (AVX-512 coin-flip words) hold the
+  // target attributes and pick their target once from the CPU, so every
+  // other file calls their entry points instead.
+  void RuleIsaIntrinsics() {
+    if (info.isa_home) return;
     for (const Token& t : toks) {
       if (t.kind != TokKind::kIdent) continue;
-      if (!StartsWith(t.text, "_mm_crc32_") &&
-          !StartsWith(t.text, "__builtin_ia32_crc32")) {
+      if (!StartsWith(t.text, "_mm_") && !StartsWith(t.text, "_mm256_") &&
+          !StartsWith(t.text, "_mm512_") &&
+          !StartsWith(t.text, "__builtin_ia32_")) {
         continue;
       }
-      Report("perf.crc32c", t,
-             "'" + t.text + "' is a CRC32C instruction outside "
-             "io/crc32c.cc; use io::Crc32c / io::Crc32cExtend, which "
-             "dispatch on the CPU and interleave long buffers");
+      Report("perf.isa-intrinsics", t,
+             "'" + t.text + "' is an ISA intrinsic outside io/crc32c.cc and "
+             "rng/flip_words.cc; call their dispatched kernels "
+             "(io::Crc32cExtend, rng::FlipWord), which pick the target "
+             "once from the CPU");
     }
   }
 
@@ -591,7 +594,8 @@ FileInfo ClassifyPath(std::string rel_path) {
       StartsWith(rel_path, "src/") || StartsWith(rel_path, "tools/");
   info.activity_impl = StartsWith(rel_path, "src/activity/") && !info.header;
   info.popcount_home = rel_path == "src/activity/matrix.h";
-  info.crc32c_home = rel_path == "src/io/crc32c.cc";
+  info.isa_home = rel_path == "src/io/crc32c.cc" ||
+                  rel_path == "src/rng/flip_words.cc";
   info.kernel_scope = StartsWith(rel_path, "src/") &&
                       rel_path != "src/sim/policy.h" &&
                       rel_path != "src/sim/policy.cc";
@@ -627,14 +631,14 @@ const std::vector<RuleMeta>& RuleCatalogue() {
        "No per-host Get(day, host) loops in src/activity implementation "
        "files; use the Row(day) word kernels."},
       {"perf.popcount", "popcount",
-       "No std::popcount, __builtin_popcount* or _mm_popcnt* outside "
+       "No std::popcount or __builtin_popcount* outside "
        "src/activity/matrix.h; the baseline build compiles them to libgcc "
        "calls. Use activity::PopCount, or activity::PopCountHw in a "
        "function compiled for popcnt."},
-      {"perf.crc32c", "crc32c",
-       "No _mm_crc32_* or __builtin_ia32_crc32* outside src/io/crc32c.cc; "
-       "checksums go through io::Crc32cExtend, the one dispatched "
-       "kernel."},
+      {"perf.isa-intrinsics", "isa",
+       "No _mm_*/_mm256_*/_mm512_* intrinsics or __builtin_ia32_* builtins "
+       "outside src/io/crc32c.cc and src/rng/flip_words.cc, the homes of "
+       "the CPU-dispatched kernels (io::Crc32cExtend, rng::FlipWord)."},
       {"design.one-kernel", "kernel",
        "No GenerateStep calls in src/ outside src/sim/policy.{h,cc}; "
        "production code generates with sim::GenerateBlock."},
@@ -682,7 +686,7 @@ FileAnalysis AnalyzeFile(const FileInfo& info, std::string_view source) {
   engine.RuleUncheckedClose();
   engine.RuleRowLoop();
   engine.RulePopcount();
-  engine.RuleCrc32c();
+  engine.RuleIsaIntrinsics();
   engine.RuleOneKernel();
 
   // Resolve where each suppression applies: a comment sharing a line with

@@ -52,20 +52,21 @@
 //    perf.row-loop                advisory: member call to Get(...) inside
 //                                 a for-loop body in src/activity/*.cc.
 //                                 Suppress: lint: rowloop(...)
-//    perf.popcount                std::popcount / __builtin_popcount* /
-//                                 _mm_popcnt* anywhere but
-//                                 src/activity/matrix.h: the baseline
-//                                 build compiles each to a libgcc call;
-//                                 activity::PopCount is call-free, and
-//                                 activity::PopCountHw is the instruction
-//                                 in a function compiled for popcnt.
-//                                 Suppress: lint: popcount(...)
-//    perf.crc32c                  _mm_crc32_* / __builtin_ia32_crc32*
-//                                 anywhere but src/io/crc32c.cc: every
-//                                 checksum goes through io::Crc32cExtend,
-//                                 which dispatches on the CPU and runs
-//                                 long buffers on three interleaved
-//                                 chains. Suppress: lint: crc32c(...)
+//    perf.popcount                std::popcount / __builtin_popcount*
+//                                 anywhere but src/activity/matrix.h: the
+//                                 baseline build compiles each to a
+//                                 libgcc call; activity::PopCount is
+//                                 call-free, and activity::PopCountHw is
+//                                 the instruction in a function compiled
+//                                 for popcnt. Suppress: lint: popcount(...)
+//    perf.isa-intrinsics          _mm_* / _mm256_* / _mm512_* intrinsics
+//                                 and __builtin_ia32_* builtins anywhere
+//                                 but src/io/crc32c.cc and
+//                                 src/rng/flip_words.cc: an intrinsic
+//                                 needs a target attribute and a CPU
+//                                 check, and those two files hold the
+//                                 dispatched kernels (io::Crc32cExtend,
+//                                 rng::FlipWord). Suppress: lint: isa(...)
 //
 //  [design]
 //    design.one-kernel            a GenerateStep call in src/ outside
@@ -115,7 +116,8 @@ struct FileInfo {
   bool default_scope = false;// src/** or tools/** (silent-fallback.empty-default)
   bool activity_impl = false;// src/activity/** non-header (perf.row-loop)
   bool popcount_home = false;// src/activity/matrix.h (perf.popcount)
-  bool crc32c_home = false;  // src/io/crc32c.cc (perf.crc32c)
+  bool isa_home = false;     // src/io/crc32c.cc, src/rng/flip_words.cc
+                             // (perf.isa-intrinsics)
   bool kernel_scope = false; // src/** minus src/sim/policy.{h,cc}
                              // (design.one-kernel)
 };
